@@ -16,9 +16,10 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
-from .errors import DegenerateDataError, DomainError, LexigaugeError
+from .errors import DomainError, LexigaugeError
 from .ingest import parse_bibliographic_csv
 from .metrics import METRIC_NAMES, lexical_records, metric_vectors, read_metrics_csv, write_metrics_csv
 from .report import (
@@ -26,18 +27,12 @@ from .report import (
     CorpusConfig,
     OutputConfig,
     RunConfig,
+    analyze_network,
+    as_json,
     load_run_config,
     run_compare,
 )
-from .semnet import (
-    GraphPolicy,
-    betweenness,
-    build_coword_graph,
-    cluster_summary,
-    export_graph,
-    load_stopwords,
-    louvain_communities,
-)
+from .semnet import export_graph
 from .stats import shapiro_wilk, wilcoxon_rank_sum
 
 STOPWORDS_ENV = "LEXIGAUGE_STOPWORDS"
@@ -102,52 +97,36 @@ def _cmd_compare(args) -> int:
             )
         config = None
 
-    def corpus_config(base: CorpusConfig | None, csv_path, label, default_label):
-        if base is None:
-            base_kwargs = {}
-        else:
-            base_kwargs = {
-                "csv_path": base.csv_path,
-                "label": base.label,
-                "column_map": base.column_map,
-                "sample_size": base.sample_size,
-                "seed": base.seed,
-                "author_total": base.author_total,
-            }
+    overrides = {
+        key: value
+        for key, value in (("sample_size", args.sample_size), ("seed", args.seed))
+        if value is not None
+    }
+
+    def corpus_config(base: CorpusConfig | None, csv_path, label) -> CorpusConfig:
+        changes = dict(overrides)
         if csv_path:
-            base_kwargs["csv_path"] = csv_path
-            base_kwargs.setdefault("label", label or Path(csv_path).stem)
+            changes["csv_path"] = csv_path
         if label:
-            base_kwargs["label"] = label
-        if args.sample_size is not None:
-            base_kwargs["sample_size"] = args.sample_size
-        if args.seed is not None:
-            base_kwargs["seed"] = args.seed
-        base_kwargs.setdefault("label", default_label)
-        return CorpusConfig(**base_kwargs)
+            changes["label"] = label
+        if base is None:
+            return CorpusConfig(**{"label": Path(csv_path).stem, **changes})
+        return replace(base, **changes)
 
     corpora = (
-        corpus_config(config.corpora[0] if config else None, args.corpus_a, args.label_a, "corpus-a"),
-        corpus_config(config.corpora[1] if config else None, args.corpus_b, args.label_b, "corpus-b"),
+        corpus_config(config.corpora[0] if config else None, args.corpus_a, args.label_a),
+        corpus_config(config.corpora[1] if config else None, args.corpus_b, args.label_b),
     )
     analysis = config.analysis if config else AnalysisConfig()
-    stopwords = _stopwords_path(args.stopwords, analysis.stopwords_path)
-    if stopwords != analysis.stopwords_path:
-        analysis = AnalysisConfig(
-            min_title_frequency=analysis.min_title_frequency,
-            stopwords_path=stopwords,
-            kde_grid_points=analysis.kde_grid_points,
-            network_seed=analysis.network_seed,
-            louvain_resolution=analysis.louvain_resolution,
-            token_policy=analysis.token_policy,
-        )
+    analysis = replace(
+        analysis, stopwords_path=_stopwords_path(args.stopwords, analysis.stopwords_path)
+    )
     output = config.output if config else OutputConfig()
     if args.out:
-        output = OutputConfig(directory=args.out, formats=output.formats)
+        output = replace(output, directory=args.out)
     if args.formats:
-        output = OutputConfig(
-            directory=output.directory,
-            formats=tuple(f.strip() for f in args.formats.split(",") if f.strip()),
+        output = replace(
+            output, formats=tuple(f.strip() for f in args.formats.split(",") if f.strip())
         )
 
     run = RunConfig(corpora=corpora, analysis=analysis, output=output)
@@ -181,18 +160,15 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_semnet(args) -> int:
     corpus = parse_bibliographic_csv(args.csv, label=Path(args.csv).stem)
-    stopwords_path = _stopwords_path(args.stopwords)
-    policy = GraphPolicy(
+    analysis = AnalysisConfig(
         min_title_frequency=args.min_title_frequency,
-        stopwords=load_stopwords(stopwords_path) if stopwords_path else None,
+        stopwords_path=_stopwords_path(args.stopwords),
+        network_seed=args.seed,
+        louvain_resolution=args.resolution,
     )
-    graph = build_coword_graph(corpus.titles(), policy)
-    partition = louvain_communities(graph, resolution=args.resolution, seed=args.seed)
-    scores = betweenness(graph)
-    payload = export_graph(graph, partition, scores, args.format)
+    graph, partition, scores, summary = analyze_network(corpus.titles(), analysis)
     out = args.out or f"{Path(args.csv).with_suffix('')}_network.{args.format}"
-    Path(out).write_bytes(payload)
-    summary = cluster_summary(graph, partition, scores)
+    Path(out).write_bytes(export_graph(graph, partition, scores, args.format))
     print(
         f"wrote {out}: {graph.node_count()} nodes, {graph.edge_count()} edges, "
         f"{partition.community_count()} communities (Q={partition.modularity_q:.3f}), "
@@ -210,23 +186,11 @@ def _cmd_stats(args) -> int:
         entry = {}
         for side, values in (("a", x), ("b", y)):
             try:
-                result = shapiro_wilk(values)
-                entry[f"normality_{side}"] = {
-                    "w_statistic": result.w_statistic,
-                    "p_value": result.p_value,
-                    "n": result.n,
-                }
-            except (DomainError, DegenerateDataError):
+                entry[f"normality_{side}"] = as_json(shapiro_wilk(values))
+            except DomainError:
                 entry[f"normality_{side}"] = None
         rank = wilcoxon_rank_sum(x, y)
-        entry["rank_sum"] = {
-            "u_statistic": rank.u_statistic,
-            "z_score": rank.z_score,
-            "p_value": rank.p_value,
-            "effect_size_r": rank.effect_size_r,
-            "n_x": rank.n_x,
-            "n_y": rank.n_y,
-        }
+        entry["rank_sum"] = as_json(rank)
         payload[metric] = entry
         print(f"{metric}: p={rank.p_value:.2e} r={rank.effect_size_r:.3f}")
     rendered = json.dumps(payload, sort_keys=True, indent=2) + "\n"

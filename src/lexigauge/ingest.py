@@ -111,25 +111,19 @@ class BiblioSummary:
     timespan: tuple[int, int] | None
 
 
-def _parse_int(raw: str, default: int = 0) -> int:
+def _parse_int(raw: str, default: int | None = 0) -> int | None:
     raw = raw.strip()
     if not raw:
         return default
     try:
         return int(float(raw))
-    except ValueError:
+    except (ValueError, OverflowError):  # "n/a", "nan"; "1e999", "inf"
         return default
 
 
 def _parse_year(raw: str) -> int | None:
-    raw = raw.strip()
-    if not raw:
-        return None
-    try:
-        year = int(float(raw))
-    except ValueError:
-        return None
-    if YEAR_RANGE[0] <= year <= YEAR_RANGE[1]:
+    year = _parse_int(raw, default=None)
+    if year is not None and YEAR_RANGE[0] <= year <= YEAR_RANGE[1]:
         return year
     return None
 

@@ -16,7 +16,7 @@ import math
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -77,7 +77,9 @@ __all__ = [
     "CorpusResult",
     "ComparisonReport",
     "load_run_config",
+    "analyze_network",
     "run_compare",
+    "as_json",
     "emit_density_svg",
     "report_json_bytes",
 ]
@@ -212,9 +214,7 @@ def load_run_config(source) -> RunConfig:
         directory=output_raw.get("directory", OutputConfig.directory),
         formats=tuple(output_raw.get("formats", OutputConfig.formats)),
     )
-    if len(corpora) != 2:
-        raise ConfigError(f"a comparison needs exactly two corpora, got {len(corpora)}")
-    return RunConfig(corpora=(corpora[0], corpora[1]), analysis=analysis, output=output)
+    return RunConfig(corpora=tuple(corpora), analysis=analysis, output=output)
 
 
 # ---------------------------------------------------------------------------
@@ -257,21 +257,26 @@ class ComparisonReport:
             "schema_version": "1",
             "corpora": [_corpus_json(c) for c in self.corpora],
             "comparisons": {
-                metric: {
-                    "u_statistic": r.u_statistic,
-                    "z_score": r.z_score,
-                    "p_value": r.p_value,
-                    "effect_size_r": r.effect_size_r,
-                    "n_x": r.n_x,
-                    "n_y": r.n_y,
-                }
-                for metric, r in self.comparisons.items()
+                metric: as_json(r) for metric, r in self.comparisons.items()
             },
             "provenance": self.provenance,
         }
 
 
+# Result fields whose JSON key differs from the dataclass field name.
+_JSON_KEYS = {"minimum": "min", "maximum": "max"}
+
+
+def as_json(result) -> dict | None:
+    """JSON object of a result dataclass (``None`` stays ``None``): its
+    fields by name, with ``Descriptives``' minimum/maximum as min/max."""
+    if result is None:
+        return None
+    return {_JSON_KEYS.get(k, k): v for k, v in asdict(result).items()}
+
+
 def _corpus_json(c: CorpusResult) -> dict:
+    with_abstract = len(c.records) - c.missing_abstract_count
     return {
         "label": c.label,
         "source_csv": c.source_csv,
@@ -280,54 +285,21 @@ def _corpus_json(c: CorpusResult) -> dict:
         "sample_size": c.sample_size,
         "analyzed_documents": len(c.records),
         "missing_abstract_count": c.missing_abstract_count,
-        "bibliometrics": {
-            "document_count": c.bibliometrics.document_count,
-            "author_total": c.bibliometrics.author_total,
-            "authors_per_document": c.bibliometrics.authors_per_document,
-            "citations_per_document": c.bibliometrics.citations_per_document,
-            "annual_growth_pct": c.bibliometrics.annual_growth_pct,
-            "timespan": list(c.bibliometrics.timespan) if c.bibliometrics.timespan else None,
-        },
+        "bibliometrics": as_json(c.bibliometrics),
         "metric_counts": {
             "title_length": len(c.records),
-            "fkgl": len(c.records) - c.missing_abstract_count,
-            "yules_k": len(c.records) - c.missing_abstract_count,
+            "fkgl": with_abstract,
+            "yules_k": with_abstract,
         },
-        "descriptives": {
-            metric: {
-                "min": d.minimum,
-                "q1": d.q1,
-                "median": d.median,
-                "mean": d.mean,
-                "q3": d.q3,
-                "max": d.maximum,
-            }
-            for metric, d in c.descriptives.items()
-        },
-        "normality": {
-            metric: (
-                None
-                if r is None
-                else {"w_statistic": r.w_statistic, "p_value": r.p_value, "n": r.n}
-            )
-            for metric, r in c.normality.items()
-        },
+        "descriptives": {m: as_json(d) for m, d in c.descriptives.items()},
+        "normality": {m: as_json(r) for m, r in c.normality.items()},
         "network": {
             "node_count": c.graph.node_count(),
             "edge_count": c.graph.edge_count(),
             "modularity_q": c.partition.modularity_q,
             "community_count": c.partition.community_count(),
             "top_betweenness_token": c.clusters.top_betweenness_token,
-            "clusters": [
-                {
-                    "community_id": info.community_id,
-                    "size": info.size,
-                    "node_share_pct": info.node_share_pct,
-                    "label_tokens": list(info.label_tokens),
-                    "top_betweenness_token": info.top_betweenness_token,
-                }
-                for info in c.clusters.clusters
-            ],
+            "clusters": [as_json(info) for info in c.clusters.clusters],
         },
     }
 
@@ -346,7 +318,28 @@ def report_json_bytes(report: ComparisonReport) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def _analyze_corpus(config: CorpusConfig, analysis: AnalysisConfig, policy: GraphPolicy) -> CorpusResult:
+def analyze_network(
+    titles, analysis: AnalysisConfig
+) -> tuple[CoWordGraph, CommunityPartition, CentralityScores, ClusterSummary]:
+    """The co-word network stage of one corpus: the title graph under
+    ``analysis``'s graph settings, its seeded communities, betweenness and
+    degree scores, and the cluster summary."""
+    policy = GraphPolicy(
+        min_title_frequency=analysis.min_title_frequency,
+        token_policy=analysis.token_policy,
+        stopwords=(
+            load_stopwords(analysis.stopwords_path) if analysis.stopwords_path else None
+        ),
+    )
+    graph = build_coword_graph(titles, policy)
+    partition = louvain_communities(
+        graph, resolution=analysis.louvain_resolution, seed=analysis.network_seed
+    )
+    centrality = betweenness(graph)
+    return graph, partition, centrality, cluster_summary(graph, partition, centrality)
+
+
+def _analyze_corpus(config: CorpusConfig, analysis: AnalysisConfig) -> CorpusResult:
     label = config.label
     try:
         full = parse_bibliographic_csv(
@@ -380,7 +373,7 @@ def _analyze_corpus(config: CorpusConfig, analysis: AnalysisConfig, policy: Grap
         desc[metric] = descriptives(values)
         try:
             normality[metric] = shapiro_wilk(values)
-        except (DomainError, DegenerateDataError):
+        except DomainError:
             normality[metric] = None
         try:
             densities[metric] = kde(values, grid_points=analysis.kde_grid_points)
@@ -389,12 +382,7 @@ def _analyze_corpus(config: CorpusConfig, analysis: AnalysisConfig, policy: Grap
                 f"corpus {label!r}: cannot build a density for {metric!r}: {exc}"
             ) from exc
 
-    graph = build_coword_graph(analyzed.titles(), policy)
-    partition = louvain_communities(
-        graph, resolution=analysis.louvain_resolution, seed=analysis.network_seed
-    )
-    centrality = betweenness(graph)
-    clusters = cluster_summary(graph, partition, centrality)
+    graph, partition, centrality, clusters = analyze_network(analyzed.titles(), analysis)
 
     return CorpusResult(
         label=label,
@@ -425,18 +413,7 @@ def run_compare(config: RunConfig) -> ComparisonReport:
     written to a temporary directory and moved into place only on success,
     so a failing run leaves no partial outputs.
     """
-    policy = GraphPolicy(
-        min_title_frequency=config.analysis.min_title_frequency,
-        token_policy=config.analysis.token_policy,
-        stopwords=(
-            load_stopwords(config.analysis.stopwords_path)
-            if config.analysis.stopwords_path
-            else None
-        ),
-    )
-    results = tuple(
-        _analyze_corpus(c, config.analysis, policy) for c in config.corpora
-    )
+    results = tuple(_analyze_corpus(c, config.analysis) for c in config.corpora)
 
     comparisons: dict[str, RankSumResult] = {}
     vectors_a = metric_vectors(results[0].records)
@@ -459,19 +436,15 @@ def run_compare(config: RunConfig) -> ComparisonReport:
             "network": config.analysis.network_seed,
         },
         "policies": {
-            "token_policy": {
-                "keep_numbers": config.analysis.token_policy.keep_numbers,
-                "bind_hyphens": config.analysis.token_policy.bind_hyphens,
-                "bind_apostrophes": config.analysis.token_policy.bind_apostrophes,
-            },
+            "token_policy": asdict(config.analysis.token_policy),
             "graph_policy": {
-                "min_title_frequency": policy.min_title_frequency,
+                "min_title_frequency": config.analysis.min_title_frequency,
                 "stopwords": (
                     str(config.analysis.stopwords_path)
                     if config.analysis.stopwords_path
                     else "bundled-default"
                 ),
-                "unweighted_paths": policy.unweighted_paths,
+                "unweighted_paths": True,
             },
             "louvain_resolution": config.analysis.louvain_resolution,
             "kde_grid_points": config.analysis.kde_grid_points,

@@ -17,7 +17,7 @@ from xml.etree import ElementTree as ET
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .textproc import DEFAULT_TOKEN_POLICY, TokenPolicy, tokenize
+from .textproc import DEFAULT_TOKEN_POLICY, TokenPolicy, _load_word_list, tokenize
 
 __all__ = [
     "GraphPolicy",
@@ -43,12 +43,7 @@ _DEFAULT_STOPWORDS: frozenset[str] | None = None
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Load a stopword list: one lowercase token per line, ``#`` comments
     and blank lines ignored."""
-    words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip().lower()
-        if line and not line.startswith("#"):
-            words.add(line)
-    return frozenset(words)
+    return _load_word_list(path)
 
 
 def default_stopwords() -> frozenset[str]:
@@ -65,14 +60,11 @@ class GraphPolicy:
 
     min_title_frequency: nodes appearing in fewer titles are pruned
     (set to 1 to disable pruning).
-    unweighted_paths: betweenness treats every edge as unit length
-    (the default); kept as an explicit flag for provenance.
     """
 
     min_title_frequency: int = 2
     token_policy: TokenPolicy = DEFAULT_TOKEN_POLICY
     stopwords: frozenset[str] | None = None
-    unweighted_paths: bool = True
 
     def effective_stopwords(self) -> frozenset[str]:
         return self.stopwords if self.stopwords is not None else default_stopwords()
@@ -476,6 +468,24 @@ def _check_same_nodes(graph, partition, scores):
 GEXF_NAMESPACE = "http://www.gexf.net/1.2draft"
 GRAPHML_NAMESPACE = "http://graphml.graphdrawing.org/xmlns"
 
+# Node attributes in export order: (name, GEXF type, GraphML type).
+_NODE_ATTRIBUTES = (
+    ("community", "integer", "int"),
+    ("betweenness", "double", "double"),
+    ("degree", "integer", "int"),
+    ("title_frequency", "integer", "int"),
+)
+
+
+def _node_values(node, graph, partition, scores) -> tuple[str, ...]:
+    """The exported values of ``node``'s attributes, in _NODE_ATTRIBUTES order."""
+    return (
+        str(partition.assignment[node]),
+        repr(scores.betweenness[node]),
+        str(scores.degree[node]),
+        str(graph.node_frequency[node]),
+    )
+
 
 def export_graph(
     graph: CoWordGraph,
@@ -503,14 +513,7 @@ def _gexf_tree(graph, partition, scores) -> ET.Element:
         root, "graph", {"mode": "static", "defaultedgetype": "undirected"}
     )
     attrs = ET.SubElement(graph_el, "attributes", {"class": "node"})
-    for attr_id, (title, kind) in enumerate(
-        [
-            ("community", "integer"),
-            ("betweenness", "double"),
-            ("degree", "integer"),
-            ("title_frequency", "integer"),
-        ]
-    ):
+    for attr_id, (title, kind, _) in enumerate(_NODE_ATTRIBUTES):
         ET.SubElement(
             attrs, "attribute", {"id": str(attr_id), "title": title, "type": kind}
         )
@@ -518,17 +521,8 @@ def _gexf_tree(graph, partition, scores) -> ET.Element:
     for node in sorted(graph.node_frequency):
         node_el = ET.SubElement(nodes_el, "node", {"id": node, "label": node})
         values = ET.SubElement(node_el, "attvalues")
-        for attr_id, value in enumerate(
-            [
-                partition.assignment[node],
-                repr(scores.betweenness[node]),
-                scores.degree[node],
-                graph.node_frequency[node],
-            ]
-        ):
-            ET.SubElement(
-                values, "attvalue", {"for": str(attr_id), "value": str(value)}
-            )
+        for attr_id, value in enumerate(_node_values(node, graph, partition, scores)):
+            ET.SubElement(values, "attvalue", {"for": str(attr_id), "value": value})
     edges_el = ET.SubElement(graph_el, "edges")
     for edge_id, ((u, v), w) in enumerate(sorted(graph.edges.items())):
         ET.SubElement(
@@ -541,30 +535,21 @@ def _gexf_tree(graph, partition, scores) -> ET.Element:
 
 def _graphml_tree(graph, partition, scores) -> ET.Element:
     root = ET.Element("graphml", {"xmlns": GRAPHML_NAMESPACE})
-    keys = [
-        ("d_community", "node", "community", "int"),
-        ("d_betweenness", "node", "betweenness", "double"),
-        ("d_degree", "node", "degree", "int"),
-        ("d_title_frequency", "node", "title_frequency", "int"),
-        ("d_weight", "edge", "weight", "int"),
-    ]
-    for key_id, domain, name, kind in keys:
+    keys = [(name, "node", kind) for name, _, kind in _NODE_ATTRIBUTES]
+    for name, domain, kind in [*keys, ("weight", "edge", "int")]:
         ET.SubElement(
             root,
             "key",
-            {"id": key_id, "for": domain, "attr.name": name, "attr.type": kind},
+            {"id": f"d_{name}", "for": domain, "attr.name": name, "attr.type": kind},
         )
     graph_el = ET.SubElement(root, "graph", {"id": "G", "edgedefault": "undirected"})
     for node in sorted(graph.node_frequency):
         node_el = ET.SubElement(graph_el, "node", {"id": node})
-        for key_id, value in [
-            ("d_community", partition.assignment[node]),
-            ("d_betweenness", repr(scores.betweenness[node])),
-            ("d_degree", scores.degree[node]),
-            ("d_title_frequency", graph.node_frequency[node]),
-        ]:
-            data = ET.SubElement(node_el, "data", {"key": key_id})
-            data.text = str(value)
+        for (name, _, _), value in zip(
+            _NODE_ATTRIBUTES, _node_values(node, graph, partition, scores)
+        ):
+            data = ET.SubElement(node_el, "data", {"key": f"d_{name}"})
+            data.text = value
     for (u, v), w in sorted(graph.edges.items()):
         edge_el = ET.SubElement(graph_el, "edge", {"source": u, "target": v})
         data = ET.SubElement(edge_el, "data", {"key": "d_weight"})

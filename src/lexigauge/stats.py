@@ -183,20 +183,12 @@ def shapiro_wilk(values) -> NormalityResult:
 def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ranks 1..n with ties sharing their average rank; also returns the
     tie-group sizes needed for the variance correction."""
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    ranks = np.empty(values.size, dtype=float)
-    tie_sizes = []
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        avg_rank = 0.5 * (i + j) + 1.0
-        ranks[order[i : j + 1]] = avg_rank
-        tie_sizes.append(j - i + 1)
-        i = j + 1
-    return ranks, np.asarray(tie_sizes)
+    _, inverse, tie_sizes = np.unique(
+        values, return_inverse=True, return_counts=True, equal_nan=False
+    )
+    # a group of c ties after i smaller values shares rank i + (c + 1) / 2
+    group_ranks = np.cumsum(tie_sizes) - 0.5 * (tie_sizes - 1)
+    return group_ranks[inverse], tie_sizes
 
 
 def wilcoxon_rank_sum(x, y) -> RankSumResult:
@@ -225,12 +217,11 @@ def wilcoxon_rank_sum(x, y) -> RankSumResult:
         diff = u - mu
         corrected = math.copysign(max(abs(diff) - 0.5, 0.0), diff)
         z = corrected / math.sqrt(variance)
-    p = min(1.0, 2.0 * float(ndtr(-abs(z))))
     return RankSumResult(
         u_statistic=u,
         z_score=z,
-        p_value=p,
-        effect_size_r=abs(z) / math.sqrt(n),
+        p_value=p_two_sided_from_z(z),
+        effect_size_r=effect_size_from_z(z, n),
         n_x=n_x,
         n_y=n_y,
     )

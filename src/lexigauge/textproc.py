@@ -267,15 +267,21 @@ def frequency_spectrum(tokens) -> FrequencySpectrum:
 # ---------------------------------------------------------------------------
 
 
+def _load_word_list(path: str | Path) -> frozenset[str]:
+    """One stripped, lowercased entry per line; ``#`` comments and blank
+    lines ignored."""
+    entries = set()
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        line = line.strip().lower()
+        if line and not line.startswith("#"):
+            entries.add(line)
+    return frozenset(entries)
+
+
 def load_abbreviations(path: str | Path) -> frozenset[str]:
     """Load a sentence-abbreviation list: one entry per line, ``#`` comments
     and blank lines ignored; entries lowercased."""
-    entries = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            entries.add(line.lower())
-    return frozenset(entries)
+    return _load_word_list(path)
 
 
 _BOOL_VALUES = {"true": True, "yes": True, "1": True,

@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from lexigauge import cli
 from lexigauge.errors import ConfigError, CsvParseError, DomainError
 from lexigauge.ingest import (
     ROUNDTRIP_COLUMN_MAP,
@@ -28,6 +29,21 @@ def test_parse_two_row_csv():
     assert corpus.records[0].abstract == "First abstract"
     assert corpus.records[0].year == 2015
     assert corpus.records[1].id != corpus.records[0].id
+
+
+def test_overflowing_numeric_cells_are_unparseable(tmp_path, capsys):
+    text = (
+        "Title,Abstract,Year,Cited by\n"
+        "First title,Some text.,inf,1e999\n"
+        "Second title,Other text.,1e999,-inf\n"
+    )
+    corpus = parse_bibliographic_csv(io.StringIO(text), label="overflow")
+    assert [r.year for r in corpus.records] == [None, None]
+    assert [r.citations for r in corpus.records] == [0, 0]
+    path = tmp_path / "overflow.csv"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["metrics", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 def test_parse_skips_empty_titles_and_counts_them():

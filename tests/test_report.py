@@ -459,6 +459,26 @@ def test_cli_semnet_writes_gexf(data_dir, tmp_path, capsys):
     assert "top betweenness" in capsys.readouterr().out
 
 
+# Seeds 0 and 5 give different partitions of the leadership corpus.
+@pytest.mark.parametrize("seed", [0, 5])
+def test_cli_semnet_matches_run_compare_network(data_dir, tmp_path, monkeypatch, seed):
+    monkeypatch.delenv(cli.STOPWORDS_ENV, raising=False)
+    leadership = data_dir / "corpus_leadership.csv"
+    run_compare(
+        RunConfig(
+            corpora=(
+                CorpusConfig(csv_path=str(data_dir / "corpus_process.csv"), label="Process"),
+                CorpusConfig(csv_path=str(leadership), label="Leadership"),
+            ),
+            analysis=AnalysisConfig(network_seed=seed),
+            output=OutputConfig(directory=str(tmp_path / "out"), formats=("gexf",)),
+        )
+    )
+    target = tmp_path / "cli.gexf"
+    assert cli.main(["semnet", str(leadership), "--seed", str(seed), "--out", str(target)]) == 0
+    assert target.read_bytes() == (tmp_path / "out" / "network_leadership.gexf").read_bytes()
+
+
 def test_cli_semnet_respects_stopwords_env(data_dir, tmp_path, monkeypatch):
     stopfile = tmp_path / "stops.txt"
     stopfile.write_text("leadership\n")

@@ -513,6 +513,20 @@ def _parse_gexf_for_roundtrip(payload: bytes):
     return nodes, edges
 
 
+def _parse_graphml_node_values(payload: bytes):
+    root = ET.fromstring(payload)
+    ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
+    key_names = {
+        k.get("id"): k.get("attr.name")
+        for k in root.findall("g:key", ns)
+        if k.get("for") == "node"
+    }
+    return {
+        node.get("id"): {key_names[d.get("key")]: d.text for d in node.findall("g:data", ns)}
+        for node in root.findall(".//g:node", ns)
+    }
+
+
 def test_gexf_round_trip_preserves_content():
     graph, partition, scores = _path_graph_bundle()
     nodes, edges = _parse_gexf_for_roundtrip(
@@ -525,6 +539,9 @@ def test_gexf_round_trip_preserves_content():
         assert int(values["degree"]) == scores.degree[name]
         assert int(values["title_frequency"]) == graph.node_frequency[name]
     assert edges == {pair: str(w) for pair, w in graph.edges.items()}
+    # GraphML carries the same node attribute values, string for string
+    graphml = export_graph(graph, partition, scores, "graphml")
+    assert _parse_graphml_node_values(graphml) == nodes
 
 
 def test_export_rejects_inconsistent_scores():

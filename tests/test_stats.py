@@ -1,12 +1,16 @@
 import json
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexigauge.errors import DegenerateDataError, DomainError, UnsupportedDataError
 from lexigauge.stats import (
+    _midranks,
     descriptives,
     effect_size_from_z,
     exact_rank_sum_p,
@@ -118,6 +122,25 @@ def test_shapiro_accepts_normal_draw():
 # ---------------------------------------------------------------------------
 # Wilcoxon rank-sum
 # ---------------------------------------------------------------------------
+
+
+def _midranks_oracle(values):
+    """Brute force: rank = #less + (#equal + 1) / 2; tie sizes by value."""
+    ranks = [
+        sum(v < x for v in values) + (sum(v == x for v in values) + 1) / 2
+        for x in values
+    ]
+    counts = Counter(values)
+    return ranks, [counts[v] for v in sorted(counts)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=60))
+def test_midranks_match_brute_force_oracle(values):
+    ranks, tie_sizes = _midranks(np.asarray(values, dtype=float))
+    expected_ranks, expected_ties = _midranks_oracle(values)
+    assert ranks.tolist() == expected_ranks
+    assert tie_sizes.tolist() == expected_ties
 
 
 def test_ranksum_identical_samples():
