@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,7 @@ __all__ = [
     "Corpus",
     "BiblioSummary",
     "DEFAULT_COLUMN_MAP",
+    "open_text",
     "parse_bibliographic_csv",
     "write_corpus_csv",
     "sample_corpus",
@@ -128,6 +130,27 @@ def _parse_year(raw: str) -> int | None:
     return None
 
 
+@contextmanager
+def open_text(target, mode: str = "r", encoding: str = "utf-8"):
+    """Text stream over ``target`` for the span of a ``with`` block.
+
+    A path is opened in ``mode`` (newline translation off) and closed on
+    exit.  A binary stream being read is wrapped, and the wrapper detached
+    on exit so the caller's stream stays open.  A text stream is used as is.
+    """
+    if isinstance(target, (str, Path)):
+        with open(target, mode, encoding=encoding, newline="") as stream:
+            yield stream
+    elif "r" in mode and isinstance(target.read(0), bytes):
+        wrapper = io.TextIOWrapper(target, encoding=encoding, newline="")
+        try:
+            yield wrapper
+        finally:
+            wrapper.detach()
+    else:
+        yield target
+
+
 def parse_bibliographic_csv(
     source,
     column_map: dict[str, str] | None = None,
@@ -150,22 +173,12 @@ def parse_bibliographic_csv(
         raise ConfigError("column_map must name the title column")
     explicit = column_map is not None
 
-    close = False
-    if isinstance(source, (str, Path)):
-        stream = open(source, "r", encoding="utf-8-sig", newline="")
-        close = True
-    elif isinstance(source, (bytes, bytearray)):
-        stream = io.StringIO(source.decode("utf-8-sig"))
-    elif hasattr(source, "read"):
-        probe = source.read(0)
-        if isinstance(probe, bytes):
-            stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-        else:
-            stream = source
-    else:
+    if isinstance(source, (bytes, bytearray)):
+        source = io.StringIO(source.decode("utf-8-sig"))
+    elif not (isinstance(source, (str, Path)) or hasattr(source, "read")):
         raise ConfigError(f"unsupported CSV source: {type(source).__name__}")
 
-    try:
+    with open_text(source, encoding="utf-8-sig") as stream:
         reader = csv.reader(stream, strict=True)
         try:
             header = next(reader, None)
@@ -220,9 +233,6 @@ def parse_bibliographic_csv(
                 )
             )
         return Corpus(label=label, records=tuple(records), skipped_rows=skipped)
-    finally:
-        if close:
-            stream.close()
 
 
 _WRITE_COLUMNS = [
@@ -242,12 +252,8 @@ ROUNDTRIP_COLUMN_MAP = {logical: header for logical, header in _WRITE_COLUMNS}
 def write_corpus_csv(corpus: Corpus, target) -> None:
     """Serialize a corpus back to CSV (RFC 4180); parsing the output with
     ROUNDTRIP_COLUMN_MAP reproduces the records field-for-field."""
-    close = False
-    if isinstance(target, (str, Path)):
-        target = open(target, "w", encoding="utf-8", newline="")
-        close = True
-    try:
-        writer = csv.writer(target, lineterminator="\n")
+    with open_text(target, "w") as stream:
+        writer = csv.writer(stream, lineterminator="\n")
         writer.writerow([header for _, header in _WRITE_COLUMNS])
         for rec in corpus.records:
             writer.writerow(
@@ -261,9 +267,6 @@ def write_corpus_csv(corpus: Corpus, target) -> None:
                     rec.author_count,
                 ]
             )
-    finally:
-        if close:
-            target.close()
 
 
 def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:

@@ -10,17 +10,16 @@ repetition).
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import CsvParseError, DomainError
+from .ingest import open_text
 from .textproc import (
     DEFAULT_ABBREVIATIONS,
     DEFAULT_TOKEN_POLICY,
     TokenPolicy,
-    TokenStream,
     count_syllables,
-    frequency_spectrum,
     split_sentences,
     tokenize,
 )
@@ -80,31 +79,35 @@ def fkgl(
     May be negative for very simple text; raises DomainError when the text
     contains no words (the words-per-sentence term would divide by zero).
     """
-    tokens = tokenize(text, policy)
-    n_words = len(tokens)
+    return _fkgl(text, Counter(tokenize(text, policy)), abbreviations)
+
+
+def _fkgl(text: str, counts: Counter, abbreviations: frozenset[str]) -> float:
+    # ``counts`` is Counter(tokens of text): syllables are counted per type.
+    n_words = counts.total()
     if n_words == 0:
         raise DomainError("cannot compute a grade level for text with no words")
-    sentences = split_sentences(text, abbreviations)
-    n_sentences = max(len(sentences), 1)
-    n_syllables = sum(count_syllables(token) for token in tokens)
+    n_sentences = max(len(split_sentences(text, abbreviations)), 1)
+    n_syllables = sum(n * count_syllables(token) for token, n in counts.items())
     return 0.39 * (n_words / n_sentences) + 11.8 * (n_syllables / n_words) - 15.59
 
 
 def yules_k(tokens) -> float:
     """Yule's K of a token sequence (or TokenStream).
 
-    Computed from the frequency spectrum as 1e4 * (S2 - N) / N^2 with
-    S2 = sum_i i^2 * f(i), which is the exact integer form of
-    1e4 * [-1/N + sum_i f(i) * (i/N)^2]; an all-distinct stream yields
-    exactly 0.0.
+    Computed as 1e4 * (S2 - N) / N^2 over N tokens, where S2 is the sum of
+    squared type counts (= sum_i i^2 * f(i) over the frequency spectrum):
+    the exact integer form of 1e4 * [-1/N + sum_i f(i) * (i/N)^2].  An
+    all-distinct stream yields exactly 0.0.
     """
-    if isinstance(tokens, TokenStream):
-        tokens = tokens.tokens
-    spectrum = frequency_spectrum(tokens)
-    n = spectrum.n_tokens
+    return _yules_k(Counter(tokens))
+
+
+def _yules_k(counts: Counter) -> float:
+    n = counts.total()
     if n == 0:
         raise DomainError("Yule's K requires at least one token")
-    s2 = sum(i * i * count for i, count in spectrum.spectrum.items())
+    s2 = sum(c * c for c in counts.values())
     return 1e4 * (s2 - n) / (n * n)
 
 
@@ -117,17 +120,15 @@ def lexical_records(
 
     Abstract-less documents receive None for fkgl / yules_k; they still get
     a title length.  Errors are annotated with the offending document id.
+    Each abstract is tokenized once; both metrics read that token count.
     """
     rows = []
     for record in corpus.records:
         try:
             length = title_length(record.title)
-            abstract_tokens = tokenize(record.abstract, policy)
-            if len(abstract_tokens) == 0:
-                grade, diversity = None, None
-            else:
-                grade = fkgl(record.abstract, policy, abbreviations)
-                diversity = yules_k(abstract_tokens)
+            counts = Counter(tokenize(record.abstract, policy))
+            grade = _fkgl(record.abstract, counts, abbreviations) if counts else None
+            diversity = _yules_k(counts) if counts else None
         except DomainError as exc:
             raise DomainError(f"document {record.id!r}: {exc}") from exc
         rows.append(
@@ -151,12 +152,8 @@ _CSV_HEADER = ["doc_id", "title_length_chars", "fkgl", "yules_k"]
 def write_metrics_csv(records: list[LexicalRecord], target) -> None:
     """Write the per-document metric table; floats keep full precision
     (shortest round-trip repr), empty cells for missing abstracts."""
-    close = False
-    if isinstance(target, (str, Path)):
-        target = open(target, "w", encoding="utf-8", newline="")
-        close = True
-    try:
-        writer = csv.writer(target, lineterminator="\n")
+    with open_text(target, "w") as stream:
+        writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_CSV_HEADER)
         for rec in records:
             writer.writerow(
@@ -167,19 +164,12 @@ def write_metrics_csv(records: list[LexicalRecord], target) -> None:
                     "" if rec.yules_k is None else repr(rec.yules_k),
                 ]
             )
-    finally:
-        if close:
-            target.close()
 
 
 def read_metrics_csv(source) -> list[LexicalRecord]:
     """Read a metric table written by :func:`write_metrics_csv`."""
-    close = False
-    if isinstance(source, (str, Path)):
-        source = open(source, "r", encoding="utf-8", newline="")
-        close = True
-    try:
-        reader = csv.reader(source)
+    with open_text(source) as stream:
+        reader = csv.reader(stream)
         header = next(reader, None)
         if header != _CSV_HEADER:
             raise CsvParseError(f"expected header {_CSV_HEADER}, got {header}", row=1)
@@ -200,9 +190,6 @@ def read_metrics_csv(source) -> list[LexicalRecord]:
                 )
             )
         return rows
-    finally:
-        if close:
-            source.close()
 
 
 def metric_vectors(records: list[LexicalRecord]) -> dict[str, list[float]]:

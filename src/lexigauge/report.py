@@ -152,64 +152,96 @@ class RunConfig:
                 )
 
 
+# JSON kind of every manifest key; a trailing "?" also admits null.
+_CORPUS_KEYS = {
+    "csv_path": "a string",
+    "label": "a string",
+    "column_map": "an object of strings?",
+    "sample_size": "an integer?",
+    "seed": "an integer?",
+    "author_total": "an integer?",
+}
+_ANALYSIS_KEYS = {
+    "min_title_frequency": "an integer",
+    "stopwords_path": "a string?",
+    "kde_grid_points": "an integer",
+    "network_seed": "an integer",
+    "louvain_resolution": "a finite number",
+    "token_policy": "an object",
+}
+_OUTPUT_KEYS = {"directory": "a string", "formats": "a list of strings"}
+_TOKEN_POLICY_KEYS = dict.fromkeys(TokenPolicy.__dataclass_fields__, "a boolean")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_IS_KIND = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer": _is_int,
+    "a finite number": lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a list": lambda v: isinstance(v, list),
+    "an object": lambda v: isinstance(v, dict),
+    "an object of strings": lambda v: isinstance(v, dict)
+    and all(isinstance(x, str) for x in v.values()),
+    "a list of strings": lambda v: isinstance(v, list)
+    and all(isinstance(x, str) for x in v),
+}
+
+
+def _checked(raw, kinds: dict[str, str], where: str) -> dict:
+    """``raw`` once it is known to be a JSON object whose keys all appear in
+    ``kinds`` with values of the declared kind."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, got {raw!r}")
+    unknown = set(raw) - set(kinds)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        kind = kinds[key]
+        if value is None and kind.endswith("?"):
+            continue
+        if not _IS_KIND[kind.rstrip("?")](value):
+            expected = kind.replace("?", " or null")
+            raise ConfigError(f"{where} key {key!r} must be {expected}, got {value!r}")
+    return raw
+
+
 def load_run_config(source) -> RunConfig:
-    """Load a RunConfig from a JSON manifest (path, stream, or dict)."""
+    """Load a RunConfig from a JSON manifest (path, stream, or dict).
+
+    Raises ConfigError naming the key when an entry is missing, unknown or
+    of the wrong JSON type (integers exclude booleans; null is accepted
+    only where the field is optional).
+    """
     if isinstance(source, (str, Path)):
         raw = json.loads(Path(source).read_text(encoding="utf-8"))
     elif hasattr(source, "read"):
         raw = json.load(source)
     else:
         raw = source
-    if not isinstance(raw, dict):
-        raise ConfigError("run config must be a JSON object")
-
-    def take(mapping: dict, allowed: set[str], where: str) -> dict:
-        unknown = set(mapping) - allowed
-        if unknown:
-            raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-        return mapping
-
-    take(raw, {"corpora", "analysis", "output"}, "config")
-    corpora_raw = raw.get("corpora")
-    if not isinstance(corpora_raw, list):
+    _checked(raw, {"corpora": "a list", "analysis": "an object", "output": "an object"}, "config")
+    if "corpora" not in raw:
         raise ConfigError("config must list corpora")
     corpora = []
-    for entry in corpora_raw:
-        take(
-            entry,
-            {"csv_path", "label", "column_map", "sample_size", "seed", "author_total"},
-            "corpus",
-        )
+    for number, entry in enumerate(raw["corpora"], 1):
+        _checked(entry, _CORPUS_KEYS, f"corpus {number}")
         if "csv_path" not in entry or "label" not in entry:
             raise ConfigError("each corpus needs csv_path and label")
         corpora.append(CorpusConfig(**entry))
 
-    analysis_raw = take(
-        raw.get("analysis", {}),
-        {
-            "min_title_frequency",
-            "stopwords_path",
-            "kde_grid_points",
-            "network_seed",
-            "louvain_resolution",
-            "token_policy",
-        },
-        "analysis",
+    analysis_raw = _checked(raw.get("analysis", {}), _ANALYSIS_KEYS, "analysis")
+    token_policy = TokenPolicy(
+        **_checked(analysis_raw.get("token_policy", {}), _TOKEN_POLICY_KEYS, "token_policy")
     )
-    token_policy = DEFAULT_TOKEN_POLICY
-    if "token_policy" in analysis_raw:
-        take(
-            analysis_raw["token_policy"],
-            set(TokenPolicy.__dataclass_fields__),
-            "token_policy",
-        )
-        token_policy = TokenPolicy(**analysis_raw["token_policy"])
     analysis = AnalysisConfig(
         **{k: v for k, v in analysis_raw.items() if k != "token_policy"},
         token_policy=token_policy,
     )
 
-    output_raw = take(raw.get("output", {}), {"directory", "formats"}, "output")
+    output_raw = _checked(raw.get("output", {}), _OUTPUT_KEYS, "output")
     output = OutputConfig(
         directory=output_raw.get("directory", OutputConfig.directory),
         formats=tuple(output_raw.get("formats", OutputConfig.formats)),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 from xml.etree import ElementTree as ET
@@ -37,7 +38,6 @@ __all__ = [
 ]
 
 _STOPWORDS_PATH = Path(__file__).parent / "data" / "stopwords_en.txt"
-_DEFAULT_STOPWORDS: frozenset[str] | None = None
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
@@ -46,12 +46,10 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     return _load_word_list(path)
 
 
+@cache
 def default_stopwords() -> frozenset[str]:
     """The bundled English stopword list."""
-    global _DEFAULT_STOPWORDS
-    if _DEFAULT_STOPWORDS is None:
-        _DEFAULT_STOPWORDS = load_stopwords(_STOPWORDS_PATH)
-    return _DEFAULT_STOPWORDS
+    return load_stopwords(_STOPWORDS_PATH)
 
 
 @dataclass(frozen=True)

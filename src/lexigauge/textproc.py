@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
+from itertools import accumulate, pairwise
 from pathlib import Path
 
 from .errors import ConfigError
@@ -52,24 +54,14 @@ DEFAULT_TOKEN_POLICY = TokenPolicy()
 
 # Word characters: Unicode letters and digits, underscore excluded.
 _WORD = r"[^\W_]"
-_PATTERN_CACHE: dict[tuple[bool, bool], re.Pattern] = {}
 
 
-def _token_pattern(policy: TokenPolicy) -> re.Pattern:
-    key = (policy.bind_hyphens, policy.bind_apostrophes)
-    pattern = _PATTERN_CACHE.get(key)
-    if pattern is None:
-        joiners = ""
-        if policy.bind_hyphens:
-            joiners += r"\-"
-        if policy.bind_apostrophes:
-            joiners += "'’"
-        if joiners:
-            pattern = re.compile(rf"{_WORD}+(?:[{joiners}]{_WORD}+)*")
-        else:
-            pattern = re.compile(rf"{_WORD}+")
-        _PATTERN_CACHE[key] = pattern
-    return pattern
+@cache
+def _token_pattern(bind_hyphens: bool, bind_apostrophes: bool) -> re.Pattern:
+    joiners = (r"\-" if bind_hyphens else "") + ("'’" if bind_apostrophes else "")
+    if joiners:
+        return re.compile(rf"{_WORD}+(?:[{joiners}]{_WORD}+)*")
+    return re.compile(rf"{_WORD}+")
 
 
 @dataclass(frozen=True)
@@ -93,7 +85,8 @@ def tokenize(text: str, policy: TokenPolicy = DEFAULT_TOKEN_POLICY) -> TokenStre
     ``policy``; diacritic letters count as word characters.  Empty text (or
     text with no word characters) yields an empty stream.
     """
-    tokens = [m.group(0).lower() for m in _token_pattern(policy).finditer(text)]
+    pattern = _token_pattern(policy.bind_hyphens, policy.bind_apostrophes)
+    tokens = [m.group(0).lower() for m in pattern.finditer(text)]
     if not policy.keep_numbers:
         tokens = [t for t in tokens if any(c.isalpha() for c in t)]
     return TokenStream(tokens=tuple(tokens), source_char_count=len(text))
@@ -110,6 +103,7 @@ DEFAULT_ABBREVIATIONS = frozenset(
 )
 
 _TERMINATOR = re.compile(r"[.!?]+")
+_NEXT_VISIBLE = re.compile(r"\s*(.?)", re.DOTALL)
 
 
 def split_sentences(
@@ -122,34 +116,38 @@ def split_sentences(
     Periods belonging to ``abbreviations`` never split.  Text containing at
     least one word character but no terminator is a single sentence.
     """
-    word_at = _token_pattern(DEFAULT_TOKEN_POLICY)
+    # Abbreviations are matched in the text lowercased once.  That equals
+    # text[:end].lower() wherever text[end] is whitespace or absent, final
+    # sigma included ("AB'Σ." -> "ab'ς.", which a window "'Σ." would miss).
+    # Lowercasing can lengthen a character ("İ" -> "i̇"): map offsets onto it.
+    lowered = text.lower()
+    at = range(len(text) + 1)
+    if len(lowered) != len(text):
+        at = list(accumulate((len(c.lower()) for c in text), initial=0))
     boundaries = []
     for match in _TERMINATOR.finditer(text):
         end = match.end()
         if end < len(text):
             if not text[end].isspace():
                 continue  # "4.8" or "e.g" mid-abbreviation: no split
-            following = text[end:].lstrip()
-            if following and not (following[0].isupper() or following[0].isdigit()):
+            following = _NEXT_VISIBLE.match(text, end).group(1)
+            if following and not (following.isupper() or following.isdigit()):
                 continue  # continuation starts lowercase: no split
-        if _ends_with_abbreviation(text, end, abbreviations):
+        if _ends_with_abbreviation(lowered, at[end], abbreviations):
             continue
         boundaries.append(end)
 
-    sentences = []
-    start = 0
-    for end in [*boundaries, len(text)]:
-        chunk = text[start:end].strip()
-        if chunk and word_at.search(chunk):
-            sentences.append(chunk)
-        start = end
-    return sentences
+    word_at = _token_pattern(True, True)
+    chunks = (text[a:b].strip() for a, b in pairwise([0, *boundaries, len(text)]))
+    return [chunk for chunk in chunks if word_at.search(chunk)]
 
 
-def _ends_with_abbreviation(text: str, end: int, abbreviations) -> bool:
-    head = text[:end].lower()
+def _ends_with_abbreviation(lowered: str, end: int, abbreviations) -> bool:
+    # Compares in place: slicing ``lowered[:end]`` would copy the text at
+    # every terminator.
     return any(
-        head.endswith(abbr) and (len(head) == len(abbr) or not head[-len(abbr) - 1].isalnum())
+        lowered.endswith(abbr, 0, end)
+        and (end == len(abbr) or not lowered[end - len(abbr) - 1].isalnum())
         for abbr in abbreviations
     )
 
@@ -253,8 +251,6 @@ class FrequencySpectrum:
 
 def frequency_spectrum(tokens) -> FrequencySpectrum:
     """Exact frequency spectrum of a token sequence (or TokenStream)."""
-    if isinstance(tokens, TokenStream):
-        tokens = tokens.tokens
     freq = Counter(tokens)
     spectrum = dict(sorted(Counter(freq.values()).items()))
     return FrequencySpectrum(

@@ -1,3 +1,4 @@
+import gc
 import io
 
 import pytest
@@ -96,6 +97,15 @@ def test_parse_binary_stream():
     stream = io.BytesIO(b"Title\nOnly title\n")
     corpus = parse_bibliographic_csv(stream, label="bin")
     assert corpus.records[0].title == "Only title"
+
+
+def test_parse_binary_stream_leaves_caller_stream_open():
+    stream = io.BytesIO(b"Title\nOnly title\n")
+    parse_bibliographic_csv(stream, label="bin")
+    gc.collect()  # a dropped, undetached text wrapper closes its buffer here
+    assert not stream.closed
+    stream.seek(0)
+    assert stream.read() == b"Title\nOnly title\n"
 
 
 def test_parse_unbalanced_quote_raises_with_row():

@@ -1,8 +1,11 @@
 import io
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexigauge.errors import DomainError
 from lexigauge.ingest import BibRecord, Corpus
@@ -16,7 +19,13 @@ from lexigauge.metrics import (
     write_metrics_csv,
     yules_k,
 )
-from lexigauge.textproc import tokenize
+from lexigauge.textproc import (
+    TokenPolicy,
+    count_syllables,
+    frequency_spectrum,
+    split_sentences,
+    tokenize,
+)
 
 # ---------------------------------------------------------------------------
 # Title length
@@ -145,6 +154,65 @@ def test_yules_k_duplication_increases_k():
 
 def test_yules_k_accepts_token_stream():
     assert yules_k(tokenize("a b a b")) == 2500.0
+
+
+def _spectrum_yules_k(tokens):
+    """Oracle: Yule's K through the frequency spectrum, S2 = sum i^2 f(i)."""
+    spectrum = frequency_spectrum(tokens)
+    n = spectrum.n_tokens
+    s2 = sum(i * i * count for i, count in spectrum.spectrum.items())
+    return 1e4 * (s2 - n) / (n * n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["a", "b", "c", "de", "f-g", "2020"]), min_size=1, max_size=200))
+def test_yules_k_equals_spectrum_formula(tokens):
+    assert yules_k(tokens) == _spectrum_yules_k(tokens)
+    stream = tokenize(" ".join(tokens))
+    assert yules_k(stream) == _spectrum_yules_k(stream)
+
+
+_POLICIES = [TokenPolicy(*flags) for flags in itertools.product([False, True], repeat=3)]
+_PROSE_PIECES = [*"aeiouybcdlmstZé \n", "the ", "tables ", "well-made ", "it's ", "2020 ", ". ", "! "]
+_PROSE = st.lists(st.sampled_from(_PROSE_PIECES), max_size=40).map("".join)
+
+
+@pytest.mark.parametrize("policy", _POLICIES, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(text=_PROSE)
+def test_fkgl_equals_per_occurrence_formula(policy, text):
+    tokens = tokenize(text, policy)
+    if len(tokens) == 0:
+        with pytest.raises(DomainError):
+            fkgl(text, policy)
+        return
+    n_sentences = max(len(split_sentences(text)), 1)
+    n_syllables = sum(count_syllables(token) for token in tokens)
+    expected = 0.39 * (len(tokens) / n_sentences) + 11.8 * (n_syllables / len(tokens)) - 15.59
+    assert fkgl(text, policy) == expected
+
+
+def test_lexical_records_tokenizes_each_abstract_once(monkeypatch):
+    import lexigauge.metrics as metrics
+
+    calls = []
+
+    def counting_tokenize(text, policy):
+        calls.append(text)
+        return tokenize(text, policy)
+
+    monkeypatch.setattr(metrics, "tokenize", counting_tokenize)
+    corpus = Corpus(
+        label="three",
+        records=(
+            BibRecord(id="d1", title="One", abstract="The cat sat. The dog ran."),
+            BibRecord(id="d2", title="Two", abstract=""),
+            BibRecord(id="d3", title="Three", abstract="Words, words, words."),
+        ),
+    )
+    rows = lexical_records(corpus)
+    assert calls == [record.abstract for record in corpus.records]
+    assert [r.yules_k is None for r in rows] == [False, True, False]
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,61 @@ def test_cli_compare_without_corpora_is_input_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_TWO_CORPORA = [{"csv_path": "a.csv", "label": "A"}, {"csv_path": "b.csv", "label": "B"}]
+
+
+def _manifest(first_corpus=(), **sections):
+    """A two-corpus manifest with ``first_corpus`` keys set on corpus 1."""
+    return {"corpora": [{**_TWO_CORPORA[0], **dict(first_corpus)}, _TWO_CORPORA[1]], **sections}
+
+
+@pytest.mark.parametrize(
+    "manifest,key",
+    [
+        ({"corpora": [1, 2]}, "corpus 1"),
+        ({"corpora": "a.csv"}, "'corpora'"),
+        (_manifest(analysis=[]), "'analysis'"),
+        (_manifest(analysis=None), "'analysis'"),
+        (_manifest(output="out"), "'output'"),
+        (_manifest(analysis={"token_policy": [True]}), "token_policy"),
+        (_manifest({"sample_size": "5", "seed": 1}), "'sample_size'"),
+        (_manifest({"seed": True}), "'seed'"),
+        (_manifest({"label": 7}), "'label'"),
+        (_manifest({"csv_path": None}), "'csv_path'"),
+        (_manifest({"column_map": {"title": 3}}), "'column_map'"),
+        (_manifest(analysis={"kde_grid_points": True}), "'kde_grid_points'"),
+        (_manifest(analysis={"network_seed": None}), "'network_seed'"),
+        (_manifest(analysis={"min_title_frequency": 2.5}), "'min_title_frequency'"),
+        (_manifest(analysis={"louvain_resolution": "1"}), "'louvain_resolution'"),
+        (_manifest(analysis={"louvain_resolution": False}), "'louvain_resolution'"),
+        (_manifest(analysis={"louvain_resolution": float("nan")}), "'louvain_resolution'"),
+        (_manifest(analysis={"stopwords_path": 0}), "'stopwords_path'"),
+        (_manifest(analysis={"token_policy": {"keep_numbers": 1}}), "'keep_numbers'"),
+        (_manifest(output={"formats": "json"}), "'formats'"),
+        (_manifest(output={"formats": ["json", 1]}), "'formats'"),
+        (_manifest(output={"directory": None}), "'directory'"),
+    ],
+)
+def test_cli_compare_config_type_errors_are_input_errors(tmp_path, capsys, manifest, key):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(manifest))
+    assert cli.main(["compare", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+
+
+def test_load_run_config_accepts_null_optional_fields():
+    config = load_run_config(
+        _manifest(
+            {"sample_size": None, "seed": None, "column_map": None},
+            analysis={"stopwords_path": None, "louvain_resolution": 1},
+        )
+    )
+    assert config.corpora[0].sample_size is None
+    assert config.analysis.louvain_resolution == 1
+
+
 def test_cli_compare_missing_file_is_input_error(tmp_path, capsys):
     code = cli.main(
         [

@@ -1,7 +1,10 @@
 import random
+import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexigauge.errors import ConfigError
 from lexigauge.textproc import (
@@ -157,6 +160,75 @@ def test_split_sentences_one_sentence_for_any_wordy_text():
 def test_split_sentences_custom_abbreviations():
     text = "Proc. Natl. Acad. next part."
     assert len(split_sentences(text, frozenset({"proc.", "natl.", "acad."}))) == 1
+
+
+def _quadratic_split_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
+    """Oracle: the splitter before it became linear, which lowercased the
+    whole prefix and copied the whole remainder at every terminator."""
+    boundaries = []
+    for match in re.finditer(r"[.!?]+", text):
+        end = match.end()
+        if end < len(text):
+            if not text[end].isspace():
+                continue
+            following = text[end:].lstrip()
+            if following and not (following[0].isupper() or following[0].isdigit()):
+                continue
+        head = text[:end].lower()
+        if any(
+            head.endswith(abbr)
+            and (len(head) == len(abbr) or not head[-len(abbr) - 1].isalnum())
+            for abbr in abbreviations
+        ):
+            continue
+        boundaries.append(end)
+    sentences = []
+    start = 0
+    for end in [*boundaries, len(text)]:
+        chunk = text[start:end].strip()
+        if chunk and re.search(r"[^\W_]", chunk):
+            sentences.append(chunk)
+        start = end
+    return sentences
+
+
+# Letters whose lowercase form is longer ("İ") or depends on context ("Σ"),
+# the terminators, several kinds of whitespace, digits and an apostrophe.
+_SPLIT_ALPHABET = "aAeEgiIİΣσςxX09.!?'  \t\n\u00a0"
+_ABBREVIATION_SETS = st.one_of(
+    st.just(DEFAULT_ABBREVIATIONS),
+    st.just(frozenset()),
+    st.just(frozenset({"i̇.", "σ.", "ς.", "e.g."})),
+    st.frozensets(
+        st.text(_SPLIT_ALPHABET, max_size=4).map(lambda a: a.lower() + "."), max_size=4
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.text(_SPLIT_ALPHABET, max_size=60), abbreviations=_ABBREVIATION_SETS)
+def test_split_sentences_matches_quadratic_oracle(text, abbreviations):
+    assert split_sentences(text, abbreviations) == _quadratic_split_sentences(text, abbreviations)
+
+
+@pytest.mark.parametrize(
+    "text,abbreviations",
+    [
+        # The final-sigma form of "Σ" depends on the letter before the
+        # apostrophe, outside any fixed window ending at the period.
+        ("AB'Σ. Next one.", frozenset({"σ."})),
+        ("AB'Σ. Next one.", frozenset({"ς."})),
+        ("Dr. İ. Next one. İİ e.g. More.", frozenset({"i̇.", "e.g."})),
+        ("Tab.\tNew.\nLine. 7 items", DEFAULT_ABBREVIATIONS),
+    ],
+)
+def test_split_sentences_matches_quadratic_oracle_examples(text, abbreviations):
+    assert split_sentences(text, abbreviations) == _quadratic_split_sentences(text, abbreviations)
+
+
+def test_split_sentences_long_dot_run():
+    text = "Word" + "." * 200_000 + " Next words"
+    assert split_sentences(text) == ["Word" + "." * 200_000, "Next words"]
 
 
 # ---------------------------------------------------------------------------
