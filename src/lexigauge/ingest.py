@@ -137,18 +137,29 @@ def open_text(target, mode: str = "r", encoding: str = "utf-8"):
     A path is opened in ``mode`` (newline translation off) and closed on
     exit.  A binary stream being read is wrapped, and the wrapper detached
     on exit so the caller's stream stays open.  A text stream is used as is.
+    Invalid UTF-8 read through the stream raises CsvParseError naming
+    ``target``.
     """
-    if isinstance(target, (str, Path)):
-        with open(target, mode, encoding=encoding, newline="") as stream:
-            yield stream
-    elif "r" in mode and isinstance(target.read(0), bytes):
-        wrapper = io.TextIOWrapper(target, encoding=encoding, newline="")
-        try:
-            yield wrapper
-        finally:
-            wrapper.detach()
-    else:
-        yield target
+    try:
+        if isinstance(target, (str, Path)):
+            with open(target, mode, encoding=encoding, newline="") as stream:
+                yield stream
+        elif "r" in mode and isinstance(target.read(0), bytes):
+            wrapper = io.TextIOWrapper(target, encoding=encoding, newline="")
+            try:
+                yield wrapper
+            finally:
+                wrapper.detach()
+        else:
+            yield target
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(target, exc) from exc
+
+
+def _not_utf8(source, exc: UnicodeDecodeError) -> CsvParseError:
+    if not isinstance(source, (str, Path)):
+        source = getattr(source, "name", "input")
+    return CsvParseError(f"{source}: not valid UTF-8 ({exc.reason})")
 
 
 def parse_bibliographic_csv(
@@ -165,8 +176,9 @@ def parse_bibliographic_csv(
     skipped and counted.  Missing abstract/citations default to empty / 0;
     unparseable or out-of-range years are treated as absent.
 
-    Raises CsvParseError (with a row number) on malformed CSV and
-    ConfigError when an explicitly mapped column is missing from the header.
+    Raises CsvParseError (with a row number) on malformed CSV, CsvParseError
+    naming the source on invalid UTF-8, and ConfigError when an explicitly
+    mapped column is missing from the header.
     """
     mapping = dict(DEFAULT_COLUMN_MAP if column_map is None else column_map)
     if "title" not in mapping:
@@ -174,7 +186,10 @@ def parse_bibliographic_csv(
     explicit = column_map is not None
 
     if isinstance(source, (bytes, bytearray)):
-        source = io.StringIO(source.decode("utf-8-sig"))
+        try:
+            source = io.StringIO(source.decode("utf-8-sig"))
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(source, exc) from exc
     elif not (isinstance(source, (str, Path)) or hasattr(source, "read")):
         raise ConfigError(f"unsupported CSV source: {type(source).__name__}")
 

@@ -67,6 +67,7 @@ from .textproc import (
     DEFAULT_TOKEN_POLICY,
     SEGMENTATION_RULES_VERSION,
     TokenPolicy,
+    read_config_text,
 )
 
 __all__ = [
@@ -217,7 +218,7 @@ def load_run_config(source) -> RunConfig:
     only where the field is optional).
     """
     if isinstance(source, (str, Path)):
-        raw = json.loads(Path(source).read_text(encoding="utf-8"))
+        raw = json.loads(read_config_text(source))
     elif hasattr(source, "read"):
         raw = json.load(source)
     else:

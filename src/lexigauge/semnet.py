@@ -8,7 +8,7 @@ order); mediation is measured with unweighted shortest-path betweenness.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -326,50 +326,101 @@ def _canonical_ids(assignment: dict[str, int]) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Betweenness centrality (Brandes single-source accumulation)
+# Betweenness centrality (Brandes, batched level-synchronous BFS over CSR)
 # ---------------------------------------------------------------------------
+
+# Cap on the elements of each working array: a batch holds as many BFS
+# sources (at least one) as keep both sources x nodes and sources x
+# directed edges within it.
+_BATCH_ELEMENTS = 1 << 15
+_UNREACHED = np.iinfo(np.intp).max
 
 
 def betweenness(graph: CoWordGraph) -> CentralityScores:
     """Unweighted shortest-path betweenness, each unordered node pair
-    counted once; degrees reported alongside."""
+    counted once; degrees reported alongside.
+
+    Brandes' algorithm on integer node ids (sorted-name order) over a CSR
+    adjacency, a batch of sources at a time.  Every floating-point sum
+    runs in the order of the single-source queue/stack form, which visits
+    neighbors in ascending name order, so the scores are bit-identical
+    to it.
+    """
     nodes = sorted(graph.node_frequency)
     if not nodes:
         raise DomainError("betweenness requires at least one node")
-    adjacency = graph.adjacency()
-    neighbors = {u: sorted(adjacency[u]) for u in nodes}
-    scores = {u: 0.0 for u in nodes}
+    n = len(nodes)
+    index = {u: i for i, u in enumerate(nodes)}
+    ends = np.fromiter(
+        (index[t] for edge in graph.edges for t in edge), dtype=np.intp, count=2 * len(graph.edges)
+    )
+    heads, tails = ends[0::2], ends[1::2]
+    # Both directions of every edge as row * n + column, sorted and unique.
+    codes = np.unique(np.concatenate([heads * n + tails, tails * n + heads]))
+    indptr = np.searchsorted(codes, np.arange(n + 1) * n)
+    indices = codes % n
 
-    for source in nodes:
-        stack: list[str] = []
-        predecessors: dict[str, list[str]] = {u: [] for u in nodes}
-        sigma = {u: 0.0 for u in nodes}
-        distance = {u: -1 for u in nodes}
-        sigma[source] = 1.0
-        distance[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            stack.append(u)
-            for v in neighbors[u]:
-                if distance[v] < 0:
-                    distance[v] = distance[u] + 1
-                    queue.append(v)
-                if distance[v] == distance[u] + 1:
-                    sigma[v] += sigma[u]
-                    predecessors[v].append(u)
-        delta = {u: 0.0 for u in nodes}
-        while stack:
-            w = stack.pop()
-            for u in predecessors[w]:
-                delta[u] += (sigma[u] / sigma[w]) * (1.0 + delta[w])
-            if w != source:
-                scores[w] += delta[w]
-
+    scores = np.zeros(n)
+    batch = max(1, _BATCH_ELEMENTS // max(n, indices.size))
+    for first in range(0, n, batch):
+        sources = np.arange(first, min(first + batch, n))
+        for row in _dependencies(sources, indptr, indices):
+            scores += row
     return CentralityScores(
-        betweenness={u: scores[u] / 2.0 for u in nodes},
+        betweenness=dict(zip(nodes, (scores / 2.0).tolist())),
         degree=graph.degrees(),
     )
+
+
+def _dependencies(sources, indptr, indices) -> np.ndarray:
+    """Brandes dependencies of every node on each of ``sources``, one row
+    per source; a source's dependency on itself is zeroed.
+
+    Node ``v`` of row ``r`` is addressed as ``r * n + v``.  The BFS of all
+    rows advances one level per step; ``position`` numbers reached nodes in
+    the order the single-source queue would dequeue them (one counter for
+    all rows, increasing within each).
+    """
+    n = indptr.size - 1
+    rows = sources.size
+    frontier = np.arange(rows) * n + sources
+    position = np.full(rows * n, _UNREACHED)
+    position[frontier] = np.arange(rows)
+    sigma = np.zeros(rows * n)
+    sigma[frontier] = 1.0
+    reached = rows
+    levels = []
+    while frontier.size:
+        # Every edge out of the frontier, ordered by row, BFS position of
+        # the head, then ascending tail: the queue's visiting order.
+        row_base, ids = np.divmod(frontier, n)
+        starts = indptr[ids]
+        counts = indptr[ids + 1] - starts
+        slot = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        slot += np.arange(slot.size)
+        tail = indices[slot] + np.repeat(row_base * n, counts)
+        # Edges into unreached nodes are the next level's predecessor edges.
+        keep = np.flatnonzero(position[tail] == _UNREACHED)
+        head = np.repeat(frontier, counts)[keep]
+        tail = tail[keep]
+        # The first of them into a node discovers it.
+        seen = np.arange(tail.size)
+        np.minimum.at(position, tail, seen)
+        frontier = tail[position[tail] == seen]
+        position[frontier] = np.arange(reached, reached + frontier.size)
+        reached += frontier.size
+        np.add.at(sigma, tail, sigma[head])
+        levels.append((head, tail))
+
+    delta = np.zeros(rows * n)
+    for head, tail in reversed(levels):
+        # Successors in decreasing BFS position: the stack's popping order.
+        order = np.argsort(position[tail])[::-1]
+        head, tail = head[order], tail[order]
+        np.add.at(delta, head, sigma[head] / sigma[tail] * (1.0 + delta[tail]))
+    delta = delta.reshape(rows, n)
+    delta[np.arange(rows), sources] = 0.0
+    return delta
 
 
 # ---------------------------------------------------------------------------

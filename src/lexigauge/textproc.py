@@ -263,11 +263,20 @@ def frequency_spectrum(tokens) -> FrequencySpectrum:
 # ---------------------------------------------------------------------------
 
 
+def read_config_text(path: str | Path) -> str:
+    """The UTF-8 text of a configuration file; invalid UTF-8 raises
+    ConfigError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 at byte {exc.start} ({exc.reason})") from exc
+
+
 def _load_word_list(path: str | Path) -> frozenset[str]:
     """One stripped, lowercased entry per line; ``#`` comments and blank
     lines ignored."""
     entries = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_config_text(path).splitlines():
         line = line.strip().lower()
         if line and not line.startswith("#"):
             entries.add(line)
@@ -288,7 +297,7 @@ def load_token_policy(path: str | Path) -> TokenPolicy:
     """Load a TokenPolicy from a plain-text file: one ``flag = value`` entry
     per line (flags: keep_numbers, bind_hyphens, bind_apostrophes)."""
     values = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_config_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

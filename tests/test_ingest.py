@@ -47,6 +47,22 @@ def test_overflowing_numeric_cells_are_unparseable(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 3
 
 
+def test_invalid_utf8_csv_is_input_error(tmp_path, capsys):
+    # The bad byte sits past the first read chunk, inside the row loop.
+    data = b"Title,Abstract\n" + b"Good title,Some text.\n" * 2000 + b"Bad \xff title,x\n"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    for source in (path, str(path), data, io.BytesIO(data)):
+        with pytest.raises(CsvParseError, match="not valid UTF-8"):
+            parse_bibliographic_csv(source)
+    with pytest.raises(CsvParseError, match="latin1.csv: not valid UTF-8"):
+        parse_bibliographic_csv(path)
+    assert cli.main(["metrics", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "latin1.csv: not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_parse_skips_empty_titles_and_counts_them():
     corpus = parse_bibliographic_csv(
         io.StringIO("Title,Abstract\nKept,x\n,skipped\n   ,also skipped\nAlso kept,y\n"),

@@ -457,6 +457,26 @@ def test_cli_compare_missing_file_is_input_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["compare --config", "compare --corpus-a", "compare --stopwords", "stats"])
+def test_cli_invalid_utf8_input_is_input_error(data_dir, tmp_path, capsys, command):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b'{"corpora": []}\nTitle\nCaf\xe9 title\n')
+    good_a = str(data_dir / "corpus_process.csv")
+    good_b = str(data_dir / "corpus_leadership.csv")
+    argv = {
+        "compare --config": ["compare", "--config", str(bad)],
+        "compare --corpus-a": ["compare", "--corpus-a", str(bad), "--corpus-b", good_b],
+        "compare --stopwords": [
+            "compare", "--corpus-a", good_a, "--corpus-b", good_b, "--stopwords", str(bad)
+        ],
+        "stats": ["stats", str(bad), str(bad)],
+    }[command]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "latin1.txt: not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_cli_compare_oversized_sample_is_input_error(data_dir, tmp_path, capsys):
     code = cli.main(
         [

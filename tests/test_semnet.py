@@ -1,11 +1,15 @@
 import itertools
 from collections import Counter, deque
+from unittest import mock
 from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lexigauge.errors import ConsistencyError, DomainError
+from lexigauge import cli, semnet
+from lexigauge.errors import ConfigError, ConsistencyError, DomainError
 from lexigauge.semnet import (
     CentralityScores,
     CommunityPartition,
@@ -358,6 +362,172 @@ def test_betweenness_weights_do_not_affect_unit_length_paths():
     assert betweenness(light).betweenness == betweenness(heavy).betweenness
 
 
+def dict_brandes_betweenness(graph: CoWordGraph) -> dict:
+    """The single-source queue/stack form of Brandes over name-keyed dicts,
+    neighbors visited in ascending name order: the sums run in the order
+    the array form must reproduce bit for bit."""
+    nodes = sorted(graph.node_frequency)
+    adjacency = graph.adjacency()
+    neighbors = {u: sorted(adjacency[u]) for u in nodes}
+    scores = {u: 0.0 for u in nodes}
+    for source in nodes:
+        stack = []
+        predecessors = {u: [] for u in nodes}
+        sigma = {u: 0.0 for u in nodes}
+        distance = {u: -1 for u in nodes}
+        sigma[source] = 1.0
+        distance[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            stack.append(u)
+            for v in neighbors[u]:
+                if distance[v] < 0:
+                    distance[v] = distance[u] + 1
+                    queue.append(v)
+                if distance[v] == distance[u] + 1:
+                    sigma[v] += sigma[u]
+                    predecessors[v].append(u)
+        delta = {u: 0.0 for u in nodes}
+        while stack:
+            w = stack.pop()
+            for u in predecessors[w]:
+                delta[u] += (sigma[u] / sigma[w]) * (1.0 + delta[w])
+            if w != source:
+                scores[w] += delta[w]
+    return {u: scores[u] / 2.0 for u in nodes}
+
+
+def assert_same_bits(graph: CoWordGraph, oracle: dict) -> None:
+    result = betweenness(graph).betweenness
+    assert list(result) == list(oracle)
+    assert [repr(x) for x in result.values()] == [repr(x) for x in oracle.values()]
+
+
+@st.composite
+def random_graphs(draw):
+    """Graphs over 1-30 random names whose sorted order differs from their
+    drawing order; edge density from none to complete, so isolated nodes
+    and several components are common."""
+    names = draw(
+        st.lists(st.text("abcdefghij", min_size=1, max_size=3), min_size=1, max_size=30, unique=True)
+    )
+    pairs = list(itertools.combinations(sorted(names), 2))
+    threshold = draw(st.integers(0, 10))
+    draws = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
+    edges = {pair: 1 for pair, d in zip(pairs, draws) if d < threshold}
+    return CoWordGraph(node_frequency={name: 1 for name in names}, edges=edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=random_graphs(), cap=st.sampled_from([1, 16, 64, 1024, semnet._BATCH_ELEMENTS]))
+@example(graph=CoWordGraph(node_frequency={"solo": 1}, edges={}), cap=semnet._BATCH_ELEMENTS)
+@example(graph=CoWordGraph(node_frequency={"a": 1, "b": 1, "c": 1}, edges={}), cap=1)
+@example(graph=TRIANGLES, cap=16)
+def test_betweenness_bit_identical_to_dict_brandes(graph, cap):
+    with mock.patch.object(semnet, "_BATCH_ELEMENTS", cap):
+        assert_same_bits(graph, dict_brandes_betweenness(graph))
+
+
+def dense_graph(n: int = 290, p: float = 0.4, seed: int = 13) -> CoWordGraph:
+    """A dense random core with a ten-node path hanging off one node (so
+    BFS from the path's end runs more than ten levels deep), a separate
+    triangle and an isolated node."""
+    rng = np.random.default_rng(seed)
+    core = [f"core{i:03d}" for i in range(n)]
+    edges = {pair: 1 for pair in itertools.combinations(core, 2) if rng.random() < p}
+    tail = [core[17]] + [f"tail{i}" for i in range(10)]
+    edges.update({tuple(sorted(pair)): 1 for pair in itertools.pairwise(tail)})
+    edges.update({("x1", "x2"): 1, ("x1", "x3"): 1, ("x2", "x3"): 1})
+    return graph_from_edges(edges, extra_nodes=["lone"])
+
+
+def test_betweenness_bit_identical_on_dense_graph_in_batches():
+    graph = dense_graph()
+    # Two sources' directed edges exceed the batch cap: one source per batch.
+    assert 2 * (2 * graph.edge_count()) > semnet._BATCH_ELEMENTS
+    oracle = dict_brandes_betweenness(graph)
+    assert_same_bits(graph, oracle)
+    # A larger cap: ten batches of about thirty sources each.
+    with mock.patch.object(semnet, "_BATCH_ELEMENTS", 1 << 20):
+        assert_same_bits(graph, oracle)
+
+
+def test_betweenness_bit_identical_past_exact_path_counts():
+    """Thirty layers of eight nodes, each linked to about five nodes of the
+    layer above: path counts pass 2**53, where float sums of them depend
+    on their order.  Names are shuffled so that id order is not BFS order."""
+    rng = np.random.default_rng(5)
+    names = iter(rng.permutation(240))
+    layers = [[f"v{next(names):04d}" for _ in range(8)] for _ in range(30)]
+    edges = {}
+    paths = {layers[0][0]: 1}
+    for upper, lower in itertools.pairwise(layers):
+        for v in lower:
+            for u in upper:
+                if rng.random() < 0.6:
+                    edges[tuple(sorted((u, v)))] = 1
+            edges.setdefault(tuple(sorted((upper[int(rng.integers(8))], v))), 1)
+            paths[v] = sum(paths.get(u, 0) for u in upper if tuple(sorted((u, v))) in edges)
+    assert max(paths.values()) > 2**53
+    graph = graph_from_edges(edges)
+    assert_same_bits(graph, dict_brandes_betweenness(graph))
+
+
+def networkx_graph(graph: CoWordGraph):
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    g.add_nodes_from(graph.node_frequency)
+    g.add_weighted_edges_from((u, v, w) for (u, v), w in graph.edges.items())
+    return g
+
+
+def oracle_graphs():
+    """Seeded random graphs of varied size and density, weighted, some
+    with isolated nodes and several components."""
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        n = int(rng.integers(2, 60))
+        p = float(rng.choice([0.03, 0.1, 0.3, 0.7]))
+        nodes = [f"w{i:02d}" for i in range(n)]
+        edges = {
+            pair: int(rng.integers(1, 5))
+            for pair in itertools.combinations(nodes, 2)
+            if rng.random() < p
+        }
+        yield graph_from_edges(edges, extra_nodes=nodes)
+
+
+def test_betweenness_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for graph in [*oracle_graphs(), dense_graph(n=120)]:
+        expected = nx.betweenness_centrality(networkx_graph(graph), normalized=False)
+        result = betweenness(graph).betweenness
+        assert result == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("resolution", [0.5, 1.0, 2.0])
+def test_modularity_matches_networkx(resolution):
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(31)
+    for graph in oracle_graphs():
+        if not graph.edges:
+            continue
+        louvain = louvain_communities(graph, resolution=resolution).assignment
+        shuffled = {node: int(rng.integers(0, 4)) for node in sorted(graph.nodes)}
+        for assignment in (louvain, shuffled):
+            communities = [
+                {node for node, c in assignment.items() if c == label}
+                for label in set(assignment.values())
+            ]
+            expected = nx.community.modularity(
+                networkx_graph(graph), communities, weight="weight", resolution=resolution
+            )
+            assert modularity(graph, assignment, resolution) == pytest.approx(
+                expected, rel=1e-12, abs=1e-12
+            )
+
+
 # ---------------------------------------------------------------------------
 # Cluster summaries
 # ---------------------------------------------------------------------------
@@ -583,3 +753,18 @@ def test_load_stopwords_override(tmp_path):
     path = tmp_path / "stops.txt"
     path.write_text("# mine\nAlpha\nbeta\n\n")
     assert load_stopwords(path) == frozenset({"alpha", "beta"})
+
+
+def test_invalid_utf8_stopwords_is_input_error(data_dir, tmp_path, capsys):
+    path = tmp_path / "stops.txt"
+    path.write_bytes(b"the\n\xffbad\n")
+    with pytest.raises(ConfigError, match="stops.txt: not valid UTF-8"):
+        load_stopwords(path)
+    code = cli.main(
+        ["semnet", str(data_dir / "corpus_process.csv"), "--stopwords", str(path),
+         "--out", str(tmp_path / "net.gexf")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "stops.txt: not valid UTF-8" in err
+    assert "Traceback" not in err

@@ -345,6 +345,14 @@ def test_load_token_policy_rejects_bad_value(tmp_path):
         load_token_policy(path)
 
 
+@pytest.mark.parametrize("loader", [load_token_policy, load_abbreviations])
+def test_invalid_utf8_config_file_is_config_error(tmp_path, loader):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"keep_numbers = true\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match="latin1.txt: not valid UTF-8 at byte 25"):
+        loader(path)
+
+
 def test_default_abbreviations_contain_spec_entries():
     for abbr in ["e.g.", "i.e.", "et al.", "vs."]:
         assert abbr in DEFAULT_ABBREVIATIONS
