@@ -169,12 +169,12 @@ def parse_bibliographic_csv(
 ) -> Corpus:
     """Parse a bibliographic CSV export into a Corpus.
 
-    ``source`` may be a path, a text stream, or a binary stream (decoded as
-    UTF-8, BOM tolerated).  ``column_map`` maps logical names (title,
-    abstract, year, venue, citations, author_count, id) to CSV headers; it
-    must name at least the title column.  Rows whose title is empty are
-    skipped and counted.  Missing abstract/citations default to empty / 0;
-    unparseable or out-of-range years are treated as absent.
+    ``source`` may be a path, a text stream, a binary stream or ``bytes``
+    (decoded as UTF-8, BOM tolerated).  ``column_map`` maps logical names
+    (title, abstract, year, venue, citations, author_count, id) to CSV
+    headers; it must name at least the title column.  Rows whose title is
+    empty are skipped and counted.  Missing abstract/citations default to
+    empty / 0; unparseable or out-of-range years are treated as absent.
 
     Raises CsvParseError (with a row number) on malformed CSV, CsvParseError
     naming the source on invalid UTF-8, and ConfigError when an explicitly
@@ -186,10 +186,7 @@ def parse_bibliographic_csv(
     explicit = column_map is not None
 
     if isinstance(source, (bytes, bytearray)):
-        try:
-            source = io.StringIO(source.decode("utf-8-sig"))
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(source, exc) from exc
+        source = io.BytesIO(source)
     elif not (isinstance(source, (str, Path)) or hasattr(source, "read")):
         raise ConfigError(f"unsupported CSV source: {type(source).__name__}")
 

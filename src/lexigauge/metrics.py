@@ -79,16 +79,25 @@ def fkgl(
     May be negative for very simple text; raises DomainError when the text
     contains no words (the words-per-sentence term would divide by zero).
     """
-    return _fkgl(text, Counter(tokenize(text, policy)), abbreviations)
+    return _fkgl(text, Counter(tokenize(text, policy)), abbreviations, {})
 
 
-def _fkgl(text: str, counts: Counter, abbreviations: frozenset[str]) -> float:
-    # ``counts`` is Counter(tokens of text): syllables are counted per type.
+def _fkgl(
+    text: str, counts: Counter, abbreviations: frozenset[str], syllables: dict[str, int]
+) -> float:
+    # ``counts`` is Counter(tokens of text).  ``syllables`` maps a token to
+    # count_syllables(token) and is filled here on first sight, so a caller
+    # that passes one table for many texts counts each distinct token once.
     n_words = counts.total()
     if n_words == 0:
         raise DomainError("cannot compute a grade level for text with no words")
     n_sentences = max(len(split_sentences(text, abbreviations)), 1)
-    n_syllables = sum(n * count_syllables(token) for token, n in counts.items())
+    n_syllables = 0
+    for token, n in counts.items():
+        per_token = syllables.get(token)
+        if per_token is None:
+            per_token = syllables[token] = count_syllables(token)
+        n_syllables += n * per_token
     return 0.39 * (n_words / n_sentences) + 11.8 * (n_syllables / n_words) - 15.59
 
 
@@ -121,13 +130,16 @@ def lexical_records(
     Abstract-less documents receive None for fkgl / yules_k; they still get
     a title length.  Errors are annotated with the offending document id.
     Each abstract is tokenized once; both metrics read that token count.
+    Syllables are counted once per distinct token of the corpus, in a table
+    that lives only for this call; the values equal per-document counting.
     """
+    syllables: dict[str, int] = {}
     rows = []
     for record in corpus.records:
         try:
             length = title_length(record.title)
             counts = Counter(tokenize(record.abstract, policy))
-            grade = _fkgl(record.abstract, counts, abbreviations) if counts else None
+            grade = _fkgl(record.abstract, counts, abbreviations, syllables) if counts else None
             diversity = _yules_k(counts) if counts else None
         except DomainError as exc:
             raise DomainError(f"document {record.id!r}: {exc}") from exc
@@ -167,7 +179,11 @@ def write_metrics_csv(records: list[LexicalRecord], target) -> None:
 
 
 def read_metrics_csv(source) -> list[LexicalRecord]:
-    """Read a metric table written by :func:`write_metrics_csv`."""
+    """Read a metric table written by :func:`write_metrics_csv`.
+
+    A cell that is not a number raises CsvParseError naming its row and
+    column.
+    """
     with open_text(source) as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
@@ -181,15 +197,25 @@ def read_metrics_csv(source) -> list[LexicalRecord]:
                     row=reader.line_num,
                 )
             doc_id, length, grade, diversity = row
+            line = reader.line_num
             rows.append(
                 LexicalRecord(
                     doc_id=doc_id,
-                    title_length_chars=int(length),
-                    fkgl=None if grade == "" else float(grade),
-                    yules_k=None if diversity == "" else float(diversity),
+                    title_length_chars=_cell(int, length, "title_length_chars", line),
+                    fkgl=None if grade == "" else _cell(float, grade, "fkgl", line),
+                    yules_k=None if diversity == "" else _cell(float, diversity, "yules_k", line),
                 )
             )
         return rows
+
+
+def _cell(convert, raw: str, column: str, line: int):
+    try:
+        return convert(raw)
+    except ValueError:
+        raise CsvParseError(
+            f"column {column}: {raw!r} is not a valid {convert.__name__}", row=line
+        ) from None
 
 
 def metric_vectors(records: list[LexicalRecord]) -> dict[str, list[float]]:

@@ -86,7 +86,7 @@ def tokenize(text: str, policy: TokenPolicy = DEFAULT_TOKEN_POLICY) -> TokenStre
     text with no word characters) yields an empty stream.
     """
     pattern = _token_pattern(policy.bind_hyphens, policy.bind_apostrophes)
-    tokens = [m.group(0).lower() for m in pattern.finditer(text)]
+    tokens = [t.lower() for t in pattern.findall(text)]
     if not policy.keep_numbers:
         tokens = [t for t in tokens if any(c.isalpha() for c in t)]
     return TokenStream(tokens=tuple(tokens), source_char_count=len(text))

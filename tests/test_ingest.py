@@ -109,6 +109,17 @@ def test_parse_accepts_bytes_with_bom():
     assert corpus.records[0].title == "A title"
 
 
+def test_bare_cr_line_endings_parse_alike_from_path_stream_and_bytes(tmp_path):
+    data = b"Title,Abstract,Year\rFirst title,One.,2015\rSecond title,Two.,2016\r"
+    path = tmp_path / "cr.csv"
+    path.write_bytes(data)
+    from_path = parse_bibliographic_csv(path).records
+    assert [(r.title, r.year) for r in from_path] == [("First title", 2015), ("Second title", 2016)]
+    assert parse_bibliographic_csv(io.BytesIO(data)).records == from_path
+    assert parse_bibliographic_csv(data).records == from_path
+    assert parse_bibliographic_csv(bytearray(data)).records == from_path
+
+
 def test_parse_binary_stream():
     stream = io.BytesIO(b"Title\nOnly title\n")
     corpus = parse_bibliographic_csv(stream, label="bin")

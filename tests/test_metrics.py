@@ -2,12 +2,14 @@ import io
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexigauge.errors import DomainError
+from lexigauge import cli
+from lexigauge.errors import CsvParseError, DomainError
 from lexigauge.ingest import BibRecord, Corpus
 from lexigauge.metrics import (
     LexicalRecord,
@@ -215,6 +217,35 @@ def test_lexical_records_tokenizes_each_abstract_once(monkeypatch):
     assert [r.yules_k is None for r in rows] == [False, True, False]
 
 
+def test_lexical_records_counts_syllables_once_per_distinct_token(monkeypatch):
+    import lexigauge.metrics as metrics
+
+    calls = Counter()
+
+    def counting_count_syllables(token):
+        calls[token] += 1
+        return count_syllables(token)
+
+    corpus = Corpus(
+        label="shared",
+        records=(
+            BibRecord(id="d1", title="One", abstract="The cat sat on the mat."),
+            BibRecord(id="d2", title="Two", abstract=""),
+            BibRecord(id="d3", title="Three", abstract="The dog sat. The cat ran away."),
+        ),
+    )
+    # Computed before patching, since fkgl() also calls metrics.count_syllables.
+    per_document = [fkgl(r.abstract) if r.abstract else None for r in corpus.records]
+    distinct = set().union(*(tokenize(record.abstract) for record in corpus.records))
+    monkeypatch.setattr(metrics, "count_syllables", counting_count_syllables)
+    rows = lexical_records(corpus)
+    assert calls == Counter(dict.fromkeys(distinct, 1))
+    assert [r.fkgl for r in rows] == per_document
+    # A second call builds its own table: nothing is cached across calls.
+    assert lexical_records(corpus) == rows
+    assert calls == Counter(dict.fromkeys(distinct, 2))
+
+
 # ---------------------------------------------------------------------------
 # Per-corpus records and the metric CSV
 # ---------------------------------------------------------------------------
@@ -261,6 +292,29 @@ def test_metrics_csv_header_shape():
     buffer = io.StringIO()
     write_metrics_csv([], buffer)
     assert buffer.getvalue().splitlines()[0] == "doc_id,title_length_chars,fkgl,yules_k"
+
+
+@pytest.mark.parametrize(
+    "row,column",
+    [
+        ("d1,abc,1.5,2.5", "title_length_chars"),
+        ("d1,12,high,2.5", "fkgl"),
+        ("d1,12,1.5,--", "yules_k"),
+    ],
+)
+def test_read_metrics_csv_names_row_and_column_of_bad_cell(row, column):
+    table = f"doc_id,title_length_chars,fkgl,yules_k\nd0,7,1.0,2.0\n{row}\n"
+    with pytest.raises(CsvParseError, match=f"row 3: column {column}: "):
+        read_metrics_csv(io.StringIO(table))
+
+
+def test_cli_stats_on_bad_cell_is_input_error(tmp_path, capsys):
+    table = tmp_path / "bad.csv"
+    table.write_text("doc_id,title_length_chars,fkgl,yules_k\nd1,abc,1.5,2.5\n", encoding="utf-8")
+    assert cli.main(["stats", str(table), str(table)]) == 1
+    err = capsys.readouterr().err
+    assert "row 2: column title_length_chars: 'abc'" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from collections import Counter
@@ -95,6 +96,33 @@ def test_tokenize_idempotent_on_token_text():
         first = list(tokenize(text).tokens)
         again = list(tokenize(" ".join(first)).tokens)
         assert again == first
+
+
+def _finditer_tokenize(text, policy):
+    """Oracle: tokenize as written before it used ``findall``, with one
+    ``Match.group(0)`` and one ``str.lower`` per match."""
+    joiners = (r"\-" if policy.bind_hyphens else "") + ("'’" if policy.bind_apostrophes else "")
+    pattern = r"[^\W_]+" + (rf"(?:[{joiners}][^\W_]+)*" if joiners else "")
+    tokens = [m.group(0).lower() for m in re.finditer(pattern, text)]
+    if not policy.keep_numbers:
+        tokens = [t for t in tokens if any(c.isalpha() for c in t)]
+    return tokens
+
+
+# Letters whose lowercase form is longer ("İ"), context-dependent ("Σ") or
+# another script's, joiners, underscore, digits (ASCII and Arabic-Indic), a
+# combining mark, and separators.
+_TOKEN_ALPHABET = "aZéßΣσςİIКжǅ'’-_09٣\u0301 .,\t\n"
+_ALL_POLICIES = [TokenPolicy(*flags) for flags in itertools.product([False, True], repeat=3)]
+
+
+@pytest.mark.parametrize("policy", _ALL_POLICIES, ids=repr)
+@settings(max_examples=150, deadline=None)
+@given(text=st.one_of(st.text(_TOKEN_ALPHABET, max_size=60), st.text(max_size=30)))
+def test_tokenize_matches_finditer_oracle(policy, text):
+    stream = tokenize(text, policy)
+    assert list(stream.tokens) == _finditer_tokenize(text, policy)
+    assert stream.source_char_count == len(text)
 
 
 # ---------------------------------------------------------------------------
