@@ -3,7 +3,8 @@ bibliometric descriptives.
 
 Input files are UTF-8 CSV exports (RFC 4180 quoting, optional BOM) with one
 row per document.  Column names are mapped through a configurable column
-map; only the title column is mandatory.
+map; only the title column is mandatory.  Every CSV table of the package is
+read through ``read_csv_rows`` and written through ``write_csv``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import csv
 import io
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,6 +27,8 @@ __all__ = [
     "BiblioSummary",
     "DEFAULT_COLUMN_MAP",
     "open_text",
+    "read_csv_rows",
+    "write_csv",
     "parse_bibliographic_csv",
     "write_corpus_csv",
     "sample_corpus",
@@ -35,6 +40,11 @@ __all__ = [
 SAMPLING_RNG = "numpy.random.Generator(PCG64)"
 
 YEAR_RANGE = (1900, 2100)
+
+# A full-text abstract or a long id can pass the csv module's default field
+# limit (131,072 characters).  The limit is process-wide, so it is raised once
+# here: raising and restoring it around each read races between threads.
+csv.field_size_limit(max(csv.field_size_limit(), 2**31 - 1))
 
 # Logical field -> default CSV header (Scopus-style export names).
 DEFAULT_COLUMN_MAP = {
@@ -162,6 +172,31 @@ def _not_utf8(source, exc: UnicodeDecodeError) -> CsvParseError:
     return CsvParseError(f"{source}: not valid UTF-8 ({exc.reason})")
 
 
+def read_csv_rows(stream):
+    """Yield ``(line number, row)`` for each row of an open text stream,
+    read as strict RFC 4180.  The line number is that of the row's last
+    physical line; any csv.Error becomes CsvParseError naming it."""
+    reader = csv.reader(stream, strict=True)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise CsvParseError(str(exc), row=reader.line_num) from exc
+
+
+def write_csv(target, header, rows) -> None:
+    """Write ``header`` and then ``rows`` to ``target`` (a path or a text
+    stream) as RFC 4180 with ``\\n`` line ends.  Cells are formatted by the
+    csv module: None is an empty cell, a float its shortest round-trip repr."""
+    with open_text(target, "w") as stream:
+        # The csv module quotes a cell holding a bare \r only when \r is in
+        # the line terminator, so rows end in \r\n and are cut back to \n.
+        lines = SimpleNamespace(write=lambda line: stream.write(line[:-2] + "\n"))
+        writer = csv.writer(lines, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def parse_bibliographic_csv(
     source,
     column_map: dict[str, str] | None = None,
@@ -191,11 +226,8 @@ def parse_bibliographic_csv(
         raise ConfigError(f"unsupported CSV source: {type(source).__name__}")
 
     with open_text(source, encoding="utf-8-sig") as stream:
-        reader = csv.reader(stream, strict=True)
-        try:
-            header = next(reader, None)
-        except csv.Error as exc:
-            raise CsvParseError(str(exc), row=1) from exc
+        rows = read_csv_rows(stream)
+        _, header = next(rows, (None, None))
         if header is None:
             raise CsvParseError("input has no header row", row=1)
         index = {name: pos for pos, name in enumerate(header)}
@@ -217,17 +249,7 @@ def parse_bibliographic_csv(
 
         records = []
         skipped = 0
-        data_row = 0
-        while True:
-            try:
-                row = next(reader, None)
-            except csv.Error as exc:
-                raise CsvParseError(str(exc), row=reader.line_num) from exc
-            if row is None:
-                break
-            if not row:
-                continue
-            data_row += 1
+        for data_row, row in enumerate((row for _, row in rows if row), start=1):
             title = cell(row, "title").strip()
             if not title:
                 skipped += 1
@@ -264,21 +286,8 @@ ROUNDTRIP_COLUMN_MAP = {logical: header for logical, header in _WRITE_COLUMNS}
 def write_corpus_csv(corpus: Corpus, target) -> None:
     """Serialize a corpus back to CSV (RFC 4180); parsing the output with
     ROUNDTRIP_COLUMN_MAP reproduces the records field-for-field."""
-    with open_text(target, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow([header for _, header in _WRITE_COLUMNS])
-        for rec in corpus.records:
-            writer.writerow(
-                [
-                    rec.id,
-                    rec.title,
-                    rec.abstract,
-                    "" if rec.year is None else rec.year,
-                    rec.venue,
-                    rec.citations,
-                    rec.author_count,
-                ]
-            )
+    fields = attrgetter(*(field for field, _ in _WRITE_COLUMNS))
+    write_csv(target, [header for _, header in _WRITE_COLUMNS], map(fields, corpus.records))
 
 
 def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:

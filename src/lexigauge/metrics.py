@@ -9,12 +9,12 @@ repetition).
 
 from __future__ import annotations
 
-import csv
+import math
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CsvParseError, DomainError
-from .ingest import open_text
+from .ingest import open_text, read_csv_rows, write_csv
 from .textproc import (
     DEFAULT_ABBREVIATIONS,
     DEFAULT_TOKEN_POLICY,
@@ -164,41 +164,30 @@ _CSV_HEADER = ["doc_id", "title_length_chars", "fkgl", "yules_k"]
 def write_metrics_csv(records: list[LexicalRecord], target) -> None:
     """Write the per-document metric table; floats keep full precision
     (shortest round-trip repr), empty cells for missing abstracts."""
-    with open_text(target, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.doc_id,
-                    rec.title_length_chars,
-                    "" if rec.fkgl is None else repr(rec.fkgl),
-                    "" if rec.yules_k is None else repr(rec.yules_k),
-                ]
-            )
+    rows = ((r.doc_id, r.title_length_chars, r.fkgl, r.yules_k) for r in records)
+    write_csv(target, _CSV_HEADER, rows)
 
 
 def read_metrics_csv(source) -> list[LexicalRecord]:
     """Read a metric table written by :func:`write_metrics_csv`.
 
-    A cell that is not a number raises CsvParseError naming its row and
-    column.
+    Malformed (non-RFC 4180) quoting, a row of the wrong width, or a cell
+    that is not a finite number (``nan``, ``inf``, ``1e999``) raises
+    CsvParseError naming its row, and the column of a bad cell.
     """
     with open_text(source) as stream:
-        reader = csv.reader(stream)
-        header = next(reader, None)
+        rows = read_csv_rows(stream)
+        _, header = next(rows, (None, None))
         if header != _CSV_HEADER:
             raise CsvParseError(f"expected header {_CSV_HEADER}, got {header}", row=1)
-        rows = []
-        for row in reader:
+        records = []
+        for line, row in rows:
             if len(row) != len(_CSV_HEADER):
                 raise CsvParseError(
-                    f"expected {len(_CSV_HEADER)} fields, got {len(row)}",
-                    row=reader.line_num,
+                    f"expected {len(_CSV_HEADER)} fields, got {len(row)}", row=line
                 )
             doc_id, length, grade, diversity = row
-            line = reader.line_num
-            rows.append(
+            records.append(
                 LexicalRecord(
                     doc_id=doc_id,
                     title_length_chars=_cell(int, length, "title_length_chars", line),
@@ -206,16 +195,19 @@ def read_metrics_csv(source) -> list[LexicalRecord]:
                     yules_k=None if diversity == "" else _cell(float, diversity, "yules_k", line),
                 )
             )
-        return rows
+        return records
 
 
 def _cell(convert, raw: str, column: str, line: int):
     try:
-        return convert(raw)
-    except ValueError:
-        raise CsvParseError(
-            f"column {column}: {raw!r} is not a valid {convert.__name__}", row=line
-        ) from None
+        value = convert(raw)
+        if math.isfinite(value):  # an int past float range overflows here
+            return value
+    except (ValueError, OverflowError):
+        pass
+    raise CsvParseError(
+        f"column {column}: {raw!r} is not a finite {convert.__name__}", row=line
+    )
 
 
 def metric_vectors(records: list[LexicalRecord]) -> dict[str, list[float]]:

@@ -9,7 +9,6 @@ of the JSON report, which is isolated so determinism checks can exclude it.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -30,6 +29,7 @@ from .ingest import (
     bibliometric_descriptives,
     parse_bibliographic_csv,
     sample_corpus,
+    write_csv,
 )
 from .metrics import (
     METRIC_NAMES,
@@ -537,7 +537,7 @@ def _write_artifacts(report: ComparisonReport, config: RunConfig) -> None:
                 files.append(name)
                 for metric, series in corpus.densities.items():
                     name = f"density_{metric}_{slug}.csv"
-                    _write_density_csv(series, tmp_dir / name)
+                    write_csv(tmp_dir / name, ("x", "density"), zip(series.grid, series.density))
                     files.append(name)
             for fmt in ("gexf", "graphml"):
                 if fmt in formats:
@@ -567,14 +567,6 @@ def _write_artifacts(report: ComparisonReport, config: RunConfig) -> None:
             os.replace(tmp_dir / name, out_dir / name)
     finally:
         shutil.rmtree(tmp_dir, ignore_errors=True)
-
-
-def _write_density_csv(series: DensitySeries, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["x", "density"])
-        for x, d in zip(series.grid, series.density):
-            writer.writerow([repr(x), repr(d)])
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@ import gc
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexigauge import cli
-from lexigauge.errors import ConfigError, CsvParseError, DomainError
+from lexigauge.errors import ConfigError, CsvParseError, DomainError, LexigaugeError
 from lexigauge.ingest import (
     ROUNDTRIP_COLUMN_MAP,
     BibRecord,
@@ -14,6 +16,7 @@ from lexigauge.ingest import (
     sample_corpus,
     write_corpus_csv,
 )
+from lexigauge.metrics import read_metrics_csv
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -120,6 +123,34 @@ def test_bare_cr_line_endings_parse_alike_from_path_stream_and_bytes(tmp_path):
     assert parse_bibliographic_csv(bytearray(data)).records == from_path
 
 
+def test_abstract_past_default_field_limit_parses(tmp_path, capsys):
+    # 150,000 characters is past the csv module's default field limit (131,072).
+    abstract = ("Lexical measures vary, by venue. " * 4546)[:150_000]
+    data = f'Title,Abstract\nLong one,"{abstract}"\nShort one,Brief.\n'.encode()
+    path = tmp_path / "long.csv"
+    path.write_bytes(data)
+    from_path = parse_bibliographic_csv(path).records
+    assert [len(r.abstract) for r in from_path] == [150_000, 6]
+    assert parse_bibliographic_csv(data).records == from_path
+    assert cli.main(["metrics", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+_BYTE_PIECES = [b'"', b",", b"\r", b"\n", b"\x00", b"\xff", b"1e999", b"nan", b"-3", b"x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_BYTE_PIECES), max_size=40).map(b"".join))
+def test_readers_give_a_result_or_an_input_error_on_any_bytes(body):
+    headers = (b"", b"Title,Cited by,Year\n", b"doc_id,title_length_chars,fkgl,yules_k\n")
+    for data in (header + body for header in headers):
+        for read in (parse_bibliographic_csv, lambda d: read_metrics_csv(io.BytesIO(d))):
+            try:
+                read(data)
+            except LexigaugeError:
+                pass
+
+
 def test_parse_binary_stream():
     stream = io.BytesIO(b"Title\nOnly title\n")
     corpus = parse_bibliographic_csv(stream, label="bin")
@@ -185,6 +216,15 @@ def test_round_trip_parse_write_parse(data_dir):
     buffer.seek(0)
     second = parse_bibliographic_csv(buffer, column_map=ROUNDTRIP_COLUMN_MAP, label="rt")
     assert second.records == first.records
+
+
+def test_bare_cr_in_a_cell_round_trips_through_write_corpus_csv(tmp_path):
+    # With \n line ends the csv module leaves a bare \r unquoted unless told.
+    records = (BibRecord(id="a\rb", title="Two\rlines", abstract="One.\rTwo.", year=2001),)
+    path = tmp_path / "cr.csv"
+    write_corpus_csv(Corpus(label="cr", records=records), path)
+    assert b'"Two\rlines"' in path.read_bytes()
+    assert parse_bibliographic_csv(path, column_map=ROUNDTRIP_COLUMN_MAP).records == records
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,11 @@ def test_metrics_csv_header_shape():
         ("d1,abc,1.5,2.5", "title_length_chars"),
         ("d1,12,high,2.5", "fkgl"),
         ("d1,12,1.5,--", "yules_k"),
+        ("d1,12,nan,2.5", "fkgl"),
+        ("d1,12,-inf,2.5", "fkgl"),
+        ("d1,12,1.5,inf", "yules_k"),
+        ("d1,12,1.5,1e999", "yules_k"),
+        pytest.param("d1," + "9" * 400 + ",1.5,2.5", "title_length_chars", id="past-float-range"),
     ],
 )
 def test_read_metrics_csv_names_row_and_column_of_bad_cell(row, column):
@@ -315,6 +320,65 @@ def test_cli_stats_on_bad_cell_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "row 2: column title_length_chars: 'abc'" in err
     assert "Traceback" not in err
+
+
+_HEADER = "doc_id,title_length_chars,fkgl,yules_k\n"
+
+
+def test_cli_stats_reads_doc_id_past_default_field_limit(tmp_path):
+    # 140,000 characters is past the csv module's default field limit (131,072).
+    long_id = "d" * 140_000
+    table_a = tmp_path / "a.csv"
+    table_a.write_text(_HEADER + f"{long_id},12,8.5,100.0\nd2,30,11.25,150.5\nd3,41,14.0,220.0\n")
+    table_b = tmp_path / "b.csv"
+    table_b.write_text(_HEADER + "e1,25,9.5,120.0\ne2,33,12.5,180.0\ne3,47,15.0,260.0\n")
+    assert cli.main(["stats", str(table_a), str(table_b), "--out", str(tmp_path / "s.json")]) == 0
+    assert read_metrics_csv(table_a)[0].doc_id == long_id
+
+
+def test_cli_stats_on_bad_quoting_is_input_error(tmp_path, capsys):
+    table = tmp_path / "quoted.csv"
+    table.write_text(_HEADER + '"a"b,1,2.0,3.0\n')
+    assert cli.main(["stats", str(table), str(table)]) == 1
+    err = capsys.readouterr().err
+    assert "row 2: " in err
+    assert "Traceback" not in err
+
+
+def test_cli_stats_on_non_finite_cell_is_input_error(tmp_path, capsys):
+    table = tmp_path / "nan.csv"
+    table.write_text(_HEADER + "d0,7,1.0,2.0\nd1,12,nan,2.5\n")
+    assert cli.main(["stats", str(table), str(table)]) == 1
+    err = capsys.readouterr().err
+    assert "row 3: column fkgl: 'nan'" in err
+    assert "Traceback" not in err
+
+
+_METRIC_CELLS = st.none() | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            LexicalRecord,
+            st.text(st.sampled_from(',"\n\r xé'), max_size=10),
+            st.integers(-(10**12), 10**12),
+            _METRIC_CELLS,
+            _METRIC_CELLS,
+        ),
+        max_size=8,
+    )
+)
+def test_metrics_csv_round_trip_property(records):
+    buffer = io.StringIO()
+    write_metrics_csv(records, buffer)
+    buffer.seek(0)
+    recovered = read_metrics_csv(buffer)
+    assert recovered == records
+    assert repr(recovered) == repr(records)  # == does not tell -0.0 from 0.0
 
 
 # ---------------------------------------------------------------------------
