@@ -193,7 +193,7 @@ def _cmd_stats(args) -> int:
         entry["rank_sum"] = as_json(rank)
         payload[metric] = entry
         print(f"{metric}: p={rank.p_value:.2e} r={rank.effect_size_r:.3f}")
-    rendered = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    rendered = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")
     else:

@@ -4,6 +4,10 @@ Nodes are content words; an edge links two words that appear together in at
 least one title, weighted by the number of such titles.  Communities come
 from greedy modularity optimization (local moves + aggregation, seeded node
 order); mediation is measured with unweighted shortest-path betweenness.
+
+Both algorithms run on one sorted-name CSR adjacency, built by ``_csr``.
+Edge weights are integer title counts, so every strength, aggregated weight
+and half-weight self-loop is an exact float, whatever the summation order.
 """
 
 from __future__ import annotations
@@ -73,7 +77,9 @@ class CoWordGraph:
     """Undirected weighted co-word graph.
 
     node_frequency: token -> number of titles containing it.
-    edges: sorted (token, token) pair -> number of titles where both occur.
+    edges: (u, v) -> number of titles where both occur, one key per pair,
+    with u < v and both nodes (as ``build_coword_graph`` emits them); the
+    graph algorithms raise ConsistencyError on any other key.
     """
 
     node_frequency: dict[str, int]
@@ -95,13 +101,6 @@ class CoWordGraph:
             adj[u][v] = w
             adj[v][u] = w
         return adj
-
-    def degrees(self) -> dict[str, int]:
-        degree = {node: 0 for node in self.node_frequency}
-        for u, v in self.edges:
-            degree[u] += 1
-            degree[v] += 1
-        return degree
 
 
 @dataclass(frozen=True)
@@ -162,6 +161,33 @@ def build_coword_graph(
     )
 
 
+def _csr(graph: CoWordGraph):
+    """``(names, indptr, indices, weights)``: node ``i`` is ``names[i]`` (sorted)
+    and CSR row ``i`` lists its neighbors in ascending order, with float edge
+    weights alongside.  Raises DomainError without nodes, ConsistencyError on
+    an edge key that is not ``(u, v)`` with ``u < v``, both nodes."""
+    names = sorted(graph.node_frequency)
+    if not names:
+        raise DomainError("the co-word graph has no nodes")
+    n = len(names)
+    index = {u: i for i, u in enumerate(names)}
+    m = len(graph.edges)
+    heads = np.fromiter((index.get(u, -1) for u, _ in graph.edges), np.intp, m)
+    tails = np.fromiter((index.get(v, -1) for _, v in graph.edges), np.intp, m)
+    # Ids follow name order, so u < v holds exactly when -1 < head < tail.
+    bad = np.flatnonzero((heads < 0) | (heads >= tails))
+    if bad.size:
+        edge = list(graph.edges)[bad[0]]
+        raise ConsistencyError(f"edge {edge!r} is not (u, v) with u < v, both graph nodes")
+    weights = np.fromiter(graph.edges.values(), float, m)
+    # Both directions of every edge as row * n + column, in ascending order.
+    codes = np.concatenate([heads * n + tails, tails * n + heads])
+    order = np.argsort(codes)
+    codes = codes[order]
+    indptr = np.searchsorted(codes, np.arange(n + 1) * n)
+    return names, indptr, codes % n, np.concatenate([weights, weights])[order]
+
+
 # ---------------------------------------------------------------------------
 # Modularity and community detection
 # ---------------------------------------------------------------------------
@@ -206,74 +232,61 @@ def louvain_communities(
     Deterministic for a fixed (graph, seed).  The reported modularity is
     recomputed on the original graph at resolution 1.
 
+    Like ``betweenness``, it runs on the sorted-name CSR from ``_csr``;
+    integer edge weights keep every gain exact, whatever the summation order.
+
     Community ids in the result are canonical: numbered by decreasing
     community size, ties by lexicographically smallest member.
     """
-    names = sorted(graph.node_frequency)
-    if not names:
-        raise DomainError("community detection requires at least one node")
-    index = {name: i for i, name in enumerate(names)}
-    n = len(names)
-
-    adj: list[dict[int, float]] = [dict() for _ in range(n)]
-    for (u, v), w in graph.edges.items():
-        adj[index[u]][index[v]] = float(w)
-        adj[index[v]][index[u]] = float(w)
-    self_w = [0.0] * n
-
+    names, indptr, indices, weights = _csr(graph)
+    self_w = np.zeros(len(names))
     rng = np.random.Generator(np.random.PCG64(seed))
     # original node -> node id in the current (aggregated) level
-    node_of = list(range(n))
-
+    node_of = np.arange(len(names))
     while True:
-        level_n = len(adj)
-        comm = _local_moves(adj, self_w, resolution, rng)
-        n_comms = max(comm) + 1
-        node_of = [comm[node] for node in node_of]
-        if n_comms == level_n:
+        comm = _local_moves(indptr, indices, weights, self_w, resolution, rng)
+        node_of = comm[node_of]
+        if comm.max() + 1 == self_w.size:
             break
-        adj, self_w = _aggregate(adj, self_w, comm, n_comms)
+        indptr, indices, weights, self_w = _aggregate(indptr, indices, weights, self_w, comm)
 
-    assignment_raw = {names[i]: node_of[i] for i in range(n)}
-    assignment = _canonical_ids(assignment_raw)
-    return CommunityPartition(
-        assignment=assignment, modularity_q=modularity(graph, assignment)
-    )
+    # Canonical ids: by decreasing size, ties by first (smallest) member name.
+    first = np.unique(node_of, return_index=True)[1]
+    canonical = np.argsort(np.lexsort((first, -np.bincount(node_of))))
+    assignment = dict(zip(names, canonical[node_of].tolist()))
+    return CommunityPartition(assignment=assignment, modularity_q=modularity(graph, assignment))
 
 
-def _local_moves(
-    adj: list[dict[int, float]],
-    self_w: list[float],
-    resolution: float,
-    rng: np.random.Generator,
-) -> list[int]:
+def _local_moves(indptr, indices, weights, self_w, resolution, rng) -> np.ndarray:
     """One level of greedy local moves; returns a dense community labeling."""
-    n = len(adj)
-    strength = [sum(adj[u].values()) + 2.0 * self_w[u] for u in range(n)]
+    n = self_w.size
+    # The adjacency is symmetric: its column sums are the row strengths.
+    strength = (np.bincount(indices, weights, minlength=n) + 2.0 * self_w).tolist()
     m2 = sum(strength)
-    comm = list(range(n))
     if m2 == 0.0:
-        return comm
+        return np.arange(n)
+    comm = list(range(n))
     comm_tot = strength.copy()
-    order = [int(i) for i in rng.permutation(n)]
+    order = rng.permutation(n).tolist()
+    ptr, nbr, wt = indptr.tolist(), indices.tolist(), weights.tolist()
+    rows = [list(zip(nbr[a:b], wt[a:b])) for a, b in zip(ptr, ptr[1:])]
 
-    while True:
-        moved = 0
+    moved = True
+    while moved:
+        moved = False
         for u in order:
             current = comm[u]
             weight_to: dict[int, float] = defaultdict(float)
-            for v, w in adj[u].items():
+            for v, w in rows[u]:
                 weight_to[comm[v]] += w
             comm_tot[current] -= strength[u]
 
             best_comm = current
-            best_gain = weight_to.get(current, 0.0) - resolution * comm_tot[
-                current
-            ] * strength[u] / m2
+            best_gain = (
+                weight_to.get(current, 0.0) - resolution * comm_tot[current] * strength[u] / m2
+            )
             for candidate in sorted(weight_to):
-                gain = weight_to[candidate] - resolution * comm_tot[
-                    candidate
-                ] * strength[u] / m2
+                gain = weight_to[candidate] - resolution * comm_tot[candidate] * strength[u] / m2
                 if gain > best_gain or (gain == best_gain and candidate < best_comm):
                     best_gain = gain
                     best_comm = candidate
@@ -281,48 +294,24 @@ def _local_moves(
             comm_tot[best_comm] += strength[u]
             if best_comm != current:
                 comm[u] = best_comm
-                moved += 1
-        if moved == 0:
-            break
+                moved = True
 
     # dense relabel in order of first appearance for stable aggregation
-    relabel: dict[int, int] = {}
-    for u in range(n):
-        if comm[u] not in relabel:
-            relabel[comm[u]] = len(relabel)
-    return [relabel[c] for c in comm]
+    _, first, inverse = np.unique(comm, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse.reshape(-1)]
 
 
-def _aggregate(
-    adj: list[dict[int, float]],
-    self_w: list[float],
-    comm: list[int],
-    n_comms: int,
-) -> tuple[list[dict[int, float]], list[float]]:
+def _aggregate(indptr, indices, weights, self_w, comm):
     """Collapse communities into super-nodes; intra-community weight becomes
-    the super-node self-weight."""
-    new_adj: list[dict[int, float]] = [defaultdict(float) for _ in range(n_comms)]
-    new_self = [0.0] * n_comms
-    for u in range(len(adj)):
-        cu = comm[u]
-        new_self[cu] += self_w[u]
-        for v, w in adj[u].items():
-            cv = comm[v]
-            if cv == cu:
-                new_self[cu] += w / 2.0  # seen from both endpoints
-            else:
-                new_adj[cu][cv] += w
-    return [dict(d) for d in new_adj], new_self
-
-
-def _canonical_ids(assignment: dict[str, int]) -> dict[str, int]:
-    members: dict[int, list[str]] = defaultdict(list)
-    for node, community in assignment.items():
-        members[community].append(node)
-    ordered = sorted(members.values(), key=lambda ms: (-len(ms), min(ms)))
-    return {
-        node: new_id for new_id, ms in enumerate(ordered) for node in ms
-    }
+    the super-node self-weight, half from each end of an edge."""
+    k = int(comm.max()) + 1
+    head = np.repeat(comm, np.diff(indptr))
+    tail = comm[indices]
+    intra = head == tail
+    new_self = np.bincount(comm, self_w, k) + np.bincount(head[intra], weights[intra] / 2.0, k)
+    codes, inverse = np.unique(head[~intra] * k + tail[~intra], return_inverse=True)
+    new_indptr = np.searchsorted(codes, np.arange(k + 1) * k)
+    return new_indptr, codes % k, np.bincount(inverse.reshape(-1), weights[~intra]), new_self
 
 
 # ---------------------------------------------------------------------------
@@ -340,26 +329,13 @@ def betweenness(graph: CoWordGraph) -> CentralityScores:
     """Unweighted shortest-path betweenness, each unordered node pair
     counted once; degrees reported alongside.
 
-    Brandes' algorithm on integer node ids (sorted-name order) over a CSR
-    adjacency, a batch of sources at a time.  Every floating-point sum
-    runs in the order of the single-source queue/stack form, which visits
-    neighbors in ascending name order, so the scores are bit-identical
-    to it.
+    Brandes' algorithm on the ``_csr`` adjacency, a batch of sources at a
+    time.  Every floating-point sum runs in the order of the single-source
+    queue/stack form, which visits neighbors in ascending name order, so
+    the scores are bit-identical to it.
     """
-    nodes = sorted(graph.node_frequency)
-    if not nodes:
-        raise DomainError("betweenness requires at least one node")
-    n = len(nodes)
-    index = {u: i for i, u in enumerate(nodes)}
-    ends = np.fromiter(
-        (index[t] for edge in graph.edges for t in edge), dtype=np.intp, count=2 * len(graph.edges)
-    )
-    heads, tails = ends[0::2], ends[1::2]
-    # Both directions of every edge as row * n + column, sorted and unique.
-    codes = np.unique(np.concatenate([heads * n + tails, tails * n + heads]))
-    indptr = np.searchsorted(codes, np.arange(n + 1) * n)
-    indices = codes % n
-
+    names, indptr, indices, _ = _csr(graph)
+    n = len(names)
     scores = np.zeros(n)
     batch = max(1, _BATCH_ELEMENTS // max(n, indices.size))
     for first in range(0, n, batch):
@@ -367,8 +343,8 @@ def betweenness(graph: CoWordGraph) -> CentralityScores:
         for row in _dependencies(sources, indptr, indices):
             scores += row
     return CentralityScores(
-        betweenness=dict(zip(nodes, (scores / 2.0).tolist())),
-        degree=graph.degrees(),
+        betweenness=dict(zip(names, (scores / 2.0).tolist())),
+        degree=dict(zip(names, np.diff(indptr).tolist())),
     )
 
 

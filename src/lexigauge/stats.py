@@ -139,7 +139,8 @@ def shapiro_wilk(values) -> NormalityResult:
 
     W close to 1 is consistent with a normal sample; the p-value uses the
     exact n=3 distribution and a normalizing transformation of 1-W
-    elsewhere (Royston's approximation, valid through n=5000).
+    elsewhere (Royston's approximation, valid through n=5000).  Raises
+    DomainError when the sample's sum of squares overflows a float.
     """
     x = np.sort(np.asarray(values, dtype=float))
     n = x.size
@@ -150,7 +151,10 @@ def shapiro_wilk(values) -> NormalityResult:
 
     a = _sw_weights(n)
     centered = x - x.mean()
-    w = float((a @ x) ** 2 / (centered @ centered))
+    squares = centered @ centered
+    if not np.isfinite(squares):
+        raise DomainError("Shapiro-Wilk sum of squares overflows for this sample")
+    w = float((a @ x) ** 2 / squares)
     w = min(w, 1.0)
 
     if n == 3:

@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -352,6 +353,24 @@ def test_cli_stats_on_non_finite_cell_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "row 3: column fkgl: 'nan'" in err
     assert "Traceback" not in err
+
+
+def test_cli_stats_json_has_no_nan_when_sum_of_squares_overflows(tmp_path):
+    # Finite but huge fkgl cells: the Shapiro-Wilk sum of squares overflows,
+    # which is reported as a null normality, never as a NaN statistic.
+    table_a = tmp_path / "a.csv"
+    table_a.write_text(_HEADER + "".join(f"d{i},{10 + i},{i}e200,{100 + 7 * i}.5\n" for i in range(1, 9)))
+    table_b = tmp_path / "b.csv"
+    table_b.write_text(_HEADER + "".join(f"e{i},{12 + 3 * i},{1.5 * i},{90 + 11 * i}.25\n" for i in range(1, 9)))
+    out = tmp_path / "s.json"
+    assert cli.main(["stats", str(table_a), str(table_b), "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    payload = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)
+    assert payload["fkgl"]["normality_a"] is None
+    assert payload["fkgl"]["normality_b"]["n"] == 8
 
 
 _METRIC_CELLS = st.none() | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]) | st.floats(

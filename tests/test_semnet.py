@@ -1,5 +1,5 @@
 import itertools
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from unittest import mock
 from xml.etree import ElementTree as ET
 
@@ -42,6 +42,25 @@ def graph_from_edges(edges: dict, extra_nodes=()) -> CoWordGraph:
 TRIANGLES = graph_from_edges(
     {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1, ("d", "e"): 1, ("d", "f"): 1, ("e", "f"): 1}
 )
+
+
+@st.composite
+def random_graphs(draw, max_weight=1):
+    """Graphs over 1-30 random names whose sorted order differs from their
+    drawing order; edge density from none to complete, so isolated nodes
+    and several components are common.  Edge weights are 1 to
+    ``max_weight``."""
+    names = draw(
+        st.lists(st.text("abcdefghij", min_size=1, max_size=3), min_size=1, max_size=30, unique=True)
+    )
+    pairs = list(itertools.combinations(sorted(names), 2))
+    threshold = draw(st.integers(0, 10))
+    draws = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
+    edges = {pair: 1 for pair, d in zip(pairs, draws) if d < threshold}
+    if max_weight > 1:
+        weights = draw(st.lists(st.integers(1, max_weight), min_size=len(edges), max_size=len(edges)))
+        edges = dict(zip(edges, weights))
+    return CoWordGraph(node_frequency={name: 1 for name in names}, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +291,138 @@ def test_modularity_formula_on_hand_cases():
     assert modularity(edge, {"a": 0, "b": 1}) == pytest.approx(-0.5, abs=1e-12)
 
 
+def dict_louvain_communities(
+    graph: CoWordGraph, resolution: float = 1.0, seed: int = 0
+) -> CommunityPartition:
+    """Louvain over a name-indexed list of neighbor dicts, with nested-loop
+    aggregation: the form the CSR implementation must reproduce."""
+    names = sorted(graph.node_frequency)
+    index = {name: i for i, name in enumerate(names)}
+    adj = [dict() for _ in names]
+    for (u, v), w in graph.edges.items():
+        adj[index[u]][index[v]] = float(w)
+        adj[index[v]][index[u]] = float(w)
+    self_w = [0.0] * len(names)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    node_of = list(range(len(names)))
+    while True:
+        level_n = len(adj)
+        comm = _dict_local_moves(adj, self_w, resolution, rng)
+        n_comms = max(comm) + 1
+        node_of = [comm[node] for node in node_of]
+        if n_comms == level_n:
+            break
+        adj, self_w = _dict_aggregate(adj, self_w, comm, n_comms)
+    members = defaultdict(list)
+    for name, community in zip(names, node_of):
+        members[community].append(name)
+    ordered = sorted(members.values(), key=lambda ms: (-len(ms), min(ms)))
+    assignment = {name: new_id for new_id, ms in enumerate(ordered) for name in ms}
+    return CommunityPartition(assignment=assignment, modularity_q=modularity(graph, assignment))
+
+
+def _dict_local_moves(adj, self_w, resolution, rng):
+    n = len(adj)
+    strength = [sum(adj[u].values()) + 2.0 * self_w[u] for u in range(n)]
+    m2 = sum(strength)
+    comm = list(range(n))
+    if m2 == 0.0:
+        return comm
+    comm_tot = strength.copy()
+    order = [int(i) for i in rng.permutation(n)]
+    while True:
+        moved = 0
+        for u in order:
+            current = comm[u]
+            weight_to = defaultdict(float)
+            for v, w in adj[u].items():
+                weight_to[comm[v]] += w
+            comm_tot[current] -= strength[u]
+            best_comm = current
+            best_gain = weight_to.get(current, 0.0) - resolution * comm_tot[current] * strength[u] / m2
+            for candidate in sorted(weight_to):
+                gain = weight_to[candidate] - resolution * comm_tot[candidate] * strength[u] / m2
+                if gain > best_gain or (gain == best_gain and candidate < best_comm):
+                    best_gain = gain
+                    best_comm = candidate
+            comm_tot[best_comm] += strength[u]
+            if best_comm != current:
+                comm[u] = best_comm
+                moved += 1
+        if moved == 0:
+            break
+    relabel = {}
+    for c in comm:
+        relabel.setdefault(c, len(relabel))
+    return [relabel[c] for c in comm]
+
+
+def _dict_aggregate(adj, self_w, comm, n_comms):
+    new_adj = [defaultdict(float) for _ in range(n_comms)]
+    new_self = [0.0] * n_comms
+    for u in range(len(adj)):
+        cu = comm[u]
+        new_self[cu] += self_w[u]
+        for v, w in adj[u].items():
+            if comm[v] == cu:
+                new_self[cu] += w / 2.0  # seen from both endpoints
+            else:
+                new_adj[cu][comm[v]] += w
+    return [dict(d) for d in new_adj], new_self
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    graph=random_graphs(max_weight=5),
+    resolution=st.sampled_from([0.1, 0.5, 1.0, 2.0]),
+    seed=st.integers(0, 50),
+)
+@example(graph=CoWordGraph(node_frequency={"solo": 1}, edges={}), resolution=1.0, seed=0)
+@example(graph=TRIANGLES, resolution=1.0, seed=5)
+# First-level communities whose first appearances are not in sorted-id order.
+@example(
+    graph=graph_from_edges(
+        {("a", "aa"): 1, ("a", "aaa"): 1, ("a", "ab"): 1, ("a", "b"): 1, ("a", "c"): 1,
+         ("a", "d"): 1, ("a", "e"): 1, ("aaa", "d"): 4, ("ab", "ac"): 5, ("ab", "ad"): 5},
+        extra_nodes=["f", "g", "h"],
+    ),
+    resolution=0.1,
+    seed=5,
+)
+def test_louvain_identical_to_dict_louvain(graph, resolution, seed):
+    result = louvain_communities(graph, resolution=resolution, seed=seed)
+    oracle = dict_louvain_communities(graph, resolution=resolution, seed=seed)
+    assert result.assignment == oracle.assignment
+    assert repr(result.modularity_q) == repr(oracle.modularity_q)
+
+
+@pytest.mark.parametrize("resolution", [0.1, 0.5, 1.0, 2.0])
+def test_louvain_identical_to_dict_louvain_on_seeded_graphs(resolution):
+    for graph in [*oracle_graphs(), dense_graph(n=150)]:
+        for seed in range(3):
+            result = louvain_communities(graph, resolution=resolution, seed=seed)
+            oracle = dict_louvain_communities(graph, resolution=resolution, seed=seed)
+            assert result.assignment == oracle.assignment
+            assert repr(result.modularity_q) == repr(oracle.modularity_q)
+
+
+@pytest.mark.parametrize(
+    "nodes,edges",
+    [
+        (["a"], {("a", "b"): 1}),
+        (["b"], {("a", "b"): 1}),
+        (["a", "b"], {("a", "a"): 1}),
+        (["a", "b"], {("b", "a"): 1, ("a", "b"): 3}),
+    ],
+    ids=["missing-tail", "missing-head", "self-loop", "reversed-pair"],
+)
+@pytest.mark.parametrize("algorithm", [louvain_communities, betweenness])
+def test_malformed_edge_key_is_consistency_error(nodes, edges, algorithm):
+    graph = CoWordGraph(node_frequency={node: 1 for node in nodes}, edges=edges)
+    with pytest.raises(ConsistencyError, match=r"edge \('(a|b)', '(a|b)'\)"):
+        algorithm(graph)
+
+
 # ---------------------------------------------------------------------------
 # Betweenness
 # ---------------------------------------------------------------------------
@@ -402,21 +553,6 @@ def assert_same_bits(graph: CoWordGraph, oracle: dict) -> None:
     result = betweenness(graph).betweenness
     assert list(result) == list(oracle)
     assert [repr(x) for x in result.values()] == [repr(x) for x in oracle.values()]
-
-
-@st.composite
-def random_graphs(draw):
-    """Graphs over 1-30 random names whose sorted order differs from their
-    drawing order; edge density from none to complete, so isolated nodes
-    and several components are common."""
-    names = draw(
-        st.lists(st.text("abcdefghij", min_size=1, max_size=3), min_size=1, max_size=30, unique=True)
-    )
-    pairs = list(itertools.combinations(sorted(names), 2))
-    threshold = draw(st.integers(0, 10))
-    draws = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
-    edges = {pair: 1 for pair, d in zip(pairs, draws) if d < threshold}
-    return CoWordGraph(node_frequency={name: 1 for name in names}, edges=edges)
 
 
 @settings(max_examples=300, deadline=None)

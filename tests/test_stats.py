@@ -106,6 +106,16 @@ def test_shapiro_out_of_range_n_raises(n):
         shapiro_wilk(list(range(n)))
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[i * 1e200 for i in range(1, 9)], [1.7e308, 1.7e308, -1.7e308, 1e308]],
+    ids=["squares-overflow", "mean-overflows"],
+)
+def test_shapiro_overflowing_sum_of_squares_raises(values):
+    with pytest.raises(DomainError, match="overflows"):
+        shapiro_wilk(values)
+
+
 def test_shapiro_rejects_clear_non_normality():
     rng = np.random.default_rng(11)
     result = shapiro_wilk(rng.exponential(size=500))
