@@ -97,6 +97,12 @@ class CorpusConfig:
     seed: int | None = None
     author_total: int | None = None
 
+    def __post_init__(self):
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(
+                f"corpus {self.label!r}: 'seed' must be non-negative, got {self.seed}"
+            )
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -106,6 +112,18 @@ class AnalysisConfig:
     network_seed: int = 0
     louvain_resolution: float = 1.0
     token_policy: TokenPolicy = DEFAULT_TOKEN_POLICY
+
+    def __post_init__(self):
+        if self.network_seed < 0:
+            raise ConfigError(f"'network_seed' must be non-negative, got {self.network_seed}")
+        try:
+            finite = math.isfinite(self.louvain_resolution)
+        except OverflowError:  # an integer past the float range
+            finite = False
+        if not finite:
+            raise ConfigError(
+                f"'louvain_resolution' must be a finite number, got {self.louvain_resolution!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -167,7 +185,7 @@ _ANALYSIS_KEYS = {
     "stopwords_path": "a string?",
     "kde_grid_points": "an integer",
     "network_seed": "an integer",
-    "louvain_resolution": "a finite number",
+    "louvain_resolution": "a number",
     "token_policy": "an object",
 }
 _OUTPUT_KEYS = {"directory": "a string", "formats": "a list of strings"}
@@ -181,7 +199,7 @@ def _is_int(value) -> bool:
 _IS_KIND = {
     "a string": lambda v: isinstance(v, str),
     "an integer": _is_int,
-    "a finite number": lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+    "a number": lambda v: _is_int(v) or isinstance(v, float),
     "a boolean": lambda v: isinstance(v, bool),
     "a list": lambda v: isinstance(v, list),
     "an object": lambda v: isinstance(v, dict),

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DegenerateDataError, DomainError, UnsupportedDataError
 
@@ -28,6 +27,8 @@ __all__ = [
     "effect_size_from_z",
     "p_two_sided_from_z",
     "z_from_p_two_sided",
+    "ndtr",
+    "ndtri",
 ]
 
 QUARTILE_METHOD = "linear interpolation at (n-1)*p"
@@ -90,19 +91,20 @@ def descriptives(values) -> Descriptives:
 # Shapiro-Wilk (Royston's AS R94 approximation)
 # ---------------------------------------------------------------------------
 
-# Polynomials from Royston (1995), evaluated lowest order first.
-_C1 = (0.0, 0.221157, -0.147981, -2.071190, 4.434685, -2.706056)
-_C2 = (0.0, 0.042981, -0.293762, -1.752461, 5.682633, -3.582633)
-_G = (-2.273, 0.459)
-_C3 = (0.5440, -0.39978, 0.025054, -6.714e-4)
-_C4 = (1.3822, -0.77857, 0.062767, -0.0020322)
-_C5 = (-1.5861, -0.31082, -0.083751, 0.0038915)
-_C6 = (-0.4803, -0.082676, 0.0030302)
+# Polynomials from Royston (1995), highest order first.
+_C1 = (-2.706056, 4.434685, -2.071190, -0.147981, 0.221157, 0.0)
+_C2 = (-3.582633, 5.682633, -1.752461, -0.293762, 0.042981, 0.0)
+_G = (0.459, -2.273)
+_C3 = (-6.714e-4, 0.025054, -0.39978, 0.5440)
+_C4 = (-0.0020322, 0.062767, -0.77857, 1.3822)
+_C5 = (0.0038915, -0.083751, -0.31082, -1.5861)
+_C6 = (0.0030302, -0.082676, -0.4803)
 
 
-def _poly(coeffs, x: float) -> float:
-    result = 0.0
-    for c in reversed(coeffs):
+def _poly(coeffs: tuple[float, ...], x: float) -> float:
+    """Horner's rule over ``coeffs``, highest order first."""
+    result = coeffs[0]
+    for c in coeffs[1:]:
         result = result * x + c
     return result
 
@@ -112,7 +114,7 @@ def _sw_weights(n: int) -> np.ndarray:
     if n == 3:
         return np.array([-math.sqrt(0.5), 0.0, math.sqrt(0.5)])
     i = np.arange(1, n + 1)
-    m = ndtri((i - 0.375) / (n + 0.25))
+    m = np.array([ndtri(p) for p in ((i - 0.375) / (n + 0.25)).tolist()])
     ssq_m = float(m @ m)
     c = m / math.sqrt(ssq_m)
     rsn = 1.0 / math.sqrt(n)
@@ -169,13 +171,13 @@ def shapiro_wilk(values) -> NormalityResult:
             p = 0.0
         else:
             z = (-math.log(g - math.log1p(-w)) - mu) / sigma
-            p = float(ndtr(-z))
+            p = ndtr(-z)
     else:
         ln_n = math.log(n)
         mu = _poly(_C5, ln_n)
         sigma = math.exp(_poly(_C6, ln_n))
         z = (math.log1p(-w) - mu) / sigma
-        p = float(ndtr(-z))
+        p = ndtr(-z)
     return NormalityResult(w_statistic=w, p_value=p, n=n)
 
 
@@ -282,13 +284,142 @@ def effect_size_from_z(z: float, n_total: int) -> float:
 
 
 def p_two_sided_from_z(z: float) -> float:
-    return min(1.0, 2.0 * float(ndtr(-abs(z))))
+    return min(1.0, 2.0 * ndtr(-abs(z)))
 
 
 def z_from_p_two_sided(p: float) -> float:
     if not 0.0 < p <= 1.0:
         raise DomainError("two-sided p must be in (0, 1]")
-    return float(-ndtri(p / 2.0))
+    return -ndtri(p / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Normal CDF and its inverse (Cephes, Moshier 1989)
+# ---------------------------------------------------------------------------
+
+# Ports of the Cephes ndtr.c and ndtri.c that scipy.special uses, with the
+# published coefficients, highest order first.  Each denominator table keeps
+# the implicit leading 1.0 of Cephes' p1evl, so _poly serves both polevl and
+# p1evl (1.0 * x + c is exactly x + c).  Only math.exp, math.log
+# and math.sqrt are called, so every result is bit-identical to scipy's.
+_SQRT1_2 = 7.07106781186547524401e-1
+_SQRT_2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189
+_MAXLOG = 7.09782712893383996843e2
+
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+# ndtri: |y - 0.5| <= 3/8, then sqrt(-2 log y) in [2, 8), then in [8, 64)
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _erf(x: float) -> float:
+    """Cephes erf on |x| <= 1, the only range ndtr and _erfc reach."""
+    z = x * x
+    return x * _poly(_ERF_T, z) / _poly(_ERF_U, z)
+
+
+def _erfc(x: float) -> float:
+    """Cephes erfc on x >= 1/sqrt(2), the only range ndtr reaches."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        return z * _poly(_ERFC_P, x) / _poly(_ERFC_Q, x)
+    return z * _poly(_ERFC_R, x) / _poly(_ERFC_S, x)
+
+
+def ndtr(a: float) -> float:
+    """Standard normal CDF, bit-identical to scipy.special.ndtr."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    if abs(x) < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(abs(x))
+    return 1.0 - y if x > 0 else y
+
+
+def ndtri(y: float) -> float:
+    """Inverse standard normal CDF, bit-identical to scipy.special.ndtri:
+    -inf at 0, inf at 1, nan outside [0, 1]."""
+    if y == 0.0:
+        return -math.inf
+    if y == 1.0:
+        return math.inf
+    if not 0.0 < y < 1.0:
+        return math.nan
+    upper = y > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _poly(_NDTRI_P0, y2) / _poly(_NDTRI_Q0, y2))) * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _poly(_NDTRI_P1, z) / _poly(_NDTRI_Q1, z)
+    else:
+        x1 = z * _poly(_NDTRI_P2, z) / _poly(_NDTRI_Q2, z)
+    x = x0 - x1
+    return x if upper else -x
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -492,6 +496,66 @@ def test_cli_compare_oversized_sample_is_input_error(data_dir, tmp_path, capsys)
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["semnet", "{leadership}", "--seed=-1"], "'network_seed'"),
+        (["semnet", "{leadership}", "--resolution", "nan"], "'louvain_resolution'"),
+        (["semnet", "{leadership}", "--resolution", "inf"], "'louvain_resolution'"),
+        (["semnet", "{leadership}", "--resolution=-inf"], "'louvain_resolution'"),
+        (
+            ["compare", "--corpus-a", "{process}", "--corpus-b", "{leadership}",
+             "--seed", "-1", "--sample-size", "5"],
+            "'seed'",
+        ),
+    ],
+)
+def test_cli_bad_seed_or_resolution_is_input_error(data_dir, tmp_path, capsys, argv, field):
+    paths = {
+        "process": str(data_dir / "corpus_process.csv"),
+        "leadership": str(data_dir / "corpus_leadership.csv"),
+    }
+    out = tmp_path / "out"
+    assert cli.main([*(arg.format(**paths) for arg in argv), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "manifest,key",
+    [
+        (_manifest({"seed": -1}), "'seed'"),
+        (_manifest({"sample_size": 5, "seed": -3}), "'seed'"),
+        (_manifest(analysis={"network_seed": -1}), "'network_seed'"),
+        (_manifest(analysis={"louvain_resolution": float("-inf")}), "'louvain_resolution'"),
+        (_manifest(analysis={"louvain_resolution": 10**400}), "'louvain_resolution'"),
+    ],
+)
+def test_cli_compare_config_value_errors_are_input_errors(tmp_path, capsys, manifest, key):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(manifest))
+    assert cli.main(["compare", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+
+
+def test_configs_reject_negative_seeds_and_non_finite_resolution():
+    with pytest.raises(ConfigError, match="'seed'"):
+        CorpusConfig(csv_path="a.csv", label="A", seed=-1)
+    with pytest.raises(ConfigError, match="'seed'"):
+        replace(CorpusConfig(csv_path="a.csv", label="A", seed=0), seed=-2)
+    with pytest.raises(ConfigError, match="'network_seed'"):
+        AnalysisConfig(network_seed=-1)
+    for resolution in (float("nan"), float("inf"), float("-inf"), 10**400):
+        with pytest.raises(ConfigError, match="'louvain_resolution'"):
+            replace(AnalysisConfig(), louvain_resolution=resolution)
+    assert CorpusConfig(csv_path="a.csv", label="A", seed=0).seed == 0
+    assert AnalysisConfig(network_seed=0, louvain_resolution=0).louvain_resolution == 0
+
+
 def test_cli_internal_error_maps_to_2(data_dir, tmp_path, monkeypatch, capsys):
     def boom(config):
         raise RuntimeError("unexpected")
@@ -590,3 +654,40 @@ def test_cli_stats_over_metric_tables(data_dir, tmp_path, capsys):
         assert 0.0 <= entry["rank_sum"]["p_value"] <= 1.0
     printed = capsys.readouterr().out
     assert re.search(r"p=\d\.\d{2}e[+-]\d+", printed)
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+import lexigauge
+from lexigauge.report import (
+    KNOWN_FORMATS, CorpusConfig, OutputConfig, RunConfig, run_compare,
+)
+after_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+run_compare(RunConfig(
+    corpora=(
+        CorpusConfig(csv_path=sys.argv[1], label="process"),
+        CorpusConfig(csv_path=sys.argv[2], label="leadership"),
+    ),
+    output=OutputConfig(directory=sys.argv[3], formats=KNOWN_FORMATS),
+))
+after_run = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(after_import, after_run)
+"""
+
+
+def test_import_and_full_comparison_leave_scipy_unimported(data_dir, tmp_path):
+    # scipy is a test-only oracle; the runtime depends on numpy alone.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [
+            sys.executable, "-c", _NO_SCIPY_SCRIPT,
+            str(data_dir / "corpus_process.csv"), str(data_dir / "corpus_leadership.csv"),
+            str(out),
+        ],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[] []"
+    written = {path.suffix for path in out.iterdir()}
+    assert {".json", ".csv", ".svg", ".gexf", ".graphml"} <= written

@@ -1,11 +1,12 @@
 import json
 import math
+import struct
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexigauge.errors import DegenerateDataError, DomainError, UnsupportedDataError
@@ -15,6 +16,8 @@ from lexigauge.stats import (
     effect_size_from_z,
     exact_rank_sum_p,
     kde,
+    ndtr,
+    ndtri,
     p_two_sided_from_z,
     shapiro_wilk,
     wilcoxon_rank_sum,
@@ -304,6 +307,111 @@ def test_z_from_p_rejects_out_of_range():
         z_from_p_two_sided(0.0)
     with pytest.raises(DomainError):
         z_from_p_two_sided(1.5)
+
+
+# ---------------------------------------------------------------------------
+# Normal CDF and its inverse against scipy.special (a test-only oracle)
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(ours: float, theirs: float) -> bool:
+    """Equal bit for bit, signed zeros included; any two NaNs count as equal
+    because scipy does not fix the sign or payload of a NaN result."""
+    if math.isnan(ours) or math.isnan(theirs):
+        return math.isnan(ours) and math.isnan(theirs)
+    return struct.pack("<d", ours) == struct.pack("<d", theirs)
+
+
+def _mismatches(ours, theirs, points):
+    expected = theirs(np.asarray(points, dtype=float)).tolist()
+    return [
+        (p, ours(p), e) for p, e in zip(points, expected) if not _same_bits(ours(p), e)
+    ]
+
+
+_SUBNORMAL = 5e-324
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, _SUBNORMAL, -_SUBNORMAL, 2.2e-308]
+# ndtr underflows to 0 past the erfc MAXLOG cut at x = -sqrt(2 * 709.78)
+_NDTR_UNDERFLOW = -math.sqrt(2.0 * 709.782712893384)
+
+
+# Pinned: signed zeros, infinities, nan, subnormals, the ndtr tails past
+# |x| = 38 and its underflow cut, and the ndtri tails near 0 and 1.
+@settings(max_examples=3000, deadline=None)
+@given(
+    st.one_of(
+        st.floats(width=64),
+        st.floats(min_value=-40.0, max_value=40.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1e-14),
+        st.floats(min_value=1.0 - 1e-6, max_value=1.0),
+    )
+)
+@example(0.0)
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(_SUBNORMAL)
+@example(-1e-310)
+@example(-38.5)
+@example(38.5)
+@example(_NDTR_UNDERFLOW)
+@example(1e-300)
+@example(1.0 - 2.0**-53)
+@example(math.exp(-2.0))
+def test_ndtr_and_ndtri_match_scipy_bit_for_bit(x):
+    special = pytest.importorskip("scipy.special")
+    assert _mismatches(ndtr, special.ndtr, [x]) == []
+    assert _mismatches(ndtri, special.ndtri, [x]) == []
+
+
+def _around(centres, rng, width=64):
+    """Each centre, every float within ``width`` ulps of it, and random
+    points within a relative 1e-6 of it."""
+    points = []
+    for c in centres:
+        points.append(c)
+        below = above = c
+        for _ in range(width):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            points += [below, above]
+        points += (c * (1.0 + rng.uniform(-1e-6, 1e-6, 200))).tolist()
+    return points
+
+
+def test_ndtr_and_ndtri_match_scipy_on_a_seeded_sweep():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(20210)
+    raw_bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64).tolist()
+    # ndtr switches formula at |x| = 1, sqrt(2) and 8 * sqrt(2)
+    ndtr_edges = [s * c for s in (1.0, -1.0) for c in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0))]
+    ndtr_points = (
+        rng.uniform(-40.0, 40.0, 20_000).tolist()
+        + rng.normal(0.0, 3.0, 20_000).tolist()
+        + raw_bits
+        + _EDGE_FLOATS
+        + _around(ndtr_edges + [_NDTR_UNDERFLOW, -38.4], rng)
+    )
+    # ndtri switches formula at exp(-2), 1 - exp(-2) and exp(-32)
+    ndtri_points = (
+        rng.uniform(0.0, 1.0, 20_000).tolist()
+        + (10.0 ** rng.uniform(-320.0, 0.0, 20_000)).tolist()
+        + (1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 20_000)).tolist()
+        + raw_bits
+        + _EDGE_FLOATS
+        + [-1.0, 2.0, 1.0, 0.5]
+        + _around([math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0)], rng)
+    )
+    assert _mismatches(ndtr, special.ndtr, ndtr_points) == []
+    assert _mismatches(ndtri, special.ndtri, ndtri_points) == []
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 11, 12, 20, 650, 1200, 5000])
+def test_ndtri_matches_scipy_on_the_shapiro_grid(n):
+    special = pytest.importorskip("scipy.special")
+    grid = ((np.arange(1, n + 1) - 0.375) / (n + 0.25)).tolist()
+    assert _mismatches(ndtri, special.ndtri, grid) == []
 
 
 # ---------------------------------------------------------------------------
