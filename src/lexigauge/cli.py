@@ -19,10 +19,11 @@ import traceback
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import DomainError, LexigaugeError
+from .errors import LexigaugeError
 from .ingest import parse_bibliographic_csv
 from .metrics import METRIC_NAMES, lexical_records, metric_vectors, read_metrics_csv, write_metrics_csv
 from .report import (
+    KNOWN_FORMATS,
     AnalysisConfig,
     CorpusConfig,
     OutputConfig,
@@ -30,10 +31,11 @@ from .report import (
     analyze_network,
     as_json,
     load_run_config,
+    normality_or_none,
     run_compare,
 )
 from .semnet import export_graph
-from .stats import shapiro_wilk, wilcoxon_rank_sum
+from .stats import wilcoxon_rank_sum
 
 STOPWORDS_ENV = "LEXIGAUGE_STOPWORDS"
 
@@ -56,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--stopwords", help="stopword list path")
     compare.add_argument("--out", help="output directory")
     compare.add_argument(
-        "--formats", help="comma-separated subset of json,csv,svg,gexf,graphml"
+        "--formats", help=f"comma-separated subset of {','.join(KNOWN_FORMATS)}"
     )
 
     metrics = sub.add_parser("metrics", help="emit the per-document metric table")
@@ -67,10 +69,13 @@ def _build_parser() -> argparse.ArgumentParser:
     semnet.add_argument("csv", help="bibliographic CSV export")
     semnet.add_argument("--out", help="output path (default: <csv>_network.<format>)")
     semnet.add_argument("--format", choices=("gexf", "graphml"), default="gexf")
-    semnet.add_argument("--min-title-frequency", type=int, default=2)
+    defaults = AnalysisConfig()
+    semnet.add_argument("--min-title-frequency", type=int, default=defaults.min_title_frequency)
     semnet.add_argument("--stopwords", help="stopword list path")
-    semnet.add_argument("--seed", type=int, default=0, help="community detection seed")
-    semnet.add_argument("--resolution", type=float, default=1.0)
+    semnet.add_argument(
+        "--seed", type=int, default=defaults.network_seed, help="community detection seed"
+    )
+    semnet.add_argument("--resolution", type=float, default=defaults.louvain_resolution)
 
     stats = sub.add_parser("stats", help="compare two per-document metric tables")
     stats.add_argument("metrics_a", help="metric CSV of the first corpus")
@@ -185,10 +190,7 @@ def _cmd_stats(args) -> int:
         x, y = vectors_a[metric], vectors_b[metric]
         entry = {}
         for side, values in (("a", x), ("b", y)):
-            try:
-                entry[f"normality_{side}"] = as_json(shapiro_wilk(values))
-            except DomainError:
-                entry[f"normality_{side}"] = None
+            entry[f"normality_{side}"] = as_json(normality_or_none(values))
         rank = wilcoxon_rank_sum(x, y)
         entry["rank_sum"] = as_json(rank)
         payload[metric] = entry

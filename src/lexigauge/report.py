@@ -15,7 +15,7 @@ import math
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -79,6 +79,7 @@ __all__ = [
     "ComparisonReport",
     "load_run_config",
     "analyze_network",
+    "normality_or_none",
     "run_compare",
     "as_json",
     "emit_density_svg",
@@ -92,7 +93,7 @@ KNOWN_FORMATS = ("json", "csv", "svg", "gexf", "graphml")
 class CorpusConfig:
     csv_path: str
     label: str
-    column_map: dict | None = None
+    column_map: dict[str, str] | None = None
     sample_size: int | None = None
     seed: int | None = None
     author_total: int | None = None
@@ -117,12 +118,12 @@ class AnalysisConfig:
         if self.network_seed < 0:
             raise ConfigError(f"'network_seed' must be non-negative, got {self.network_seed}")
         try:
-            finite = math.isfinite(self.louvain_resolution)
+            valid = math.isfinite(self.louvain_resolution) and self.louvain_resolution >= 0
         except OverflowError:  # an integer past the float range
-            finite = False
-        if not finite:
+            valid = False
+        if not valid:
             raise ConfigError(
-                f"'louvain_resolution' must be a finite number, got {self.louvain_resolution!r}"
+                f"'louvain_resolution' must be finite and >= 0, got {self.louvain_resolution!r}"
             )
 
 
@@ -171,61 +172,70 @@ class RunConfig:
                 )
 
 
-# JSON kind of every manifest key; a trailing "?" also admits null.
-_CORPUS_KEYS = {
-    "csv_path": "a string",
-    "label": "a string",
-    "column_map": "an object of strings?",
-    "sample_size": "an integer?",
-    "seed": "an integer?",
-    "author_total": "an integer?",
-}
-_ANALYSIS_KEYS = {
-    "min_title_frequency": "an integer",
-    "stopwords_path": "a string?",
-    "kde_grid_points": "an integer",
-    "network_seed": "an integer",
-    "louvain_resolution": "a number",
-    "token_policy": "an object",
-}
-_OUTPUT_KEYS = {"directory": "a string", "formats": "a list of strings"}
-_TOKEN_POLICY_KEYS = dict.fromkeys(TokenPolicy.__dataclass_fields__, "a boolean")
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-_IS_KIND = {
-    "a string": lambda v: isinstance(v, str),
-    "an integer": _is_int,
-    "a number": lambda v: _is_int(v) or isinstance(v, float),
-    "a boolean": lambda v: isinstance(v, bool),
-    "a list": lambda v: isinstance(v, list),
-    "an object": lambda v: isinstance(v, dict),
-    "an object of strings": lambda v: isinstance(v, dict)
-    and all(isinstance(x, str) for x in v.values()),
-    "a list of strings": lambda v: isinstance(v, list)
-    and all(isinstance(x, str) for x in v),
+def _section(cls) -> tuple:
+    return "an object", lambda v: isinstance(v, dict), lambda v, key: _from_json(cls, v, key)
+
+
+def _corpora(entries, key) -> tuple:
+    return tuple(_from_json(CorpusConfig, e, f"corpus {n}") for n, e in enumerate(entries, 1))
+
+
+# How a manifest holds a config field, keyed by the field's annotation: the
+# JSON kind, its check, and how to read a value that passes (None keeps it as
+# is).  A trailing " | None" on the annotation also admits null.
+_KINDS = {
+    "str": ("a string", lambda v: isinstance(v, str), None),
+    "int": ("an integer", _is_int, None),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float), None),
+    "bool": ("a boolean", lambda v: isinstance(v, bool), None),
+    "dict[str, str]": (
+        "an object of strings",
+        lambda v: isinstance(v, dict) and all(isinstance(x, str) for x in v.values()),
+        None,
+    ),
+    "tuple[str, ...]": (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+        lambda v, key: tuple(v),
+    ),
+    "tuple[CorpusConfig, CorpusConfig]": ("a list", lambda v: isinstance(v, list), _corpora),
+    "TokenPolicy": _section(TokenPolicy),
+    "AnalysisConfig": _section(AnalysisConfig),
+    "OutputConfig": _section(OutputConfig),
 }
 
 
-def _checked(raw, kinds: dict[str, str], where: str) -> dict:
-    """``raw`` once it is known to be a JSON object whose keys all appear in
-    ``kinds`` with values of the declared kind."""
+def _from_json(cls, raw, where: str):
+    """The ``cls`` config that the JSON object ``raw`` spells out: every key a
+    field of ``cls`` with a value of its annotation's kind, every field
+    without a default present.  ``where`` names ``raw`` in errors."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object, got {raw!r}")
-    unknown = set(raw) - set(kinds)
+    declared = {f.name: f for f in fields(cls)}
+    unknown = set(raw) - set(declared)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    for key, value in raw.items():
-        kind = kinds[key]
-        if value is None and kind.endswith("?"):
+    values = {}
+    for name, field in declared.items():
+        if name not in raw:
+            if field.default is MISSING and field.default_factory is MISSING:
+                raise ConfigError(f"{where} needs {name!r}")
             continue
-        if not _IS_KIND[kind.rstrip("?")](value):
-            expected = kind.replace("?", " or null")
-            raise ConfigError(f"{where} key {key!r} must be {expected}, got {value!r}")
-    return raw
+        value = raw[name]
+        annotation = field.type.removesuffix(" | None")
+        nullable = annotation != field.type
+        if value is not None or not nullable:
+            expected, check, read = _KINDS[annotation]
+            if not check(value):
+                expected += " or null" if nullable else ""
+                raise ConfigError(f"{where} key {name!r} must be {expected}, got {value!r}")
+            value = read(value, name) if read else value
+        values[name] = value
+    return cls(**values)
 
 
 def load_run_config(source) -> RunConfig:
@@ -241,31 +251,7 @@ def load_run_config(source) -> RunConfig:
         raw = json.load(source)
     else:
         raw = source
-    _checked(raw, {"corpora": "a list", "analysis": "an object", "output": "an object"}, "config")
-    if "corpora" not in raw:
-        raise ConfigError("config must list corpora")
-    corpora = []
-    for number, entry in enumerate(raw["corpora"], 1):
-        _checked(entry, _CORPUS_KEYS, f"corpus {number}")
-        if "csv_path" not in entry or "label" not in entry:
-            raise ConfigError("each corpus needs csv_path and label")
-        corpora.append(CorpusConfig(**entry))
-
-    analysis_raw = _checked(raw.get("analysis", {}), _ANALYSIS_KEYS, "analysis")
-    token_policy = TokenPolicy(
-        **_checked(analysis_raw.get("token_policy", {}), _TOKEN_POLICY_KEYS, "token_policy")
-    )
-    analysis = AnalysisConfig(
-        **{k: v for k, v in analysis_raw.items() if k != "token_policy"},
-        token_policy=token_policy,
-    )
-
-    output_raw = _checked(raw.get("output", {}), _OUTPUT_KEYS, "output")
-    output = OutputConfig(
-        directory=output_raw.get("directory", OutputConfig.directory),
-        formats=tuple(output_raw.get("formats", OutputConfig.formats)),
-    )
-    return RunConfig(corpora=tuple(corpora), analysis=analysis, output=output)
+    return _from_json(RunConfig, raw, "config")
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +376,15 @@ def analyze_network(
     return graph, partition, centrality, cluster_summary(graph, partition, centrality)
 
 
+def normality_or_none(values) -> NormalityResult | None:
+    """The Shapiro-Wilk test of ``values``, or None where it does not apply
+    (n outside 3..5000, identical values, a sum of squares past float range)."""
+    try:
+        return shapiro_wilk(values)
+    except DomainError:
+        return None
+
+
 def _analyze_corpus(config: CorpusConfig, analysis: AnalysisConfig) -> CorpusResult:
     label = config.label
     try:
@@ -422,10 +417,7 @@ def _analyze_corpus(config: CorpusConfig, analysis: AnalysisConfig) -> CorpusRes
                 "(every document lacks an abstract?)"
             )
         desc[metric] = descriptives(values)
-        try:
-            normality[metric] = shapiro_wilk(values)
-        except DomainError:
-            normality[metric] = None
+        normality[metric] = normality_or_none(values)
         try:
             densities[metric] = kde(values, grid_points=analysis.kde_grid_points)
         except DegenerateDataError as exc:

@@ -1,14 +1,18 @@
+import copy
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexigauge import cli
 from lexigauge.errors import ConfigError, DomainError, LexigaugeError
@@ -24,6 +28,7 @@ from lexigauge.report import (
     run_compare,
 )
 from lexigauge.stats import DensitySeries, kde
+from lexigauge.textproc import TokenPolicy
 
 
 def make_config(data_dir, out_dir, *, formats=("json", "csv", "svg", "gexf"), **analysis):
@@ -554,6 +559,275 @@ def test_configs_reject_negative_seeds_and_non_finite_resolution():
             replace(AnalysisConfig(), louvain_resolution=resolution)
     assert CorpusConfig(csv_path="a.csv", label="A", seed=0).seed == 0
     assert AnalysisConfig(network_seed=0, louvain_resolution=0).louvain_resolution == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["semnet", "{leadership}", "--resolution=-1"],
+        ["semnet", "{leadership}", "--resolution=-1e-300"],
+        ["compare", "--config", "{manifest}"],
+    ],
+)
+def test_negative_resolution_is_input_error(data_dir, tmp_path, capsys, argv):
+    # With a resolution below 0 every merge raises modularity, so Louvain
+    # returns one community per connected component.
+    manifest = tmp_path / "run.json"
+    manifest.write_text(json.dumps(_manifest(analysis={"louvain_resolution": -1})))
+    paths = {"leadership": str(data_dir / "corpus_leadership.csv"), "manifest": str(manifest)}
+    out = tmp_path / "out"
+    assert cli.main([*(arg.format(**paths) for arg in argv), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'louvain_resolution'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_resolution_zero_is_allowed_and_negative_is_not():
+    for resolution in (0, -0.0):
+        config = load_run_config(_manifest(analysis={"louvain_resolution": resolution}))
+        assert config.analysis.louvain_resolution == 0
+    for resolution in (-1, -0.5, -5e-324):
+        with pytest.raises(ConfigError, match="'louvain_resolution'"):
+            AnalysisConfig(louvain_resolution=resolution)
+
+
+# ---------------------------------------------------------------------------
+# Manifest reader against its oracle
+# ---------------------------------------------------------------------------
+
+# The manifest reader as it was before load_run_config walked the config
+# dataclasses' fields: a hand-written JSON kind per key and section, and a
+# hand-built RunConfig.  The generic reader must accept, reject and build
+# exactly as it does.
+_ORACLE_CORPUS_KEYS = {
+    "csv_path": "a string",
+    "label": "a string",
+    "column_map": "an object of strings?",
+    "sample_size": "an integer?",
+    "seed": "an integer?",
+    "author_total": "an integer?",
+}
+_ORACLE_ANALYSIS_KEYS = {
+    "min_title_frequency": "an integer",
+    "stopwords_path": "a string?",
+    "kde_grid_points": "an integer",
+    "network_seed": "an integer",
+    "louvain_resolution": "a number",
+    "token_policy": "an object",
+}
+_ORACLE_OUTPUT_KEYS = {"directory": "a string", "formats": "a list of strings"}
+_ORACLE_TOKEN_POLICY_KEYS = dict.fromkeys(
+    ("keep_numbers", "bind_hyphens", "bind_apostrophes"), "a boolean"
+)
+
+
+def _oracle_is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_ORACLE_IS_KIND = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer": _oracle_is_int,
+    "a number": lambda v: _oracle_is_int(v) or isinstance(v, float),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a list": lambda v: isinstance(v, list),
+    "an object": lambda v: isinstance(v, dict),
+    "an object of strings": lambda v: isinstance(v, dict)
+    and all(isinstance(x, str) for x in v.values()),
+    "a list of strings": lambda v: isinstance(v, list)
+    and all(isinstance(x, str) for x in v),
+}
+
+
+def _oracle_checked(raw, kinds: dict[str, str], where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, got {raw!r}")
+    unknown = set(raw) - set(kinds)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        kind = kinds[key]
+        if value is None and kind.endswith("?"):
+            continue
+        if not _ORACLE_IS_KIND[kind.rstrip("?")](value):
+            expected = kind.replace("?", " or null")
+            raise ConfigError(f"{where} key {key!r} must be {expected}, got {value!r}")
+    return raw
+
+
+def oracle_load_run_config(raw) -> RunConfig:
+    _oracle_checked(
+        raw, {"corpora": "a list", "analysis": "an object", "output": "an object"}, "config"
+    )
+    if "corpora" not in raw:
+        raise ConfigError("config must list corpora")
+    corpora = []
+    for number, entry in enumerate(raw["corpora"], 1):
+        _oracle_checked(entry, _ORACLE_CORPUS_KEYS, f"corpus {number}")
+        if "csv_path" not in entry or "label" not in entry:
+            raise ConfigError("each corpus needs csv_path and label")
+        corpora.append(CorpusConfig(**entry))
+
+    analysis_raw = _oracle_checked(raw.get("analysis", {}), _ORACLE_ANALYSIS_KEYS, "analysis")
+    token_policy = TokenPolicy(
+        **_oracle_checked(
+            analysis_raw.get("token_policy", {}), _ORACLE_TOKEN_POLICY_KEYS, "token_policy"
+        )
+    )
+    analysis = AnalysisConfig(
+        **{k: v for k, v in analysis_raw.items() if k != "token_policy"},
+        token_policy=token_policy,
+    )
+
+    output_raw = _oracle_checked(raw.get("output", {}), _ORACLE_OUTPUT_KEYS, "output")
+    output = OutputConfig(
+        directory=output_raw.get("directory", "lexigauge-out"),
+        formats=tuple(output_raw.get("formats", ("json", "csv", "svg", "gexf"))),
+    )
+    return RunConfig(corpora=tuple(corpora), analysis=analysis, output=output)
+
+
+# A value other than its default in every field of every config dataclass.
+_EVERY_FIELD_SET = RunConfig(
+    corpora=(
+        CorpusConfig(
+            csv_path="a.csv",
+            label="A",
+            column_map={"title": "T", "year": "Y"},
+            sample_size=5,
+            seed=3,
+            author_total=40,
+        ),
+        CorpusConfig(
+            csv_path="b.csv", label="B", column_map={}, sample_size=7, seed=0, author_total=0
+        ),
+    ),
+    analysis=AnalysisConfig(
+        min_title_frequency=3,
+        stopwords_path="stops.txt",
+        kde_grid_points=64,
+        network_seed=7,
+        louvain_resolution=0.5,
+        token_policy=TokenPolicy(keep_numbers=False, bind_hyphens=False, bind_apostrophes=False),
+    ),
+    output=OutputConfig(directory="elsewhere", formats=("graphml", "json")),
+)
+
+
+def test_load_run_config_round_trips_a_value_in_every_field():
+    config = _EVERY_FIELD_SET
+    sections = [
+        config, *config.corpora, config.analysis, config.analysis.token_policy, config.output
+    ]
+    for section in sections:
+        for field in fields(section):
+            assert getattr(section, field.name) != field.default, field.name
+    assert load_run_config(io.StringIO(json.dumps(asdict(config)))) == config
+
+
+_BASE_MANIFESTS = (
+    json.loads(json.dumps(asdict(_EVERY_FIELD_SET))),
+    {
+        "corpora": [
+            {"csv_path": "a.csv", "label": "Journal A", "sample_size": 650, "seed": 42,
+             "column_map": {"title": "Title", "abstract": "Abstract"}},
+            {"csv_path": "b.csv", "label": "Journal B", "sample_size": None, "seed": None},
+        ],
+        "analysis": {"louvain_resolution": 1, "token_policy": {"bind_hyphens": False}},
+        "output": {"formats": []},
+    },
+    {"corpora": _TWO_CORPORA},
+)
+_MANIFEST_KEYS = sorted(
+    {
+        field.name
+        for cls in (RunConfig, CorpusConfig, AnalysisConfig, OutputConfig, TokenPolicy)
+        for field in fields(cls)
+    }
+    | {"made_up_knob"}
+)
+_MANIFEST_VALUES = st.one_of(
+    st.sampled_from(
+        [
+            None, True, False, 0, 1, -1, 0.0, -0.0, 2.5, -0.5, 10**400, -(10**400),
+            float("nan"), float("inf"), float("-inf"), "", "C", "json",
+            [], ["json", "graphml"], ["json", "pdf"], ["json", 1], [None],
+            {}, {"title": "T"}, {"title": 3}, {"title": None}, {"keep_numbers": False},
+            {"csv_path": "c.csv", "label": "C"}, {"made_up_knob": 1},
+        ]
+    ),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.text(max_size=3),
+)
+
+
+def _json_containers(node):
+    """Every JSON object and list in ``node``, ``node`` first."""
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _json_containers(child)
+
+
+def _seen_values(manifests) -> dict:
+    """The values each key, or each list item ("[]"), takes in ``manifests``."""
+    seen: dict = {}
+    for manifest in manifests:
+        for node in _json_containers(manifest):
+            items = node.items() if isinstance(node, dict) else (("[]", v) for v in node)
+            for key, value in items:
+                seen.setdefault(key, []).append(value)
+    return seen
+
+
+# Values from the base manifests let mutations also give manifests that load.
+_SEEN_VALUES = _seen_values(_BASE_MANIFESTS)
+
+
+@st.composite
+def mutated_manifests(draw):
+    """A base manifest with one to three keys or list items deleted, added,
+    or set to an odd value or to one the key takes elsewhere."""
+    manifest = copy.deepcopy(draw(st.sampled_from(_BASE_MANIFESTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from(list(_json_containers(manifest))))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        action = draw(st.sampled_from(("delete", "set", "add") if keys else ("add",)))
+        if action == "delete":
+            del node[draw(st.sampled_from(keys))]
+            continue
+        if isinstance(node, list):
+            key = draw(st.sampled_from(keys)) if action == "set" else len(node)
+            seen = _SEEN_VALUES["[]"]
+        else:
+            key = draw(st.sampled_from(keys if action == "set" else _MANIFEST_KEYS))
+            seen = _SEEN_VALUES.get(key, [None])
+        value = copy.deepcopy(draw(st.one_of(st.sampled_from(seen), _MANIFEST_VALUES)))
+        if key == len(node):
+            node.append(value)
+        else:
+            node[key] = value
+    return manifest
+
+
+def _outcome(reader, manifest):
+    try:
+        return reader(copy.deepcopy(manifest))
+    except ConfigError:
+        return ConfigError
+
+
+@settings(max_examples=1000, deadline=None)
+@given(manifest=mutated_manifests())
+def test_load_run_config_agrees_with_oracle_reader(manifest):
+    assert _outcome(load_run_config, manifest) == _outcome(oracle_load_run_config, manifest)
+
+
+@pytest.mark.parametrize("manifest", _BASE_MANIFESTS)
+def test_oracle_base_manifests_load(manifest):
+    assert load_run_config(manifest) == oracle_load_run_config(manifest)
 
 
 def test_cli_internal_error_maps_to_2(data_dir, tmp_path, monkeypatch, capsys):
