@@ -45,6 +45,7 @@ from .semnet import (
     CommunityPartition,
     CoWordGraph,
     GraphPolicy,
+    XML_TEXT_ESCAPES,
     betweenness,
     build_coword_graph,
     cluster_summary,
@@ -99,10 +100,16 @@ class CorpusConfig:
     author_total: int | None = None
 
     def __post_init__(self):
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError(
-                f"corpus {self.label!r}: 'seed' must be non-negative, got {self.seed}"
-            )
+        try:
+            self.label.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"corpus label {self.label!r} is not valid UTF-8") from None
+        for key in ("seed", "author_total"):
+            value = getattr(self, key)
+            if value is not None and value < 0:
+                raise ConfigError(
+                    f"corpus {self.label!r}: {key!r} must be non-negative, got {value}"
+                )
 
 
 @dataclass(frozen=True)
@@ -117,6 +124,8 @@ class AnalysisConfig:
     def __post_init__(self):
         if self.network_seed < 0:
             raise ConfigError(f"'network_seed' must be non-negative, got {self.network_seed}")
+        if self.kde_grid_points < 16:
+            raise ConfigError(f"'kde_grid_points' must be >= 16, got {self.kde_grid_points}")
         try:
             valid = math.isfinite(self.louvain_resolution) and self.louvain_resolution >= 0
         except OverflowError:  # an integer past the float range
@@ -425,7 +434,10 @@ def _analyze_corpus(config: CorpusConfig, analysis: AnalysisConfig) -> CorpusRes
                 f"corpus {label!r}: cannot build a density for {metric!r}: {exc}"
             ) from exc
 
-    graph, partition, centrality, clusters = analyze_network(analyzed.titles(), analysis)
+    try:
+        graph, partition, centrality, clusters = analyze_network(analyzed.titles(), analysis)
+    except LexigaugeError as exc:
+        raise type(exc)(f"corpus {label!r}: {exc}") from exc
 
     return CorpusResult(
         label=label,
@@ -631,7 +643,7 @@ def emit_density_svg(
     if title:
         parts.append(
             f'<text x="{_SVG_W / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{_xml_escape(title)}</text>'
+            f'font-family="sans-serif" font-size="16">{title.translate(XML_TEXT_ESCAPES)}</text>'
         )
 
     x0, y0 = _MARGIN_L, _MARGIN_T + plot_h
@@ -679,7 +691,7 @@ def emit_density_svg(
         )
         parts.append(
             f'<text x="{legend_x + 18}" y="{ly + 2}" font-family="sans-serif" '
-            f'font-size="12">{_xml_escape(label)}</text>'
+            f'font-size="12">{label.translate(XML_TEXT_ESCAPES)}</text>'
         )
 
     parts.append("</svg>")
@@ -693,9 +705,3 @@ def _nice_ceil(value: float) -> float:
     exponent = math.floor(math.log10(value))
     scale = 10.0 ** (exponent - 1)
     return math.ceil(value / scale) * scale
-
-
-def _xml_escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )

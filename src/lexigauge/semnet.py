@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from pathlib import Path
-from xml.etree import ElementTree as ET
 
 import numpy as np
 
@@ -493,6 +492,13 @@ def _check_same_nodes(graph, partition, scores):
 GEXF_NAMESPACE = "http://www.gexf.net/1.2draft"
 GRAPHML_NAMESPACE = "http://graphml.graphdrawing.org/xmlns"
 
+# XML escaping as ElementTree writes it: text escapes & < >, and attribute
+# values also the quote and the whitespace that normalization would fold.
+XML_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+XML_ATTRIB_ESCAPES = XML_TEXT_ESCAPES | str.maketrans(
+    {'"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+)
+
 # Node attributes in export order: (name, GEXF type, GraphML type).
 _NODE_ATTRIBUTES = (
     ("community", "integer", "int"),
@@ -500,16 +506,6 @@ _NODE_ATTRIBUTES = (
     ("degree", "integer", "int"),
     ("title_frequency", "integer", "int"),
 )
-
-
-def _node_values(node, graph, partition, scores) -> tuple[str, ...]:
-    """The exported values of ``node``'s attributes, in _NODE_ATTRIBUTES order."""
-    return (
-        str(partition.assignment[node]),
-        repr(scores.betweenness[node]),
-        str(scores.degree[node]),
-        str(graph.node_frequency[node]),
-    )
 
 
 def export_graph(
@@ -520,63 +516,70 @@ def export_graph(
 ) -> bytes:
     """Serialize the graph with community / betweenness / degree /
     title_frequency node attributes and edge weights, as UTF-8 XML in
-    GEXF 1.2draft or GraphML."""
+    GEXF 1.2draft or GraphML, laid out as ElementTree writes it after ``indent``."""
     _check_same_nodes(graph, partition, scores)
-    if format == "gexf":
-        root = _gexf_tree(graph, partition, scores)
-    elif format == "graphml":
-        root = _graphml_tree(graph, partition, scores)
-    else:
+    if format not in ("gexf", "graphml"):
         raise DomainError(f"unsupported graph format {format!r} (gexf, graphml)")
-    ET.indent(root)
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
-
-
-def _gexf_tree(graph, partition, scores) -> ET.Element:
-    root = ET.Element("gexf", {"xmlns": GEXF_NAMESPACE, "version": "1.2"})
-    graph_el = ET.SubElement(
-        root, "graph", {"mode": "static", "defaultedgetype": "undirected"}
-    )
-    attrs = ET.SubElement(graph_el, "attributes", {"class": "node"})
-    for attr_id, (title, kind, _) in enumerate(_NODE_ATTRIBUTES):
-        ET.SubElement(
-            attrs, "attribute", {"id": str(attr_id), "title": title, "type": kind}
+    # Each node's escaped name, then its values in _NODE_ATTRIBUTES order.
+    nodes = [
+        (
+            node.translate(XML_ATTRIB_ESCAPES),
+            str(partition.assignment[node]),
+            repr(scores.betweenness[node]),
+            str(scores.degree[node]),
+            str(graph.node_frequency[node]),
         )
-    nodes_el = ET.SubElement(graph_el, "nodes")
-    for node in sorted(graph.node_frequency):
-        node_el = ET.SubElement(nodes_el, "node", {"id": node, "label": node})
-        values = ET.SubElement(node_el, "attvalues")
-        for attr_id, value in enumerate(_node_values(node, graph, partition, scores)):
-            ET.SubElement(values, "attvalue", {"for": str(attr_id), "value": value})
-    edges_el = ET.SubElement(graph_el, "edges")
-    for edge_id, ((u, v), w) in enumerate(sorted(graph.edges.items())):
-        ET.SubElement(
-            edges_el,
-            "edge",
-            {"id": str(edge_id), "source": u, "target": v, "weight": str(w)},
-        )
-    return root
+        for node in sorted(graph.node_frequency)
+    ]
+    edges = [
+        (u.translate(XML_ATTRIB_ESCAPES), v.translate(XML_ATTRIB_ESCAPES), w)
+        for (u, v), w in sorted(graph.edges.items())
+    ]
+    lines = (_gexf_lines if format == "gexf" else _graphml_lines)(nodes, edges)
+    text = "\n".join(["<?xml version='1.0' encoding='utf-8'?>", *lines])
+    return text.encode("utf-8", "xmlcharrefreplace")  # a lone surrogate as &#...;
 
 
-def _graphml_tree(graph, partition, scores) -> ET.Element:
-    root = ET.Element("graphml", {"xmlns": GRAPHML_NAMESPACE})
+def _gexf_lines(nodes, edges) -> list[str]:
+    body = []
+    for name, *values in nodes:
+        body += [f'      <node id="{name}" label="{name}">', "        <attvalues>"]
+        body += [f'          <attvalue for="{i}" value="{v}" />' for i, v in enumerate(values)]
+        body += ["        </attvalues>", "      </node>"]
+    edge_lines = [
+        f'      <edge id="{i}" source="{u}" target="{v}" weight="{w}" />'
+        for i, (u, v, w) in enumerate(edges)
+    ]
+    return [
+        f'<gexf xmlns="{GEXF_NAMESPACE}" version="1.2">',
+        '  <graph mode="static" defaultedgetype="undirected">',
+        '    <attributes class="node">',
+        *(
+            f'      <attribute id="{i}" title="{title}" type="{kind}" />'
+            for i, (title, kind, _) in enumerate(_NODE_ATTRIBUTES)
+        ),
+        "    </attributes>",
+        *(["    <nodes>", *body, "    </nodes>"] if nodes else ["    <nodes />"]),
+        *(["    <edges>", *edge_lines, "    </edges>"] if edges else ["    <edges />"]),
+        "  </graph>",
+        "</gexf>",
+    ]
+
+
+def _graphml_lines(nodes, edges) -> list[str]:
     keys = [(name, "node", kind) for name, _, kind in _NODE_ATTRIBUTES]
-    for name, domain, kind in [*keys, ("weight", "edge", "int")]:
-        ET.SubElement(
-            root,
-            "key",
-            {"id": f"d_{name}", "for": domain, "attr.name": name, "attr.type": kind},
-        )
-    graph_el = ET.SubElement(root, "graph", {"id": "G", "edgedefault": "undirected"})
-    for node in sorted(graph.node_frequency):
-        node_el = ET.SubElement(graph_el, "node", {"id": node})
-        for (name, _, _), value in zip(
-            _NODE_ATTRIBUTES, _node_values(node, graph, partition, scores)
-        ):
-            data = ET.SubElement(node_el, "data", {"key": f"d_{name}"})
-            data.text = value
-    for (u, v), w in sorted(graph.edges.items()):
-        edge_el = ET.SubElement(graph_el, "edge", {"source": u, "target": v})
-        data = ET.SubElement(edge_el, "data", {"key": "d_weight"})
-        data.text = str(w)
-    return root
+    lines = [f'<graphml xmlns="{GRAPHML_NAMESPACE}">'] + [
+        f'  <key id="d_{name}" for="{domain}" attr.name="{name}" attr.type="{kind}" />'
+        for name, domain, kind in [*keys, ("weight", "edge", "int")]
+    ]
+    graph = []  # the data values are numerals, with nothing to escape
+    for name, *values in nodes:
+        graph.append(f'    <node id="{name}">')
+        graph += [f'      <data key="d_{a[0]}">{v}</data>' for a, v in zip(_NODE_ATTRIBUTES, values)]
+        graph.append("    </node>")
+    for u, v, w in edges:
+        graph += [f'    <edge source="{u}" target="{v}">', f'      <data key="d_weight">{w}</data>']
+        graph.append("    </edge>")
+    start = '  <graph id="G" edgedefault="undirected"'
+    lines += [f"{start}>", *graph, "  </graph>"] if graph else [f"{start} />"]
+    return lines + ["</graphml>"]

@@ -351,6 +351,26 @@ def test_svg_escapes_labels():
     assert "a&lt;b" in svg and "c&amp;d" in svg
 
 
+def _cdata_escape(text: str) -> str:
+    """The SVG's text escaping before it shared semnet's tables."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+_SVG_TEXT = st.text(alphabet="ab &<>\"'\t\r\néİß", max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.tuples(_SVG_TEXT, _SVG_TEXT), title=_SVG_TEXT)
+def test_svg_escapes_labels_and_title_as_before(labels, title):
+    # Character data: quotes and whitespace stay as they are.
+    a, b = _two_series()
+    svg = emit_density_svg(a, b, labels=labels, title=title).decode()
+    if title:
+        assert f'font-size="16">{_cdata_escape(title)}</text>' in svg
+    for label in labels:
+        assert f'font-size="12">{_cdata_escape(label)}</text>' in svg
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -590,6 +610,69 @@ def test_resolution_zero_is_allowed_and_negative_is_not():
     for resolution in (-1, -0.5, -5e-324):
         with pytest.raises(ConfigError, match="'louvain_resolution'"):
             AnalysisConfig(louvain_resolution=resolution)
+
+
+def test_manifest_rejects_kde_grid_below_16():
+    # Checked with the manifest, not after the first corpus is analysed.
+    with pytest.raises(ConfigError, match="'kde_grid_points' must be >= 16, got 15"):
+        load_run_config(_manifest(analysis={"kde_grid_points": 15}))
+    assert load_run_config(_manifest(analysis={"kde_grid_points": 16})).analysis.kde_grid_points == 16
+
+
+def test_manifest_rejects_negative_author_total():
+    with pytest.raises(ConfigError, match="corpus 'A': 'author_total' must be non-negative"):
+        load_run_config(_manifest({"author_total": -1}))
+    assert load_run_config(_manifest({"author_total": 0})).corpora[0].author_total == 0
+
+
+# How argv decodes the byte 0xe9, which is not UTF-8 on its own.
+_NOT_UTF8_LABEL = "caf\udce9"
+
+
+@pytest.mark.parametrize("source", ["flag", "manifest", "file name"])
+def test_label_utf8_cannot_encode_is_input_error(data_dir, tmp_path, capsys, source):
+    process = data_dir / "corpus_process.csv"
+    leadership = str(data_dir / "corpus_leadership.csv")
+    if source == "flag":
+        argv = ["--corpus-a", str(process), "--label-a", _NOT_UTF8_LABEL, "--corpus-b", leadership]
+    elif source == "manifest":
+        manifest = tmp_path / "run.json"
+        corpora = [
+            {"csv_path": str(process), "label": _NOT_UTF8_LABEL},
+            {"csv_path": leadership, "label": "b"},
+        ]
+        manifest.write_text(json.dumps({"corpora": corpora}))
+        argv = ["--config", str(manifest)]
+    else:  # the default label is the file name's stem
+        renamed = tmp_path / f"{_NOT_UTF8_LABEL}.csv"
+        renamed.write_bytes(process.read_bytes())
+        argv = ["--corpus-a", str(renamed), "--corpus-b", leadership]
+    out = tmp_path / "out"
+    assert cli.main(["compare", *argv, "--formats", "json,svg", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: corpus label {_NOT_UTF8_LABEL!r} is not valid UTF-8")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_network_error_names_the_corpus(data_dir, tmp_path, capsys):
+    # No title token is in two titles, so pruning leaves the graph no node.
+    disjoint = tmp_path / "disjoint.csv"
+    disjoint.write_text(
+        "Title,Abstract\n"
+        "Alpha beta,Leadership matters. Leadership matters a lot for teams.\n"
+        "Gamma delta long,Process research studies change over time in organizations.\n"
+        "Epsilon zeta longer title,Short one. Another short one. A longer sentence ends it.\n"
+    )
+    out = tmp_path / "out"
+    code = cli.main(
+        ["compare", "--corpus-a", str(disjoint), "--corpus-b",
+         str(data_dir / "corpus_process.csv"), "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: corpus 'disjoint': the co-word graph has no nodes\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -965,3 +1048,29 @@ def test_import_and_full_comparison_leave_scipy_unimported(data_dir, tmp_path):
     assert done.stdout.strip() == "[] []"
     written = {path.suffix for path in out.iterdir()}
     assert {".json", ".csv", ".svg", ".gexf", ".graphml"} <= written
+
+
+_NO_XML_SCRIPT = """
+import sys
+from lexigauge import cli
+code = cli.main(["compare", "--corpus-a", sys.argv[1], "--corpus-b", sys.argv[2],
+                 "--out", sys.argv[3], "--formats", "json,csv,svg,gexf,graphml"])
+print(code, sorted(m for m in sys.modules if m.split(".")[0] in ("xml", "pyexpat")))
+"""
+
+
+def test_full_comparison_through_cli_leaves_xml_unimported(data_dir, tmp_path):
+    # GEXF, GraphML and the SVGs are written as lines by lexigauge itself.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [
+            sys.executable, "-c", _NO_XML_SCRIPT,
+            str(data_dir / "corpus_process.csv"), str(data_dir / "corpus_leadership.csv"),
+            str(out),
+        ],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert {".gexf", ".graphml", ".svg"} <= {path.suffix for path in out.iterdir()}

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from lexigauge import cli, semnet
 from lexigauge.errors import ConfigError, ConsistencyError, DomainError
+from lexigauge.ingest import parse_bibliographic_csv
+from lexigauge.report import AnalysisConfig, analyze_network
 from lexigauge.semnet import (
+    _NODE_ATTRIBUTES,
+    GEXF_NAMESPACE,
+    GRAPHML_NAMESPACE,
     CentralityScores,
     CommunityPartition,
     CoWordGraph,
@@ -871,6 +876,136 @@ def test_export_deterministic_bytes():
     assert export_graph(graph, partition, scores, "gexf") == export_graph(
         graph, partition, scores, "gexf"
     )
+
+
+# The ElementTree writer that export_graph replaced, kept as its byte oracle.
+
+
+def _node_values(node, graph, partition, scores) -> tuple[str, ...]:
+    """The exported values of ``node``'s attributes, in _NODE_ATTRIBUTES order."""
+    return (
+        str(partition.assignment[node]),
+        repr(scores.betweenness[node]),
+        str(scores.degree[node]),
+        str(graph.node_frequency[node]),
+    )
+
+
+def elementtree_export_graph(graph, partition, scores, format):
+    root = {"gexf": _gexf_tree, "graphml": _graphml_tree}[format](graph, partition, scores)
+    ET.indent(root)
+    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+
+
+def _gexf_tree(graph, partition, scores) -> ET.Element:
+    root = ET.Element("gexf", {"xmlns": GEXF_NAMESPACE, "version": "1.2"})
+    graph_el = ET.SubElement(
+        root, "graph", {"mode": "static", "defaultedgetype": "undirected"}
+    )
+    attrs = ET.SubElement(graph_el, "attributes", {"class": "node"})
+    for attr_id, (title, kind, _) in enumerate(_NODE_ATTRIBUTES):
+        ET.SubElement(
+            attrs, "attribute", {"id": str(attr_id), "title": title, "type": kind}
+        )
+    nodes_el = ET.SubElement(graph_el, "nodes")
+    for node in sorted(graph.node_frequency):
+        node_el = ET.SubElement(nodes_el, "node", {"id": node, "label": node})
+        values = ET.SubElement(node_el, "attvalues")
+        for attr_id, value in enumerate(_node_values(node, graph, partition, scores)):
+            ET.SubElement(values, "attvalue", {"for": str(attr_id), "value": value})
+    edges_el = ET.SubElement(graph_el, "edges")
+    for edge_id, ((u, v), w) in enumerate(sorted(graph.edges.items())):
+        ET.SubElement(
+            edges_el,
+            "edge",
+            {"id": str(edge_id), "source": u, "target": v, "weight": str(w)},
+        )
+    return root
+
+
+def _graphml_tree(graph, partition, scores) -> ET.Element:
+    root = ET.Element("graphml", {"xmlns": GRAPHML_NAMESPACE})
+    keys = [(name, "node", kind) for name, _, kind in _NODE_ATTRIBUTES]
+    for name, domain, kind in [*keys, ("weight", "edge", "int")]:
+        ET.SubElement(
+            root,
+            "key",
+            {"id": f"d_{name}", "for": domain, "attr.name": name, "attr.type": kind},
+        )
+    graph_el = ET.SubElement(root, "graph", {"id": "G", "edgedefault": "undirected"})
+    for node in sorted(graph.node_frequency):
+        node_el = ET.SubElement(graph_el, "node", {"id": node})
+        for (name, _, _), value in zip(
+            _NODE_ATTRIBUTES, _node_values(node, graph, partition, scores)
+        ):
+            data = ET.SubElement(node_el, "data", {"key": f"d_{name}"})
+            data.text = value
+    for (u, v), w in sorted(graph.edges.items()):
+        edge_el = ET.SubElement(graph_el, "edge", {"source": u, "target": v})
+        data = ET.SubElement(edge_el, "data", {"key": "d_weight"})
+        data.text = str(w)
+    return root
+
+
+# Characters XML escapes or ElementTree passes through as they are, letters
+# whose case mapping changes length, and one that UTF-8 cannot encode.
+_NAME_CHARACTERS = (
+    ["a", "b", " ", "-", "&", "<", ">", '"', "'", "\r", "\n", "\t", "\x01"]
+    + ["é", "İ", "ß", "\udcff"]
+)
+
+
+@st.composite
+def export_bundles(draw):
+    """A graph over 0-12 names of those characters, edgeless as often as
+    not, with arbitrary communities, degrees, frequencies and betweenness
+    values from 1e-20 to 1e20 (the writer reads them, it does not check them)."""
+    names = draw(
+        st.lists(
+            st.lists(st.sampled_from(_NAME_CHARACTERS), min_size=1, max_size=4).map("".join),
+            max_size=12,
+            unique=True,
+        )
+    )
+    pairs = list(itertools.combinations(sorted(names), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = {pair: draw(st.integers(1, 10**6)) for pair in sorted(chosen)}
+    graph = CoWordGraph(
+        node_frequency={name: draw(st.integers(1, 10**6)) for name in names}, edges=edges
+    )
+    betweenness_values = st.one_of(st.just(0.0), st.floats(1e-20, 1e20))
+    partition = CommunityPartition(
+        assignment={name: draw(st.integers(0, len(names))) for name in names},
+        modularity_q=0.0,
+    )
+    scores = CentralityScores(
+        betweenness={name: draw(betweenness_values) for name in names},
+        degree={name: draw(st.integers(0, len(names))) for name in names},
+    )
+    return graph, partition, scores
+
+
+def analyzed_bundle(graph: CoWordGraph):
+    return graph, louvain_communities(graph), betweenness(graph)
+
+
+@settings(max_examples=400, deadline=None)
+@given(bundle=export_bundles())
+@example(bundle=(CoWordGraph({}, {}), CommunityPartition({}, 0.0), CentralityScores({}, {})))
+@example(bundle=analyzed_bundle(TRIANGLES))
+def test_export_bytes_equal_elementtree_oracle(bundle):
+    for fmt in ("gexf", "graphml"):
+        assert export_graph(*bundle, fmt) == elementtree_export_graph(*bundle, fmt)
+
+
+def test_export_bytes_equal_elementtree_oracle_on_corpora(data_dir):
+    bundles = [analyzed_bundle(dense_graph(n=120))]
+    for name in ("corpus_process.csv", "corpus_leadership.csv"):
+        titles = parse_bibliographic_csv(data_dir / name).titles()
+        bundles.append(analyze_network(titles, AnalysisConfig())[:3])
+    for bundle in bundles:
+        for fmt in ("gexf", "graphml"):
+            assert export_graph(*bundle, fmt) == elementtree_export_graph(*bundle, fmt)
 
 
 # ---------------------------------------------------------------------------
