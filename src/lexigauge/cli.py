@@ -19,7 +19,7 @@ import traceback
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import LexigaugeError
+from .errors import LexigaugeError, named
 from .ingest import parse_bibliographic_csv
 from .metrics import METRIC_NAMES, lexical_records, metric_vectors, read_metrics_csv, write_metrics_csv
 from .report import (
@@ -153,8 +153,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    corpus = parse_bibliographic_csv(args.csv, label=Path(args.csv).stem)
-    records = lexical_records(corpus)
+    with named(args.csv):
+        corpus = parse_bibliographic_csv(args.csv, label=Path(args.csv).stem)
+        records = lexical_records(corpus)
     if args.out:
         write_metrics_csv(records, args.out)
         print(f"wrote {args.out} ({len(records)} documents)")
@@ -164,14 +165,15 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_semnet(args) -> int:
-    corpus = parse_bibliographic_csv(args.csv, label=Path(args.csv).stem)
     analysis = AnalysisConfig(
         min_title_frequency=args.min_title_frequency,
         stopwords_path=_stopwords_path(args.stopwords),
         network_seed=args.seed,
         louvain_resolution=args.resolution,
     )
-    graph, partition, scores, summary = analyze_network(corpus.titles(), analysis)
+    with named(args.csv):
+        corpus = parse_bibliographic_csv(args.csv, label=Path(args.csv).stem)
+        graph, partition, scores, summary = analyze_network(corpus.titles(), analysis)
     out = args.out or f"{Path(args.csv).with_suffix('')}_network.{args.format}"
     Path(out).write_bytes(export_graph(graph, partition, scores, args.format))
     print(
@@ -183,15 +185,18 @@ def _cmd_semnet(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    vectors_a = metric_vectors(read_metrics_csv(args.metrics_a))
-    vectors_b = metric_vectors(read_metrics_csv(args.metrics_b))
+    with named(args.metrics_a):
+        vectors_a = metric_vectors(read_metrics_csv(args.metrics_a))
+    with named(args.metrics_b):
+        vectors_b = metric_vectors(read_metrics_csv(args.metrics_b))
     payload = {}
     for metric in METRIC_NAMES:
         x, y = vectors_a[metric], vectors_b[metric]
         entry = {}
         for side, values in (("a", x), ("b", y)):
             entry[f"normality_{side}"] = as_json(normality_or_none(values))
-        rank = wilcoxon_rank_sum(x, y)
+        with named(f"metric {metric!r}"):
+            rank = wilcoxon_rank_sum(x, y)
         entry["rank_sum"] = as_json(rank)
         payload[metric] = entry
         print(f"{metric}: p={rank.p_value:.2e} r={rank.effect_size_r:.3f}")
@@ -215,7 +220,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (LexigaugeError, OSError, json.JSONDecodeError) as exc:
+    except (LexigaugeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all lexigauge modules."""
 
+from contextlib import contextmanager
+
 
 class LexigaugeError(Exception):
     """Base class for all errors raised by this package."""
@@ -35,3 +37,16 @@ class UnsupportedDataError(DomainError):
 class ConsistencyError(LexigaugeError):
     """Cross-object invariant violated (e.g. centrality scores referencing
     nodes absent from the graph, or a failed post-run self-audit)."""
+
+
+@contextmanager
+def named(subject: str):
+    """Put ``subject: `` in front of the message of a LexigaugeError raised in
+    the block, unless the message already starts so.  The same exception
+    object is re-raised, so its type and ``CsvParseError.row`` survive."""
+    try:
+        yield
+    except LexigaugeError as exc:
+        if not str(exc).startswith(f"{subject}: "):
+            exc.args = (f"{subject}: {exc}",)
+        raise

@@ -300,7 +300,7 @@ def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:
         raise DomainError(f"sample size must be positive, got {n}")
     if n > len(corpus.records):
         raise DomainError(
-            f"sample size {n} exceeds corpus {corpus.label!r} size {len(corpus.records)}"
+            f"corpus {corpus.label!r}: sample size {n} exceeds its {len(corpus.records)} records"
         )
     rng = np.random.Generator(np.random.PCG64(seed))
     chosen = np.sort(rng.choice(len(corpus.records), size=n, replace=False))
@@ -336,13 +336,9 @@ def bibliometric_descriptives(
     timespan = (min(years), max(years)) if years else None
     growth = 0.0
     if timespan and timespan[1] > timespan[0]:
-        counts: dict[int, int] = {}
-        for year in years:
-            counts[year] = counts.get(year, 0) + 1
         first, last = timespan
-        count_first = counts[first]
-        count_last = counts[last]
-        growth = ((count_last / count_first) ** (1.0 / (last - first)) - 1.0) * 100.0
+        ratio = years.count(last) / years.count(first)
+        growth = (ratio ** (1.0 / (last - first)) - 1.0) * 100.0
 
     return BiblioSummary(
         document_count=doc_count,

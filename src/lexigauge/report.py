@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ConsistencyError, DegenerateDataError, DomainError, LexigaugeError
+from .errors import ConfigError, ConsistencyError, DegenerateDataError, DomainError, named
 from .ingest import (
     SAMPLING_RNG,
     BiblioSummary,
@@ -89,6 +89,10 @@ __all__ = [
 
 KNOWN_FORMATS = ("json", "csv", "svg", "gexf", "graphml")
 
+# What XML 1.0 forbids in a document (a label is SVG text): the C0 controls
+# other than tab, LF and CR, and U+FFFE and U+FFFF.
+_NOT_XML = frozenset([*map(chr, range(32)), "\ufffe", "\uffff"]) - set("\t\n\r")
+
 
 @dataclass(frozen=True)
 class CorpusConfig:
@@ -104,6 +108,8 @@ class CorpusConfig:
             self.label.encode("utf-8")
         except UnicodeEncodeError:
             raise ConfigError(f"corpus label {self.label!r} is not valid UTF-8") from None
+        if _NOT_XML.intersection(self.label):
+            raise ConfigError(f"corpus label {self.label!r} holds a character XML 1.0 forbids")
         for key in ("seed", "author_total"):
             value = getattr(self, key)
             if value is not None and value < 0:
@@ -252,14 +258,19 @@ def load_run_config(source) -> RunConfig:
 
     Raises ConfigError naming the key when an entry is missing, unknown or
     of the wrong JSON type (integers exclude booleans; null is accepted
-    only where the field is optional).
+    only where the field is optional), and naming the file (or the
+    stream's ``name``) when the text is not JSON.
     """
     if isinstance(source, (str, Path)):
-        raw = json.loads(read_config_text(source))
+        name, text = source, read_config_text(source)
     elif hasattr(source, "read"):
-        raw = json.load(source)
+        name, text = getattr(source, "name", "manifest"), source.read()
     else:
-        raw = source
+        return _from_json(RunConfig, source, "config")
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
     return _from_json(RunConfig, raw, "config")
 
 
@@ -395,15 +406,11 @@ def normality_or_none(values) -> NormalityResult | None:
 
 
 def _analyze_corpus(config: CorpusConfig, analysis: AnalysisConfig) -> CorpusResult:
-    label = config.label
-    try:
-        full = parse_bibliographic_csv(
-            config.csv_path, column_map=config.column_map, label=label
-        )
-    except LexigaugeError as exc:
-        raise type(exc)(f"corpus {label!r}: {exc}") from exc
+    full = parse_bibliographic_csv(
+        config.csv_path, column_map=config.column_map, label=config.label
+    )
     if len(full) == 0:
-        raise DomainError(f"corpus {label!r}: no usable records in {config.csv_path}")
+        raise DomainError(f"no usable records in {config.csv_path}")
 
     biblio = bibliometric_descriptives(full, distinct_author_total=config.author_total)
 
@@ -422,25 +429,18 @@ def _analyze_corpus(config: CorpusConfig, analysis: AnalysisConfig) -> CorpusRes
         values = vectors[metric]
         if not values:
             raise DomainError(
-                f"corpus {label!r}: no values for metric {metric!r} "
-                "(every document lacks an abstract?)"
+                f"no values for metric {metric!r} (every document lacks an abstract?)"
             )
         desc[metric] = descriptives(values)
         normality[metric] = normality_or_none(values)
         try:
             densities[metric] = kde(values, grid_points=analysis.kde_grid_points)
         except DegenerateDataError as exc:
-            raise DegenerateDataError(
-                f"corpus {label!r}: cannot build a density for {metric!r}: {exc}"
-            ) from exc
+            raise DegenerateDataError(f"cannot build a density for {metric!r}: {exc}") from exc
 
-    try:
-        graph, partition, centrality, clusters = analyze_network(analyzed.titles(), analysis)
-    except LexigaugeError as exc:
-        raise type(exc)(f"corpus {label!r}: {exc}") from exc
-
+    graph, partition, centrality, clusters = analyze_network(analyzed.titles(), analysis)
     return CorpusResult(
-        label=label,
+        label=config.label,
         source_csv=str(config.csv_path),
         parsed_documents=len(full),
         skipped_rows=full.skipped_rows,
@@ -468,7 +468,10 @@ def run_compare(config: RunConfig) -> ComparisonReport:
     written to a temporary directory and moved into place only on success,
     so a failing run leaves no partial outputs.
     """
-    results = tuple(_analyze_corpus(c, config.analysis) for c in config.corpora)
+    results = []
+    for corpus in config.corpora:
+        with named(f"corpus {corpus.label!r}"):
+            results.append(_analyze_corpus(corpus, config.analysis))
 
     comparisons: dict[str, RankSumResult] = {}
     vectors_a = metric_vectors(results[0].records)
@@ -509,7 +512,7 @@ def run_compare(config: RunConfig) -> ComparisonReport:
     }
 
     report = ComparisonReport(
-        corpora=results, comparisons=comparisons, provenance=provenance
+        corpora=tuple(results), comparisons=comparisons, provenance=provenance
     )
     _self_audit(report)
     _write_artifacts(report, config)
@@ -545,37 +548,26 @@ def _write_artifacts(report: ComparisonReport, config: RunConfig) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     tmp_dir = Path(tempfile.mkdtemp(prefix=".lexigauge-", dir=out_dir))
     try:
-        files: list[str] = []
-
         if "json" in formats:
             (tmp_dir / "report.json").write_bytes(report_json_bytes(report))
-            files.append("report.json")
 
         for corpus in report.corpora:
             slug = _slug(corpus.label)
             if "csv" in formats:
-                name = f"metrics_{slug}.csv"
-                write_metrics_csv(corpus.records, tmp_dir / name)
-                files.append(name)
+                write_metrics_csv(corpus.records, tmp_dir / f"metrics_{slug}.csv")
                 for metric, series in corpus.densities.items():
-                    name = f"density_{metric}_{slug}.csv"
-                    write_csv(tmp_dir / name, ("x", "density"), zip(series.grid, series.density))
-                    files.append(name)
+                    rows = zip(series.grid, series.density)
+                    write_csv(tmp_dir / f"density_{metric}_{slug}.csv", ("x", "density"), rows)
             for fmt in ("gexf", "graphml"):
                 if fmt in formats:
-                    name = f"network_{slug}.{fmt}"
-                    (tmp_dir / name).write_bytes(
-                        export_graph(
-                            corpus.graph, corpus.partition, corpus.centrality, fmt
-                        )
+                    (tmp_dir / f"network_{slug}.{fmt}").write_bytes(
+                        export_graph(corpus.graph, corpus.partition, corpus.centrality, fmt)
                     )
-                    files.append(name)
 
         if "svg" in formats:
             a, b = report.corpora
             for metric in METRIC_NAMES:
-                name = f"density_{metric}.svg"
-                (tmp_dir / name).write_bytes(
+                (tmp_dir / f"density_{metric}.svg").write_bytes(
                     emit_density_svg(
                         a.densities[metric],
                         b.densities[metric],
@@ -583,10 +575,10 @@ def _write_artifacts(report: ComparisonReport, config: RunConfig) -> None:
                         title=metric.replace("_", " "),
                     )
                 )
-                files.append(name)
 
-        for name in files:
-            os.replace(tmp_dir / name, out_dir / name)
+        # The bundle is whatever the temporary directory holds.
+        for path in tmp_dir.iterdir():
+            os.replace(path, out_dir / path.name)
     finally:
         shutil.rmtree(tmp_dir, ignore_errors=True)
 

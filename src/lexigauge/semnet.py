@@ -78,7 +78,7 @@ class CoWordGraph:
     node_frequency: token -> number of titles containing it.
     edges: (u, v) -> number of titles where both occur, one key per pair,
     with u < v and both nodes (as ``build_coword_graph`` emits them); the
-    graph algorithms raise ConsistencyError on any other key.
+    graph algorithms and ``export_graph`` raise ConsistencyError on any other key.
     """
 
     node_frequency: dict[str, int]
@@ -160,15 +160,12 @@ def build_coword_graph(
     )
 
 
-def _csr(graph: CoWordGraph):
-    """``(names, indptr, indices, weights)``: node ``i`` is ``names[i]`` (sorted)
-    and CSR row ``i`` lists its neighbors in ascending order, with float edge
-    weights alongside.  Raises DomainError without nodes, ConsistencyError on
-    an edge key that is not ``(u, v)`` with ``u < v``, both nodes."""
+def _edge_ends(graph: CoWordGraph):
+    """``(names, heads, tails)``: the sorted node names, and for each edge key
+    ``(u, v)`` in ``graph.edges`` order the ids of ``u`` and ``v`` in ``names``.
+    Raises ConsistencyError on an edge key that is not ``(u, v)`` with
+    ``u < v``, both nodes."""
     names = sorted(graph.node_frequency)
-    if not names:
-        raise DomainError("the co-word graph has no nodes")
-    n = len(names)
     index = {u: i for i, u in enumerate(names)}
     m = len(graph.edges)
     heads = np.fromiter((index.get(u, -1) for u, _ in graph.edges), np.intp, m)
@@ -178,6 +175,18 @@ def _csr(graph: CoWordGraph):
     if bad.size:
         edge = list(graph.edges)[bad[0]]
         raise ConsistencyError(f"edge {edge!r} is not (u, v) with u < v, both graph nodes")
+    return names, heads, tails
+
+
+def _csr(graph: CoWordGraph):
+    """``(names, indptr, indices, weights)``: node ``i`` is ``names[i]`` (sorted)
+    and CSR row ``i`` lists its neighbors in ascending order, with float edge
+    weights alongside.  Raises DomainError without nodes, and ConsistencyError
+    as ``_edge_ends`` does."""
+    if not graph.node_frequency:
+        raise DomainError("the co-word graph has no nodes")
+    names, heads, tails = _edge_ends(graph)
+    n, m = len(names), len(graph.edges)
     weights = np.fromiter(graph.edges.values(), float, m)
     # Both directions of every edge as row * n + column, in ascending order.
     codes = np.concatenate([heads * n + tails, tails * n + heads])
@@ -518,6 +527,7 @@ def export_graph(
     title_frequency node attributes and edge weights, as UTF-8 XML in
     GEXF 1.2draft or GraphML, laid out as ElementTree writes it after ``indent``."""
     _check_same_nodes(graph, partition, scores)
+    names, _, _ = _edge_ends(graph)
     if format not in ("gexf", "graphml"):
         raise DomainError(f"unsupported graph format {format!r} (gexf, graphml)")
     # Each node's escaped name, then its values in _NODE_ATTRIBUTES order.
@@ -529,7 +539,7 @@ def export_graph(
             str(scores.degree[node]),
             str(graph.node_frequency[node]),
         )
-        for node in sorted(graph.node_frequency)
+        for node in names
     ]
     edges = [
         (u.translate(XML_ATTRIB_ESCAPES), v.translate(XML_ATTRIB_ESCAPES), w)

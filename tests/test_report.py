@@ -655,6 +655,43 @@ def test_label_utf8_cannot_encode_is_input_error(data_dir, tmp_path, capsys, sou
     assert not out.exists()
 
 
+@pytest.mark.parametrize("label", ["a\x01b", "a\x00", "\x1fb", "a\ufffe", "a\uffffb"])
+@pytest.mark.parametrize("source", ["flag", "manifest"])
+def test_label_xml_forbids_is_input_error(data_dir, tmp_path, capsys, source, label):
+    process = str(data_dir / "corpus_process.csv")
+    leadership = str(data_dir / "corpus_leadership.csv")
+    if source == "flag":
+        argv = ["--corpus-a", process, "--label-a", label, "--corpus-b", leadership]
+    else:
+        manifest = tmp_path / "run.json"
+        corpora = [{"csv_path": process, "label": label}, {"csv_path": leadership, "label": "b"}]
+        manifest.write_text(json.dumps({"corpora": corpora}))
+        argv = ["--config", str(manifest)]
+    out = tmp_path / "out"
+    assert cli.main(["compare", *argv, "--formats", "svg,gexf", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: corpus label {label!r} holds a character XML 1.0 forbids\n"
+    assert not out.exists()
+
+
+def test_label_may_hold_tab_and_line_ends():
+    for label in ("a\tb", "a\nb", "a\rb", "\ufffd"):
+        assert CorpusConfig(csv_path="a.csv", label=label).label == label
+
+
+def test_malformed_manifest_names_its_file(tmp_path, capsys):
+    manifest = tmp_path / "bad.json"
+    manifest.write_text('{"corpora": [')
+    assert cli.main(["compare", "--config", str(manifest)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: Expecting value: line 1 column 14 (char 13)\n"
+    )
+    stream = io.StringIO('{"corpora": [')
+    stream.name = "run.json"
+    with pytest.raises(ConfigError, match=r"^run\.json: Expecting value"):
+        load_run_config(stream)
+
+
 def test_network_error_names_the_corpus(data_dir, tmp_path, capsys):
     # No title token is in two titles, so pruning leaves the graph no node.
     disjoint = tmp_path / "disjoint.csv"

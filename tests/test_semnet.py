@@ -428,6 +428,25 @@ def test_malformed_edge_key_is_consistency_error(nodes, edges, algorithm):
         algorithm(graph)
 
 
+@pytest.mark.parametrize(
+    "nodes,edges",
+    [
+        (["a"], {("a", "b"): 1}),
+        (["b"], {("a", "b"): 1}),
+        (["a", "b"], {("a", "a"): 1}),
+        (["a", "b"], {("b", "a"): 1, ("a", "b"): 3}),
+    ],
+    ids=["missing-tail", "missing-head", "self-loop", "reversed-pair"],
+)
+@pytest.mark.parametrize("fmt", ["gexf", "graphml"])
+def test_export_rejects_malformed_edge_key(nodes, edges, fmt):
+    graph = CoWordGraph(node_frequency={node: 1 for node in nodes}, edges=edges)
+    partition = CommunityPartition({node: 0 for node in nodes}, 0.0)
+    scores = CentralityScores({node: 0.0 for node in nodes}, {node: 0 for node in nodes})
+    with pytest.raises(ConsistencyError, match=r"edge \('(a|b)', '(a|b)'\)"):
+        export_graph(graph, partition, scores, fmt)
+
+
 # ---------------------------------------------------------------------------
 # Betweenness
 # ---------------------------------------------------------------------------
