@@ -20,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import LexigaugeError, named
-from .ingest import parse_bibliographic_csv
+from .ingest import parse_bibliographic_csv, require_records
 from .metrics import METRIC_NAMES, lexical_records, metric_vectors, read_metrics_csv, write_metrics_csv
 from .report import (
     KNOWN_FORMATS,
@@ -155,6 +155,7 @@ def _cmd_compare(args) -> int:
 def _cmd_metrics(args) -> int:
     with named(args.csv):
         corpus = parse_bibliographic_csv(args.csv, label=Path(args.csv).stem)
+        require_records(corpus, args.csv)
         records = lexical_records(corpus)
     if args.out:
         write_metrics_csv(records, args.out)

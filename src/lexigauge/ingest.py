@@ -30,6 +30,7 @@ __all__ = [
     "read_csv_rows",
     "write_csv",
     "parse_bibliographic_csv",
+    "require_records",
     "write_corpus_csv",
     "sample_corpus",
     "bibliometric_descriptives",
@@ -267,6 +268,13 @@ def parse_bibliographic_csv(
                 )
             )
         return Corpus(label=label, records=tuple(records), skipped_rows=skipped)
+
+
+def require_records(corpus: Corpus, source) -> None:
+    """Raise DomainError naming ``source`` when ``corpus`` holds no record
+    (every row had an empty title)."""
+    if len(corpus) == 0:
+        raise DomainError(f"no usable records in {source}")
 
 
 _WRITE_COLUMNS = [

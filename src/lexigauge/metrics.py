@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import CsvParseError, DomainError
 from .ingest import open_text, read_csv_rows, write_csv
@@ -19,8 +20,8 @@ from .textproc import (
     DEFAULT_ABBREVIATIONS,
     DEFAULT_TOKEN_POLICY,
     TokenPolicy,
+    count_sentences,
     count_syllables,
-    split_sentences,
     tokenize,
 )
 
@@ -91,13 +92,12 @@ def _fkgl(
     n_words = counts.total()
     if n_words == 0:
         raise DomainError("cannot compute a grade level for text with no words")
-    n_sentences = max(len(split_sentences(text, abbreviations)), 1)
-    n_syllables = 0
-    for token, n in counts.items():
-        per_token = syllables.get(token)
-        if per_token is None:
-            per_token = syllables[token] = count_syllables(token)
-        n_syllables += n * per_token
+    n_sentences = max(count_sentences(text, abbreviations), 1)
+    # A comprehension, not ``counts.keys() - syllables.keys()``: the set
+    # difference walks the whole corpus table once per document.
+    new = [token for token in counts if token not in syllables]
+    syllables.update(zip(new, map(count_syllables, new)))
+    n_syllables = sum(map(mul, counts.values(), map(syllables.__getitem__, counts)))
     return 0.39 * (n_words / n_sentences) + 11.8 * (n_syllables / n_words) - 15.59
 
 
@@ -116,7 +116,8 @@ def _yules_k(counts: Counter) -> float:
     n = counts.total()
     if n == 0:
         raise DomainError("Yule's K requires at least one token")
-    s2 = sum(c * c for c in counts.values())
+    v = counts.values()
+    s2 = sum(map(mul, v, v))
     return 1e4 * (s2 - n) / (n * n)
 
 

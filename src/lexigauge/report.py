@@ -28,6 +28,7 @@ from .ingest import (
     BiblioSummary,
     bibliometric_descriptives,
     parse_bibliographic_csv,
+    require_records,
     sample_corpus,
     write_csv,
 )
@@ -68,6 +69,7 @@ from .textproc import (
     DEFAULT_TOKEN_POLICY,
     SEGMENTATION_RULES_VERSION,
     TokenPolicy,
+    decode_config_text,
     read_config_text,
 )
 
@@ -259,12 +261,13 @@ def load_run_config(source) -> RunConfig:
     Raises ConfigError naming the key when an entry is missing, unknown or
     of the wrong JSON type (integers exclude booleans; null is accepted
     only where the field is optional), and naming the file (or the
-    stream's ``name``) when the text is not JSON.
+    stream's ``name``) when its bytes are not UTF-8 or its text not JSON.
     """
     if isinstance(source, (str, Path)):
         name, text = source, read_config_text(source)
     elif hasattr(source, "read"):
-        name, text = getattr(source, "name", "manifest"), source.read()
+        name = getattr(source, "name", "manifest")
+        text = decode_config_text(source.read(), name)
     else:
         return _from_json(RunConfig, source, "config")
     try:
@@ -409,8 +412,7 @@ def _analyze_corpus(config: CorpusConfig, analysis: AnalysisConfig) -> CorpusRes
     full = parse_bibliographic_csv(
         config.csv_path, column_map=config.column_map, label=config.label
     )
-    if len(full) == 0:
-        raise DomainError(f"no usable records in {config.csv_path}")
+    require_records(full, config.csv_path)
 
     biblio = bibliometric_descriptives(full, distinct_author_total=config.author_total)
 

@@ -24,6 +24,7 @@ __all__ = [
     "DEFAULT_ABBREVIATIONS",
     "tokenize",
     "split_sentences",
+    "count_sentences",
     "count_syllables",
     "frequency_spectrum",
     "load_token_policy",
@@ -52,16 +53,19 @@ class TokenPolicy:
 
 DEFAULT_TOKEN_POLICY = TokenPolicy()
 
-# Word characters: Unicode letters and digits, underscore excluded.
+# Word characters: Unicode letters and digits, underscore excluded.  In
+# lowercased ASCII text they are exactly [a-z0-9], a class the regex engine
+# tests faster.
 _WORD = r"[^\W_]"
+_LOWER_ASCII_WORD = "[a-z0-9]"
 
 
 @cache
-def _token_pattern(bind_hyphens: bool, bind_apostrophes: bool) -> re.Pattern:
+def _token_pattern(bind_hyphens: bool, bind_apostrophes: bool, word: str = _WORD) -> re.Pattern:
     joiners = (r"\-" if bind_hyphens else "") + ("'’" if bind_apostrophes else "")
     if joiners:
-        return re.compile(rf"{_WORD}+(?:[{joiners}]{_WORD}+)*")
-    return re.compile(rf"{_WORD}+")
+        return re.compile(rf"{word}+(?:[{joiners}]{word}+)*")
+    return re.compile(rf"{word}+")
 
 
 @dataclass(frozen=True)
@@ -85,8 +89,13 @@ def tokenize(text: str, policy: TokenPolicy = DEFAULT_TOKEN_POLICY) -> TokenStre
     ``policy``; diacritic letters count as word characters.  Empty text (or
     text with no word characters) yields an empty stream.
     """
-    pattern = _token_pattern(policy.bind_hyphens, policy.bind_apostrophes)
-    tokens = [t.lower() for t in pattern.findall(text)]
+    flags = (policy.bind_hyphens, policy.bind_apostrophes)
+    if text.isascii():
+        tokens = _token_pattern(*flags, _LOWER_ASCII_WORD).findall(text.lower())
+    else:
+        # Lowercasing can split a token ("İ" -> "i" + a combining mark), so
+        # non-ASCII text is matched first and lowercased per token.
+        tokens = [t.lower() for t in _token_pattern(*flags).findall(text)]
     if not policy.keep_numbers:
         tokens = [t for t in tokens if any(c.isalpha() for c in t)]
     return TokenStream(tokens=tuple(tokens), source_char_count=len(text))
@@ -104,6 +113,7 @@ DEFAULT_ABBREVIATIONS = frozenset(
 
 _TERMINATOR = re.compile(r"[.!?]+")
 _NEXT_VISIBLE = re.compile(r"\s*(.?)", re.DOTALL)
+_HAS_WORD = re.compile(_WORD)
 
 
 def split_sentences(
@@ -116,6 +126,22 @@ def split_sentences(
     Periods belonging to ``abbreviations`` never split.  Text containing at
     least one word character but no terminator is a single sentence.
     """
+    chunks = (text[a:b].strip() for a, b in _sentence_spans(text, abbreviations))
+    return [chunk for chunk in chunks if _HAS_WORD.search(chunk)]
+
+
+def count_sentences(
+    text: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
+) -> int:
+    """``len(split_sentences(text, abbreviations))``, without building the
+    sentence strings."""
+    spans = _sentence_spans(text, abbreviations)
+    return sum(1 for a, b in spans if _HAS_WORD.search(text, a, b))
+
+
+def _sentence_spans(text: str, abbreviations: frozenset[str]):
+    """``(start, end)`` of each stretch of ``text`` between sentence
+    boundaries; the ones that hold a word character are the sentences."""
     # Abbreviations are matched in the text lowercased once.  That equals
     # text[:end].lower() wherever text[end] is whitespace or absent, final
     # sigma included ("AB'Σ." -> "ab'ς.", which a window "'Σ." would miss).
@@ -124,6 +150,9 @@ def split_sentences(
     at = range(len(text) + 1)
     if len(lowered) != len(text):
         at = list(accumulate((len(c.lower()) for c in text), initial=0))
+    # One C-level suffix test per terminator; only a hit pays for the exact
+    # per-abbreviation check of the character before it.
+    suffixes = tuple(abbreviations)
     boundaries = []
     for match in _TERMINATOR.finditer(text):
         end = match.end()
@@ -133,13 +162,12 @@ def split_sentences(
             following = _NEXT_VISIBLE.match(text, end).group(1)
             if following and not (following.isupper() or following.isdigit()):
                 continue  # continuation starts lowercase: no split
-        if _ends_with_abbreviation(lowered, at[end], abbreviations):
+        if lowered.endswith(suffixes, 0, at[end]) and _ends_with_abbreviation(
+            lowered, at[end], abbreviations
+        ):
             continue
         boundaries.append(end)
-
-    word_at = _token_pattern(True, True)
-    chunks = (text[a:b].strip() for a, b in pairwise([0, *boundaries, len(text)]))
-    return [chunk for chunk in chunks if word_at.search(chunk)]
+    return pairwise([0, *boundaries, len(text)])
 
 
 def _ends_with_abbreviation(lowered: str, end: int, abbreviations) -> bool:
@@ -198,7 +226,13 @@ def _is_cons(ch: str) -> bool:
     return ch not in _VOWELS
 
 
+# Every ending _has_silent_e looks at, tested first in one C call.
+_SILENT_E_ENDINGS = ("e", "ed", "es", *("e" + suffix for suffix in _NEUTRAL_SUFFIXES))
+
+
 def _has_silent_e(p: str) -> bool:
+    if not p.endswith(_SILENT_E_ENDINGS):
+        return False
     # Word-final "e": silent after a consonant, except consonant+"le"
     # ("table" keeps it, "whale" and "like" drop it).
     if p.endswith("e"):
@@ -266,10 +300,18 @@ def frequency_spectrum(tokens) -> FrequencySpectrum:
 def read_config_text(path: str | Path) -> str:
     """The UTF-8 text of a configuration file; invalid UTF-8 raises
     ConfigError naming the file."""
+    return decode_config_text(Path(path).read_bytes(), path)
+
+
+def decode_config_text(data: bytes | str, name) -> str:
+    """``data`` as text: bytes are decoded as UTF-8, and invalid UTF-8
+    raises ConfigError naming ``name``."""
+    if isinstance(data, str):
+        return data
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not valid UTF-8 at byte {exc.start} ({exc.reason})") from exc
+        raise ConfigError(f"{name}: not valid UTF-8 at byte {exc.start} ({exc.reason})") from exc
 
 
 def _load_word_list(path: str | Path) -> frozenset[str]:

@@ -6,16 +6,19 @@ import contextlib
 import csv
 import io
 import json
+import re
+import shutil
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from lexigauge import cli
 from lexigauge.errors import CsvParseError, named
 from lexigauge.metrics import METRIC_NAMES
+from lexigauge.report import KNOWN_FORMATS
 
 _HEADER = ["Id", "Title", "Abstract", "Year", "Cited by", "Author count"]
 # The manifest column map that also reads the Id column, so ids can repeat.
@@ -124,6 +127,16 @@ def test_single_file_commands_name_their_file(tmp_path):
     assert _run(["metrics", negative]) == (
         1, f"error: {negative}: record 'row1': negative citation count\n"
     )
+
+
+def test_metrics_rejects_a_csv_without_usable_records(tmp_path):
+    # Every title is empty: compare rejects the corpus, and so does metrics.
+    empty = _write_rows(tmp_path / "empty.csv", [["r1", "", "Some abstract.", "", "", ""]])
+    out = tmp_path / "table.csv"
+    assert _run(["metrics", empty, "--out", str(out)]) == (
+        1, f"error: {empty}: no usable records in {empty}\n"
+    )
+    assert not out.exists()
 
 
 def test_stats_names_the_table_or_the_metric(data_dir, tmp_path):
@@ -235,3 +248,58 @@ def test_every_failure_names_its_corpus_file_or_metric_once(rows, sample_size, c
             outcome = _run(["stats", *tables])
             metrics = [f"metric {metric!r}" for metric in METRIC_NAMES]
             assert _names_once(*outcome, [*tables, *metrics]), outcome
+
+
+# ---------------------------------------------------------------------------
+# Property: a successful compare is deterministic
+# ---------------------------------------------------------------------------
+
+_GENERATED_AT = re.compile(rb'"generated_at": "[^"]*"')
+
+
+def _artifacts(out: Path) -> dict[str, bytes]:
+    """Every file of an output directory, with ``generated_at`` masked."""
+    return {
+        path.name: _GENERATED_AT.sub(b'"generated_at": null', path.read_bytes())
+        for path in sorted(out.iterdir())
+    }
+
+
+@st.composite
+def _runnable_rows(draw):
+    """Rows of a small export with no fault: every title shares words with
+    others and most abstracts hold words, so most drawn pairs run."""
+    rows = []
+    for i in range(draw(st.integers(3, 8))):
+        title = " ".join(draw(st.lists(st.sampled_from(_WORDS[:4]), min_size=1, max_size=5)))
+        abstract = " ".join(draw(st.lists(st.sampled_from(_PIECES + _WORDS), max_size=16)))
+        rows.append([f"r{i}", title, abstract, draw(st.sampled_from(_YEARS)),
+                     draw(st.sampled_from(_COUNTS)), draw(st.sampled_from(_COUNTS))])
+    return rows
+
+
+# No shrink phase, for the reason given above.
+@settings(
+    max_examples=30,
+    deadline=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+    report_multiple_bugs=False,
+)
+@given(
+    rows=st.tuples(_runnable_rows(), _runnable_rows()),
+    sample_size=st.none() | st.integers(2, 3),
+)
+def test_compare_twice_writes_identical_artifacts(rows, sample_size):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = [_write_rows(tmp / f"{side}.csv", r) for side, r in zip("ab", rows)]
+        argv = ["compare", "--corpus-a", paths[0], "--corpus-b", paths[1], "--seed", "3",
+                "--out", str(tmp / "out"), "--formats", ",".join(KNOWN_FORMATS)]
+        if sample_size is not None:
+            argv += ["--sample-size", str(sample_size)]
+        code, err = _run(argv)
+        assume(code == 0)
+        first = _artifacts(tmp / "out")
+        shutil.rmtree(tmp / "out")
+        assert _run(argv) == (0, "")
+        assert _artifacts(tmp / "out") == first

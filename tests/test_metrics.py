@@ -23,12 +23,14 @@ from lexigauge.metrics import (
     yules_k,
 )
 from lexigauge.textproc import (
+    DEFAULT_ABBREVIATIONS,
     TokenPolicy,
     count_syllables,
     frequency_spectrum,
     split_sentences,
     tokenize,
 )
+from test_textproc import _ABBREVIATION_SETS, _SPLIT_ALPHABET, _TOKEN_ALPHABET, _finditer_tokenize
 
 # ---------------------------------------------------------------------------
 # Title length
@@ -245,6 +247,92 @@ def test_lexical_records_counts_syllables_once_per_distinct_token(monkeypatch):
     # A second call builds its own table: nothing is cached across calls.
     assert lexical_records(corpus) == rows
     assert calls == Counter(dict.fromkeys(distinct, 2))
+
+
+def _per_type_lexical_records(corpus, policy, abbreviations):
+    """Oracle: lexical_records before its per-token work moved into C-level
+    builtins, with per-token ``lower()``, ``len(split_sentences(...))``, a
+    per-type ``.get`` loop over one corpus syllable table and a ``c * c``
+    generator."""
+    syllables = {}
+    rows = []
+    for record in corpus.records:
+        counts = Counter(_finditer_tokenize(record.abstract, policy))
+        grade = diversity = None
+        if counts:
+            n_words = counts.total()
+            n_sentences = max(len(split_sentences(record.abstract, abbreviations)), 1)
+            n_syllables = 0
+            for token, n in counts.items():
+                per_token = syllables.get(token)
+                if per_token is None:
+                    per_token = syllables[token] = count_syllables(token)
+                n_syllables += n * per_token
+            grade = 0.39 * (n_words / n_sentences) + 11.8 * (n_syllables / n_words) - 15.59
+            s2 = sum(c * c for c in counts.values())
+            diversity = 1e4 * (s2 - n_words) / (n_words * n_words)
+        rows.append(LexicalRecord(record.id, title_length(record.title), grade, diversity))
+    return rows
+
+
+def _hex(value):
+    return None if value is None else value.hex()
+
+
+def _hex_rows(rows):
+    """Each row with its floats as ``float.hex``, so equality is bit equality."""
+    return [(r.doc_id, r.title_length_chars, _hex(r.fkgl), _hex(r.yules_k)) for r in rows]
+
+
+_ASCII_PIECES = [*"aeiouybcdlmstZ \n", "The ", "tables ", "well-made ", "it's ", "2020 ", "4.8 ",
+                 ". ", "! ", "? ", "e.g. ", "E.g. ", "et al. ", "vs. ", "_", "x9"]
+_ASCII_ABSTRACT = st.lists(st.sampled_from(_ASCII_PIECES), max_size=30).map("".join)
+_ABSTRACT = st.one_of(
+    _ASCII_ABSTRACT,
+    st.text("aAbZ09.!?'-_ \t\n", max_size=60),
+    st.text(_SPLIT_ALPHABET, max_size=60),
+    st.text(_TOKEN_ALPHABET, max_size=60),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    abstracts=st.lists(_ABSTRACT, min_size=1, max_size=6),
+    policy=st.sampled_from(_POLICIES),
+    abbreviations=_ABBREVIATION_SETS,
+)
+def test_lexical_records_bit_identical_to_per_type_oracle(abstracts, policy, abbreviations):
+    corpus = Corpus(
+        label="drawn",
+        records=tuple(
+            BibRecord(id=f"d{i}", title=f"Title {i}", abstract=abstract)
+            for i, abstract in enumerate(abstracts)
+        ),
+    )
+    assert _hex_rows(lexical_records(corpus, policy, abbreviations)) == _hex_rows(
+        _per_type_lexical_records(corpus, policy, abbreviations)
+    )
+
+
+def test_lexical_records_bit_identical_to_per_type_oracle_on_examples():
+    abstracts = [
+        "Dr. İ. Next one. İİ e.g. More.",
+        "AB'Σ. Next one. Σσς words.",
+        "Word" + "." * 200_000 + " Next words",
+        "The Tables were well-made, e.g. here. It's 2020! Again? Yes.",
+        "Pre.g. Then. Xvs. Now. Cf. Done.",
+    ]
+    corpus = Corpus(
+        label="examples",
+        records=tuple(
+            BibRecord(id=f"d{i}", title="T", abstract=a) for i, a in enumerate(abstracts)
+        ),
+    )
+    for abbreviations in (DEFAULT_ABBREVIATIONS, frozenset({"i̇.", "σ.", "ς.", "e.g."})):
+        for policy in _POLICIES:
+            assert _hex_rows(lexical_records(corpus, policy, abbreviations)) == _hex_rows(
+                _per_type_lexical_records(corpus, policy, abbreviations)
+            )
 
 
 # ---------------------------------------------------------------------------

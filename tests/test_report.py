@@ -692,6 +692,19 @@ def test_malformed_manifest_names_its_file(tmp_path, capsys):
         load_run_config(stream)
 
 
+def test_manifest_stream_of_invalid_utf8_names_the_stream(data_dir, tmp_path):
+    stream = io.BytesIO(b'{"corpora": [\xff]}')
+    message = r"^manifest: not valid UTF-8 at byte 13 \(invalid start byte\)$"
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(stream)
+    stream = io.BytesIO(b'{"corpora": [\xff]}')
+    stream.name = "run.json"
+    with pytest.raises(ConfigError, match=r"^run\.json: not valid UTF-8 at byte 13 "):
+        load_run_config(stream)
+    config = make_config(data_dir, tmp_path)
+    assert load_run_config(io.BytesIO(json.dumps(asdict(config)).encode())) == config
+
+
 def test_network_error_names_the_corpus(data_dir, tmp_path, capsys):
     # No title token is in two titles, so pruning leaves the graph no node.
     disjoint = tmp_path / "disjoint.csv"

@@ -2,15 +2,18 @@ import itertools
 import random
 import re
 from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lexigauge import textproc
 from lexigauge.errors import ConfigError
 from lexigauge.textproc import (
     DEFAULT_ABBREVIATIONS,
     TokenPolicy,
+    count_sentences,
     count_syllables,
     frequency_spectrum,
     load_abbreviations,
@@ -123,6 +126,14 @@ def test_tokenize_matches_finditer_oracle(policy, text):
     stream = tokenize(text, policy)
     assert list(stream.tokens) == _finditer_tokenize(text, policy)
     assert stream.source_char_count == len(text)
+
+
+@pytest.mark.parametrize("policy", _ALL_POLICIES, ids=repr)
+@settings(max_examples=150, deadline=None)
+@given(text=st.text("aZiIyY'-_09 .,\t\n", max_size=60))
+def test_tokenize_matches_finditer_oracle_on_ascii_text(policy, text):
+    # ASCII text is lowercased whole before matching, not token by token.
+    assert list(tokenize(text, policy).tokens) == _finditer_tokenize(text, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +265,52 @@ def test_split_sentences_matches_quadratic_oracle_examples(text, abbreviations):
     assert split_sentences(text, abbreviations) == _quadratic_split_sentences(text, abbreviations)
 
 
+def test_split_sentences_abbreviation_ending_a_longer_word_splits():
+    # "pre.g." ends with "e.g." and "xvs." with "vs.", but a letter precedes
+    # each, so neither is the abbreviation.
+    text = "Pre.g. Then. Xvs. Now. Cf. Done."
+    expected = ["Pre.g.", "Then.", "Xvs.", "Now.", "Cf. Done."]
+    assert split_sentences(text) == _quadratic_split_sentences(text) == expected
+
+
 def test_split_sentences_long_dot_run():
     text = "Word" + "." * 200_000 + " Next words"
     assert split_sentences(text) == ["Word" + "." * 200_000, "Next words"]
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    text=st.one_of(st.text(_SPLIT_ALPHABET, max_size=60), st.text("aAeE09.!? \t\n", max_size=60)),
+    abbreviations=_ABBREVIATION_SETS,
+)
+@example(text="Word" + "." * 200_000 + " Next words", abbreviations=DEFAULT_ABBREVIATIONS)
+@example(text="Dr. İ. Next one. İİ e.g. More.", abbreviations=frozenset({"i̇.", "e.g."}))
+@example(text="AB'Σ. Next one.", abbreviations=frozenset({"σ."}))
+@example(text="Pre.g. Then. Xvs. Now. Cf. Done.", abbreviations=DEFAULT_ABBREVIATIONS)
+def test_count_sentences_equals_len_split_sentences(text, abbreviations):
+    assert count_sentences(text, abbreviations) == len(split_sentences(text, abbreviations))
+
+
 # ---------------------------------------------------------------------------
 # Syllables
 # ---------------------------------------------------------------------------
+
+
+_ENDINGS = ["", "e", "ed", "es", "le", "les", "ted", "ches", "ment", "ments", "ly", "ful",
+            "fully", "ness", "less", "ing"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    stem=st.text("aeiouybcdlmnsthgxz-'A", max_size=10),
+    endings=st.lists(st.sampled_from(_ENDINGS), max_size=2),
+)
+def test_count_syllables_same_without_the_silent_e_gate(stem, endings):
+    word = stem + "".join(endings)
+    gated = count_syllables(word)
+    # Every string ends with "", so this tuple lets every part past the gate.
+    with mock.patch.object(textproc, "_SILENT_E_ENDINGS", ("",)):
+        assert count_syllables(word) == gated
 
 
 def _lexicon(data_dir):
