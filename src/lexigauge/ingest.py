@@ -13,13 +13,14 @@ import csv
 import io
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError, CsvParseError, DomainError
+from .errors import ConfigError, CsvParseError, DomainError, LexigaugeError
 
 __all__ = [
     "BibRecord",
@@ -94,13 +95,7 @@ class Corpus:
     skipped_rows: int = 0
 
     def __post_init__(self):
-        seen = set()
-        for record in self.records:
-            if record.id in seen:
-                raise DomainError(
-                    f"corpus {self.label!r}: duplicate record id {record.id!r}"
-                )
-            seen.add(record.id)
+        _require_unique_ids(self.label, [record.id for record in self.records])
 
     def __len__(self) -> int:
         return len(self.records)
@@ -110,6 +105,17 @@ class Corpus:
 
     def titles(self) -> list[str]:
         return [record.title for record in self.records]
+
+
+def _require_unique_ids(label: str, ids: list[str]) -> None:
+    """Raise DomainError naming the first id that repeats an earlier one."""
+    if len(set(ids)) == len(ids):
+        return
+    seen = set()
+    for rec_id in ids:
+        if rec_id in seen:
+            raise DomainError(f"corpus {label!r}: duplicate record id {rec_id!r}")
+        seen.add(rec_id)
 
 
 @dataclass(frozen=True)
@@ -216,61 +222,143 @@ def parse_bibliographic_csv(
     naming the source on invalid UTF-8, and ConfigError when an explicitly
     mapped column is missing from the header.
     """
+    return _read_table(source, column_map, label).corpus()
+
+
+# BibRecord's fields in constructor order: the columns of a _Table.
+_FIELDS = ("id", "title", "abstract", "year", "venue", "citations", "author_count")
+
+
+class _Table:
+    """The usable rows of one export as columns, one list per BibRecord
+    field in row order.  Records are built only for the rows asked for."""
+
+    def __init__(self, label: str, skipped_rows: int, columns: list[list]):
+        self.label = label
+        self.skipped_rows = skipped_rows
+        self.columns = columns  # in _FIELDS order
+        (self.ids, self.titles, self.abstracts, self.years, self.venues,
+         self.citations, self.author_counts) = columns
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def _records(self, rows: list[int]) -> tuple[BibRecord, ...]:
+        return tuple(map(BibRecord, *([column[i] for i in rows] for column in self.columns)))
+
+    def corpus(self) -> Corpus:
+        """Corpus of every row."""
+        return Corpus(self.label, tuple(map(BibRecord, *self.columns)), self.skipped_rows)
+
+    def sample(self, n: int, seed: int) -> Corpus:
+        """The records ``sample_corpus(self.corpus(), n, seed)`` would hold."""
+        return Corpus(self.label, self._records(_sample_indices(len(self), n, seed, self.label)))
+
+    def summary(self, distinct_author_total: int | None = None) -> BiblioSummary:
+        """``bibliometric_descriptives(self.corpus(), distinct_author_total)``."""
+        return _summary(self.years, self.author_counts, self.citations, distinct_author_total)
+
+    def check_counts(self) -> None:
+        """Raise the DomainError that building the record of the first row
+        with a negative count raises."""
+        if min(self.citations, default=0) < 0 or min(self.author_counts, default=0) < 0:
+            pairs = zip(self.citations, self.author_counts)
+            self._records([next(row for row, pair in enumerate(pairs) if min(pair) < 0)])
+
+
+def _read_table(source, column_map: dict[str, str] | None = None, label: str = "") -> _Table:
+    """Read and check every row of an export, as ``parse_bibliographic_csv``
+    documents, into a _Table."""
     mapping = dict(DEFAULT_COLUMN_MAP if column_map is None else column_map)
     if "title" not in mapping:
         raise ConfigError("column_map must name the title column")
-    explicit = column_map is not None
 
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)
     elif not (isinstance(source, (str, Path)) or hasattr(source, "read")):
         raise ConfigError(f"unsupported CSV source: {type(source).__name__}")
 
-    with open_text(source, encoding="utf-8-sig") as stream:
-        rows = read_csv_rows(stream)
-        _, header = next(rows, (None, None))
-        if header is None:
-            raise CsvParseError("input has no header row", row=1)
-        index = {name: pos for pos, name in enumerate(header)}
-
-        columns: dict[str, int] = {}
-        for logical, csv_name in mapping.items():
-            if csv_name in index:
-                columns[logical] = index[csv_name]
-            elif logical == "title" or explicit:
-                raise ConfigError(
-                    f"column {csv_name!r} (for {logical!r}) not found in header {header}"
-                )
-
-        def cell(row: list[str], logical: str) -> str:
-            pos = columns.get(logical)
-            if pos is None or pos >= len(row):
-                return ""
-            return row[pos]
-
-        records = []
-        skipped = 0
-        for data_row, row in enumerate((row for _, row in rows if row), start=1):
-            title = cell(row, "title").strip()
-            if not title:
-                skipped += 1
-                continue
-            rec_id = cell(row, "id").strip() or f"row{data_row}"
-            records.append(
-                BibRecord(
-                    id=rec_id,
-                    title=title,
-                    abstract=cell(row, "abstract"),
-                    year=_parse_year(cell(row, "year")),
-                    venue=cell(row, "venue").strip(),
-                    citations=_parse_int(cell(row, "citations")),
-                    author_count=_parse_int(cell(row, "author_count")),
-                )
-            )
-        return Corpus(label=label, records=tuple(records), skipped_rows=skipped)
+    table = _columns(label, _read_cells(source, mapping, column_map is not None, label))
+    table.check_counts()
+    _require_unique_ids(label, table.ids)
+    return table
 
 
-def require_records(corpus: Corpus, source) -> None:
+def _read_cells(source, mapping: dict[str, str], explicit: bool, label: str) -> dict[str, tuple]:
+    """The cells of each mapped BibRecord field, one tuple per field, over
+    the rows that are not blank."""
+    fields: list[str] = []
+    picked: list = []
+    try:
+        with open_text(source, encoding="utf-8-sig") as stream:
+            rows = read_csv_rows(stream)
+            _, header = next(rows, (None, None))
+            if header is None:
+                raise CsvParseError("input has no header row", row=1)
+            index = {name: pos for pos, name in enumerate(header)}
+
+            columns: dict[str, int] = {}
+            for logical, csv_name in mapping.items():
+                if csv_name in index:
+                    columns[logical] = index[csv_name]
+                elif logical == "title" or explicit:
+                    raise ConfigError(
+                        f"column {csv_name!r} (for {logical!r}) not found in header {header}"
+                    )
+
+            fields = [field for field in _FIELDS if field in columns]
+            positions = [columns[field] for field in fields]
+            get = itemgetter(*positions)
+            pad = [""] * (max(positions) + 1)  # a short row's missing cells are ""
+            append = picked.append
+            for _, row in rows:
+                if len(row) >= len(pad):
+                    append(get(row))
+                elif row:
+                    append(get(row + pad))
+    except LexigaugeError:
+        # A negative count is a fault of its row, so it wins over a fault
+        # further on in the file.
+        _columns(label, _transpose(fields, picked)).check_counts()
+        raise
+    return _transpose(fields, picked)
+
+
+def _transpose(fields: list[str], picked: list) -> dict[str, tuple]:
+    """Rows picked by an itemgetter over ``fields`` as one tuple per field
+    (a one-field itemgetter picks the cell itself)."""
+    return dict(zip(fields, zip(*picked) if len(fields) > 1 else [tuple(picked)]))
+
+
+def _columns(label: str, cells: dict[str, tuple]) -> _Table:
+    """A _Table of the rows in ``cells``; an unmapped field reads as a
+    column of "" cells."""
+    blank = ("",) * len(cells.get("title", ()))
+    titles = [title.strip() for title in cells.get("title", blank)]
+    columns = [
+        [rec_id.strip() or f"row{row}" for row, rec_id in enumerate(cells.get("id", blank), 1)],
+        titles,
+        list(cells.get("abstract", blank)),
+        _parse_cells(cells.get("year", blank), _parse_year),
+        [venue.strip() for venue in cells.get("venue", blank)],
+        _parse_cells(cells.get("citations", blank), _parse_int),
+        _parse_cells(cells.get("author_count", blank), _parse_int),
+    ]
+    keep = list(map(bool, titles))
+    skipped = len(keep) - sum(keep)
+    if skipped:
+        columns = [list(compress(column, keep)) for column in columns]
+    return _Table(label, skipped, columns)
+
+
+def _parse_cells(cells, parse) -> list:
+    """``[parse(cell) for cell in cells]``, calling ``parse`` once per
+    distinct cell."""
+    parsed = {cell: parse(cell) for cell in set(cells)}
+    return list(map(parsed.__getitem__, cells))
+
+
+def require_records(corpus: Corpus | _Table, source) -> None:
     """Raise DomainError naming ``source`` when ``corpus`` holds no record
     (every row had an empty title)."""
     if len(corpus) == 0:
@@ -304,18 +392,18 @@ def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:
     Deterministic in (corpus, n, seed); the sample preserves the input
     ordering of the chosen records and the corpus label.
     """
+    chosen = _sample_indices(len(corpus.records), n, seed, corpus.label)
+    return Corpus(label=corpus.label, records=tuple(corpus.records[i] for i in chosen))
+
+
+def _sample_indices(size: int, n: int, seed: int, label: str) -> list[int]:
+    """The sorted positions of a seeded sample of ``n`` of ``size`` rows."""
     if n <= 0:
         raise DomainError(f"sample size must be positive, got {n}")
-    if n > len(corpus.records):
-        raise DomainError(
-            f"corpus {corpus.label!r}: sample size {n} exceeds its {len(corpus.records)} records"
-        )
+    if n > size:
+        raise DomainError(f"corpus {label!r}: sample size {n} exceeds its {size} records")
     rng = np.random.Generator(np.random.PCG64(seed))
-    chosen = np.sort(rng.choice(len(corpus.records), size=n, replace=False))
-    return Corpus(
-        label=corpus.label,
-        records=tuple(corpus.records[i] for i in chosen),
-    )
+    return np.sort(rng.choice(size, size=n, replace=False)).tolist()
 
 
 def bibliometric_descriptives(
@@ -330,17 +418,31 @@ def bibliometric_descriptives(
     the first and last observed year, in percent; records without a year
     are excluded from the growth computation only.
     """
-    if len(corpus.records) == 0:
-        raise DomainError("cannot summarize an empty corpus")
-    doc_count = len(corpus.records)
-    author_total = (
-        distinct_author_total
-        if distinct_author_total is not None
-        else sum(r.author_count for r in corpus.records)
+    records = corpus.records
+    return _summary(
+        [r.year for r in records],
+        [r.author_count for r in records],
+        [r.citations for r in records],
+        distinct_author_total,
     )
-    citations_total = sum(r.citations for r in corpus.records)
 
-    years = [r.year for r in corpus.records if r.year is not None]
+
+def _summary(
+    years: list[int | None],
+    author_counts: list[int],
+    citations: list[int],
+    distinct_author_total: int | None,
+) -> BiblioSummary:
+    """``bibliometric_descriptives`` over one list per record field."""
+    doc_count = len(citations)
+    if doc_count == 0:
+        raise DomainError("cannot summarize an empty corpus")
+    author_total = (
+        distinct_author_total if distinct_author_total is not None else sum(author_counts)
+    )
+    citations_total = sum(citations)
+
+    years = [year for year in years if year is not None]
     timespan = (min(years), max(years)) if years else None
     growth = 0.0
     if timespan and timespan[1] > timespan[0]:

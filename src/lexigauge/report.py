@@ -26,10 +26,8 @@ from .errors import ConfigError, ConsistencyError, DegenerateDataError, DomainEr
 from .ingest import (
     SAMPLING_RNG,
     BiblioSummary,
-    bibliometric_descriptives,
-    parse_bibliographic_csv,
+    _read_table,
     require_records,
-    sample_corpus,
     write_csv,
 )
 from .metrics import (
@@ -409,16 +407,19 @@ def normality_or_none(values) -> NormalityResult | None:
 
 
 def _analyze_corpus(config: CorpusConfig, analysis: AnalysisConfig) -> CorpusResult:
-    full = parse_bibliographic_csv(
-        config.csv_path, column_map=config.column_map, label=config.label
-    )
-    require_records(full, config.csv_path)
+    # Every row is read and checked, but records are built only for the
+    # rows that are analyzed.
+    table = _read_table(config.csv_path, column_map=config.column_map, label=config.label)
+    require_records(table, config.csv_path)
 
-    biblio = bibliometric_descriptives(full, distinct_author_total=config.author_total)
+    biblio = table.summary(distinct_author_total=config.author_total)
 
-    analyzed = full
-    if config.sample_size is not None:
-        analyzed = sample_corpus(full, config.sample_size, config.seed)
+    if config.sample_size is None:
+        analyzed = table.corpus()
+    else:
+        analyzed = table.sample(config.sample_size, config.seed)
+    parsed_documents, skipped_rows = len(table), table.skipped_rows
+    del table  # the rows left out of a sample are freed before the analysis
 
     records = lexical_records(analyzed, policy=analysis.token_policy)
     missing = sum(1 for r in records if r.fkgl is None)
@@ -444,8 +445,8 @@ def _analyze_corpus(config: CorpusConfig, analysis: AnalysisConfig) -> CorpusRes
     return CorpusResult(
         label=config.label,
         source_csv=str(config.csv_path),
-        parsed_documents=len(full),
-        skipped_rows=full.skipped_rows,
+        parsed_documents=parsed_documents,
+        skipped_rows=skipped_rows,
         sample_size=config.sample_size,
         sample_seed=config.seed,
         bibliometrics=biblio,

@@ -427,6 +427,10 @@ def ndtri(y: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Elements of one block of kde's grid-by-sample array: 2 MB of float64.
+_KDE_BLOCK_ELEMENTS = 1 << 18
+
+
 def kde(values, grid_points: int = 512) -> DensitySeries:
     """Gaussian KDE with Silverman's rule-of-thumb bandwidth
     0.9 * min(sd, IQR/1.34) * n^(-1/5), evaluated on grid_points equally
@@ -445,8 +449,14 @@ def kde(values, grid_points: int = 512) -> DensitySeries:
     h = 0.9 * scale * arr.size ** (-0.2)
 
     grid = np.linspace(arr.min() - 3.0 * h, arr.max() + 3.0 * h, grid_points)
-    z = (grid[:, None] - arr[None, :]) / h
-    density = np.exp(-0.5 * z * z).sum(axis=1) / (arr.size * h * math.sqrt(2.0 * math.pi))
+    # Grid rows are summed a block at a time, each row still in one
+    # contiguous sum, so the densities do not depend on the block size.
+    sums = np.empty(grid_points)
+    rows = max(1, _KDE_BLOCK_ELEMENTS // arr.size)
+    for start in range(0, grid_points, rows):
+        z = (grid[start:start + rows, None] - arr[None, :]) / h
+        sums[start:start + rows] = np.exp(-0.5 * z * z).sum(axis=1)
+    density = sums / (arr.size * h * math.sqrt(2.0 * math.pi))
     return DensitySeries(
         grid=tuple(float(g) for g in grid),
         density=tuple(float(d) for d in density),

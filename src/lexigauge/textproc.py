@@ -314,21 +314,35 @@ def decode_config_text(data: bytes | str, name) -> str:
         raise ConfigError(f"{name}: not valid UTF-8 at byte {exc.start} ({exc.reason})") from exc
 
 
+def _word_list_entries(path: str | Path) -> list[tuple[int, str]]:
+    """``(line number, entry)`` for each stripped, lowercased entry; ``#``
+    comments and blank lines ignored."""
+    entries = []
+    for lineno, line in enumerate(read_config_text(path).splitlines(), 1):
+        line = line.strip().lower()
+        if line and not line.startswith("#"):
+            entries.append((lineno, line))
+    return entries
+
+
 def _load_word_list(path: str | Path) -> frozenset[str]:
     """One stripped, lowercased entry per line; ``#`` comments and blank
     lines ignored."""
-    entries = set()
-    for line in read_config_text(path).splitlines():
-        line = line.strip().lower()
-        if line and not line.startswith("#"):
-            entries.add(line)
-    return frozenset(entries)
+    return frozenset(entry for _, entry in _word_list_entries(path))
 
 
 def load_abbreviations(path: str | Path) -> frozenset[str]:
     """Load a sentence-abbreviation list: one entry per line, ``#`` comments
-    and blank lines ignored; entries lowercased."""
-    return _load_word_list(path)
+    and blank lines ignored; entries lowercased.  Abbreviations are tested
+    only where a sentence could end, so an entry that does not end in
+    ``.``, ``!`` or ``?`` raises ConfigError."""
+    entries = _word_list_entries(path)
+    for lineno, entry in entries:
+        if not _TERMINATOR.fullmatch(entry[-1]):
+            raise ConfigError(
+                f"{path}:{lineno}: abbreviation {entry!r} does not end in '.', '!' or '?'"
+            )
+    return frozenset(entry for _, entry in entries)
 
 
 _BOOL_VALUES = {"true": True, "yes": True, "1": True,

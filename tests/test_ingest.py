@@ -1,18 +1,25 @@
 import gc
 import io
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexigauge import cli
 from lexigauge.errors import ConfigError, CsvParseError, DomainError, LexigaugeError
 from lexigauge.ingest import (
+    DEFAULT_COLUMN_MAP,
     ROUNDTRIP_COLUMN_MAP,
     BibRecord,
     Corpus,
+    _parse_int,
+    _parse_year,
+    _read_table,
     bibliometric_descriptives,
+    open_text,
     parse_bibliographic_csv,
+    read_csv_rows,
     sample_corpus,
     write_corpus_csv,
 )
@@ -225,6 +232,160 @@ def test_bare_cr_in_a_cell_round_trips_through_write_corpus_csv(tmp_path):
     write_corpus_csv(Corpus(label="cr", records=records), path)
     assert b'"Two\rlines"' in path.read_bytes()
     assert parse_bibliographic_csv(path, column_map=ROUNDTRIP_COLUMN_MAP).records == records
+
+
+def _oracle_parse(source, column_map=None, label=""):
+    """The per-row parser that the column table replaced: one BibRecord per
+    row as it is read, so a negative count raises at its row."""
+    mapping = dict(DEFAULT_COLUMN_MAP if column_map is None else column_map)
+    if "title" not in mapping:
+        raise ConfigError("column_map must name the title column")
+    explicit = column_map is not None
+
+    if isinstance(source, (bytes, bytearray)):
+        source = io.BytesIO(source)
+    elif not (isinstance(source, (str, Path)) or hasattr(source, "read")):
+        raise ConfigError(f"unsupported CSV source: {type(source).__name__}")
+
+    with open_text(source, encoding="utf-8-sig") as stream:
+        rows = read_csv_rows(stream)
+        _, header = next(rows, (None, None))
+        if header is None:
+            raise CsvParseError("input has no header row", row=1)
+        index = {name: pos for pos, name in enumerate(header)}
+
+        columns: dict[str, int] = {}
+        for logical, csv_name in mapping.items():
+            if csv_name in index:
+                columns[logical] = index[csv_name]
+            elif logical == "title" or explicit:
+                raise ConfigError(
+                    f"column {csv_name!r} (for {logical!r}) not found in header {header}"
+                )
+
+        def cell(row: list[str], logical: str) -> str:
+            pos = columns.get(logical)
+            if pos is None or pos >= len(row):
+                return ""
+            return row[pos]
+
+        records = []
+        skipped = 0
+        for data_row, row in enumerate((row for _, row in rows if row), start=1):
+            title = cell(row, "title").strip()
+            if not title:
+                skipped += 1
+                continue
+            rec_id = cell(row, "id").strip() or f"row{data_row}"
+            records.append(
+                BibRecord(
+                    id=rec_id,
+                    title=title,
+                    abstract=cell(row, "abstract"),
+                    year=_parse_year(cell(row, "year")),
+                    venue=cell(row, "venue").strip(),
+                    citations=_parse_int(cell(row, "citations")),
+                    author_count=_parse_int(cell(row, "author_count")),
+                )
+            )
+        return Corpus(label=label, records=tuple(records), skipped_rows=skipped)
+
+
+_HEADERS = ["Title", "Abstract", "Year", "Source title", "Cited by", "Author count", "Id", "Note"]
+_LOGICAL = ["title", "abstract", "year", "venue", "citations", "author_count", "id", "doi"]
+_CELLS = [
+    "", " ", "A title", "  Padded title  ", "dup", "a, b", 'say "so"', "two\nlines",
+    " 2015 ", "2015.9", "1899", "n/a", "nan", "1e999", "1e300", "-3", "7",
+]
+# Faults the reader meets after the rows before them: a malformed quote, an
+# unclosed quote and an invalid UTF-8 byte.  The long cell pushes a fault
+# past the text layer's first decoded chunk.
+_FAULTS = [b'"bad"quote', b'"unclosed', b"caf\xe9"]
+_LONG_CELL = "Long abstract. " * 700
+
+
+def _csv_cell(text: str) -> str:
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def _exports(draw):
+    """Bytes of a small export and a column map: ragged rows, blank lines,
+    an optional BOM and at most one fault, after any row."""
+    header = draw(
+        st.permutations(_HEADERS)
+        | st.lists(st.sampled_from(_HEADERS), min_size=1, max_size=7, unique=True)
+    )
+    rows = draw(
+        st.lists(st.lists(st.sampled_from(_CELLS + [_LONG_CELL]), max_size=len(header) + 1),
+                 max_size=10)
+    )
+    lines = [",".join(map(_csv_cell, row)).encode() for row in [header] + rows]
+    fault = draw(st.sampled_from([None] + _FAULTS))
+    if fault is not None:
+        lines.insert(draw(st.integers(1, len(lines))), fault)
+    newline = draw(st.sampled_from([b"\n", b"\r\n"]))
+    data = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + newline.join(lines) + newline
+    column_map = draw(
+        st.sampled_from([None, ROUNDTRIP_COLUMN_MAP])
+        | st.dictionaries(st.sampled_from(_LOGICAL), st.sampled_from(_HEADERS + ["Missing"]),
+                          max_size=5)
+    )
+    return data, column_map
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except LexigaugeError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_exports())
+@example((b"Id,Title,Cited by\ndup,One,1\ndup,Two,-3\n",
+          {"id": "Id", "title": "Title", "citations": "Cited by"}))
+@example((b"Title,Cited by,Author count\n,-1,0\nOne,2,-1\nTwo,-3,0\n", None))
+def test_parser_equals_the_per_row_oracle(export):
+    data, column_map = export
+    assert _outcome(parse_bibliographic_csv, data, column_map, "c") == _outcome(
+        _oracle_parse, data, column_map, "c"
+    )
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_negative_count_wins_over_a_fault_on_a_later_row(fault):
+    # The padding puts the fault past the first decoded chunk of the file.
+    padding = b"Padding title,Some abstract.,3\n" * 400
+    data = b"Title,Abstract,Cited by\nCounted,x,-3\n" + padding + fault + b"\n"
+    for parse in (parse_bibliographic_csv, _oracle_parse):
+        with pytest.raises(DomainError, match=r"^record 'row1': negative citation count$"):
+            parse(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exports(), st.integers(-1, 12), st.integers(0, 2**32), st.none() | st.integers(0, 50))
+def test_sampled_table_equals_sample_and_summary_of_the_parsed_corpus(
+    export, n, seed, author_total
+):
+    data, column_map = export
+    table = _outcome(_read_table, data, column_map, "c")
+    corpus = _outcome(parse_bibliographic_csv, data, column_map, "c")
+    if isinstance(corpus, tuple):
+        assert table == corpus
+        return
+    assert _outcome(table.sample, n, seed) == _outcome(sample_corpus, corpus, n, seed)
+    assert _outcome(table.summary, author_total) == _outcome(
+        bibliometric_descriptives, corpus, author_total
+    )
+
+
+def test_sampled_table_keeps_the_oversized_sample_message():
+    table = _read_table(b"Title\nOne\nTwo\n\n,\nThree\n", label="small")
+    with pytest.raises(DomainError, match=r"^corpus 'small': sample size 4 exceeds its 3 records$"):
+        table.sample(4, seed=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lexigauge import stats
 from lexigauge.errors import DegenerateDataError, DomainError, UnsupportedDataError
 from lexigauge.stats import (
     _midranks,
@@ -461,3 +463,28 @@ def test_kde_grid_spans_three_bandwidths():
     series = kde(values, grid_points=64)
     assert series.grid[0] == pytest.approx(values.min() - 3 * series.bandwidth)
     assert series.grid[-1] == pytest.approx(values.max() + 3 * series.bandwidth)
+
+
+@pytest.mark.parametrize("block_elements", [1, 700, 1 << 18])
+@pytest.mark.parametrize("n", [2, 3, 650, 1000, 4099])
+def test_kde_row_blocks_give_the_unblocked_densities_bit_for_bit(monkeypatch, n, block_elements):
+    monkeypatch.setattr(stats, "_KDE_BLOCK_ELEMENTS", block_elements)
+    values = np.random.default_rng(n).gamma(2.0, 3.0, size=n)
+    series = kde(values, grid_points=300)
+    grid, h = np.array(series.grid), series.bandwidth
+    z = (grid[:, None] - values[None, :]) / h
+    unblocked = np.exp(-0.5 * z * z).sum(axis=1) / (n * h * math.sqrt(2.0 * math.pi))
+    assert [d.hex() for d in series.density] == [float(d).hex() for d in unblocked]
+
+
+def test_kde_memory_is_bounded_by_its_row_blocks():
+    # One grid-by-sample float64 array here would be 512 * 20,000 * 8 bytes
+    # (82 MB); the row blocks keep the peak to a few of its 2 MB blocks.
+    values = np.random.default_rng(34).normal(size=20_000)
+    tracemalloc.start()
+    try:
+        kde(values, grid_points=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

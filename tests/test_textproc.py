@@ -401,6 +401,14 @@ def test_load_abbreviations(tmp_path):
     assert load_abbreviations(path) == frozenset({"proc.", "fig.", "et al."})
 
 
+def test_load_abbreviations_rejects_an_entry_that_cannot_end_a_sentence(tmp_path):
+    # Abbreviations are tested only at a '.', '!' or '?', so "dr" could never match.
+    path = tmp_path / "abbr.txt"
+    path.write_text("# titles\nProf.\n\ndr\n")
+    with pytest.raises(ConfigError, match=r"abbr\.txt:4: abbreviation 'dr' does not end in"):
+        load_abbreviations(path)
+
+
 def test_load_token_policy(tmp_path):
     path = tmp_path / "policy.txt"
     path.write_text("keep_numbers = false\nbind_hyphens=true\n# note\n")
