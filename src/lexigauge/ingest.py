@@ -58,6 +58,11 @@ DEFAULT_COLUMN_MAP = {
     "author_count": "Author count",
 }
 
+# Column map matching write_corpus_csv output; round-trips every field.  Its
+# keys are BibRecord's fields in constructor order: the columns of a _Table.
+ROUNDTRIP_COLUMN_MAP = {"id": "Id", **DEFAULT_COLUMN_MAP}
+_FIELDS = tuple(ROUNDTRIP_COLUMN_MAP)
+
 
 @dataclass(frozen=True)
 class BibRecord:
@@ -170,13 +175,8 @@ def open_text(target, mode: str = "r", encoding: str = "utf-8"):
         else:
             yield target
     except UnicodeDecodeError as exc:
-        raise _not_utf8(target, exc) from exc
-
-
-def _not_utf8(source, exc: UnicodeDecodeError) -> CsvParseError:
-    if not isinstance(source, (str, Path)):
-        source = getattr(source, "name", "input")
-    return CsvParseError(f"{source}: not valid UTF-8 ({exc.reason})")
+        name = target if isinstance(target, (str, Path)) else getattr(target, "name", "input")
+        raise CsvParseError(f"{name}: not valid UTF-8 ({exc.reason})") from exc
 
 
 def read_csv_rows(stream):
@@ -225,17 +225,29 @@ def parse_bibliographic_csv(
     return _read_table(source, column_map, label).corpus()
 
 
-# BibRecord's fields in constructor order: the columns of a _Table.
-_FIELDS = ("id", "title", "abstract", "year", "venue", "citations", "author_count")
-
-
 class _Table:
     """The usable rows of one export as columns, one list per BibRecord
     field in row order.  Records are built only for the rows asked for."""
 
-    def __init__(self, label: str, skipped_rows: int, columns: list[list]):
+    def __init__(self, label: str, cells: dict[str, tuple]):
+        """Columns of the rows in ``cells`` (one tuple per mapped field) that
+        have a title; an unmapped field reads as a column of "" cells."""
+        blank = ("",) * len(cells.get("title", ()))
+        titles = [title.strip() for title in cells.get("title", blank)]
+        columns = [
+            [rec_id.strip() or f"row{row}" for row, rec_id in enumerate(cells.get("id", blank), 1)],
+            titles,
+            list(cells.get("abstract", blank)),
+            _parse_cells(cells.get("year", blank), _parse_year),
+            [venue.strip() for venue in cells.get("venue", blank)],
+            _parse_cells(cells.get("citations", blank), _parse_int),
+            _parse_cells(cells.get("author_count", blank), _parse_int),
+        ]
+        keep = list(map(bool, titles))
         self.label = label
-        self.skipped_rows = skipped_rows
+        self.skipped_rows = len(keep) - sum(keep)
+        if self.skipped_rows:
+            columns = [list(compress(column, keep)) for column in columns]
         self.columns = columns  # in _FIELDS order
         (self.ids, self.titles, self.abstracts, self.years, self.venues,
          self.citations, self.author_counts) = columns
@@ -278,17 +290,9 @@ def _read_table(source, column_map: dict[str, str] | None = None, label: str = "
     elif not (isinstance(source, (str, Path)) or hasattr(source, "read")):
         raise ConfigError(f"unsupported CSV source: {type(source).__name__}")
 
-    table = _columns(label, _read_cells(source, mapping, column_map is not None, label))
-    table.check_counts()
-    _require_unique_ids(label, table.ids)
-    return table
-
-
-def _read_cells(source, mapping: dict[str, str], explicit: bool, label: str) -> dict[str, tuple]:
-    """The cells of each mapped BibRecord field, one tuple per field, over
-    the rows that are not blank."""
     fields: list[str] = []
-    picked: list = []
+    picked: list = []  # the mapped cells of each row that is not blank
+    fault = None
     try:
         with open_text(source, encoding="utf-8-sig") as stream:
             rows = read_csv_rows(stream)
@@ -301,7 +305,7 @@ def _read_cells(source, mapping: dict[str, str], explicit: bool, label: str) -> 
             for logical, csv_name in mapping.items():
                 if csv_name in index:
                     columns[logical] = index[csv_name]
-                elif logical == "title" or explicit:
+                elif logical == "title" or column_map is not None:
                     raise ConfigError(
                         f"column {csv_name!r} (for {logical!r}) not found in header {header}"
                     )
@@ -316,39 +320,18 @@ def _read_cells(source, mapping: dict[str, str], explicit: bool, label: str) -> 
                     append(get(row))
                 elif row:
                     append(get(row + pad))
-    except LexigaugeError:
-        # A negative count is a fault of its row, so it wins over a fault
-        # further on in the file.
-        _columns(label, _transpose(fields, picked)).check_counts()
-        raise
-    return _transpose(fields, picked)
+    except LexigaugeError as exc:
+        fault = exc
 
-
-def _transpose(fields: list[str], picked: list) -> dict[str, tuple]:
-    """Rows picked by an itemgetter over ``fields`` as one tuple per field
-    (a one-field itemgetter picks the cell itself)."""
-    return dict(zip(fields, zip(*picked) if len(fields) > 1 else [tuple(picked)]))
-
-
-def _columns(label: str, cells: dict[str, tuple]) -> _Table:
-    """A _Table of the rows in ``cells``; an unmapped field reads as a
-    column of "" cells."""
-    blank = ("",) * len(cells.get("title", ()))
-    titles = [title.strip() for title in cells.get("title", blank)]
-    columns = [
-        [rec_id.strip() or f"row{row}" for row, rec_id in enumerate(cells.get("id", blank), 1)],
-        titles,
-        list(cells.get("abstract", blank)),
-        _parse_cells(cells.get("year", blank), _parse_year),
-        [venue.strip() for venue in cells.get("venue", blank)],
-        _parse_cells(cells.get("citations", blank), _parse_int),
-        _parse_cells(cells.get("author_count", blank), _parse_int),
-    ]
-    keep = list(map(bool, titles))
-    skipped = len(keep) - sum(keep)
-    if skipped:
-        columns = [list(compress(column, keep)) for column in columns]
-    return _Table(label, skipped, columns)
+    # A one-field itemgetter picks the cell itself.
+    table = _Table(label, dict(zip(fields, zip(*picked) if len(fields) > 1 else [tuple(picked)])))
+    # A negative count is a fault of its row, so it wins over a fault further
+    # on in the file.
+    table.check_counts()
+    if fault is not None:
+        raise fault
+    _require_unique_ids(label, table.ids)
+    return table
 
 
 def _parse_cells(cells, parse) -> list:
@@ -365,25 +348,10 @@ def require_records(corpus: Corpus | _Table, source) -> None:
         raise DomainError(f"no usable records in {source}")
 
 
-_WRITE_COLUMNS = [
-    ("id", "Id"),
-    ("title", "Title"),
-    ("abstract", "Abstract"),
-    ("year", "Year"),
-    ("venue", "Source title"),
-    ("citations", "Cited by"),
-    ("author_count", "Author count"),
-]
-
-# Column map matching write_corpus_csv output; round-trips every field.
-ROUNDTRIP_COLUMN_MAP = {logical: header for logical, header in _WRITE_COLUMNS}
-
-
 def write_corpus_csv(corpus: Corpus, target) -> None:
     """Serialize a corpus back to CSV (RFC 4180); parsing the output with
     ROUNDTRIP_COLUMN_MAP reproduces the records field-for-field."""
-    fields = attrgetter(*(field for field, _ in _WRITE_COLUMNS))
-    write_csv(target, [header for _, header in _WRITE_COLUMNS], map(fields, corpus.records))
+    write_csv(target, ROUNDTRIP_COLUMN_MAP.values(), map(attrgetter(*_FIELDS), corpus.records))
 
 
 def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:

@@ -118,6 +118,10 @@ class CorpusConfig:
                 )
 
 
+# Each density holds one (x, y) pair per grid point, so the grid is capped.
+_MAX_KDE_GRID_POINTS = 2**16
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     min_title_frequency: int = 2
@@ -130,8 +134,9 @@ class AnalysisConfig:
     def __post_init__(self):
         if self.network_seed < 0:
             raise ConfigError(f"'network_seed' must be non-negative, got {self.network_seed}")
-        if self.kde_grid_points < 16:
-            raise ConfigError(f"'kde_grid_points' must be >= 16, got {self.kde_grid_points}")
+        if not 16 <= self.kde_grid_points <= _MAX_KDE_GRID_POINTS:
+            bound = ">= 16" if self.kde_grid_points < 16 else f"<= {_MAX_KDE_GRID_POINTS}"
+            raise ConfigError(f"'kde_grid_points' must be {bound}, got {self.kde_grid_points}")
         try:
             valid = math.isfinite(self.louvain_resolution) and self.louvain_resolution >= 0
         except OverflowError:  # an integer past the float range

@@ -152,8 +152,9 @@ def shapiro_wilk(values) -> NormalityResult:
         raise DegenerateDataError("all sample values are identical")
 
     a = _sw_weights(n)
-    centered = x - x.mean()
-    squares = centered @ centered
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        centered = x - x.mean()
+        squares = centered @ centered
     if not np.isfinite(squares):
         raise DomainError("Shapiro-Wilk sum of squares overflows for this sample")
     w = float((a @ x) ** 2 / squares)

@@ -155,6 +155,17 @@ def test_stats_names_the_table_or_the_metric(data_dir, tmp_path):
     )
 
 
+@pytest.mark.filterwarnings("error")
+def test_stats_on_an_overflowing_column_exits_0_with_a_null_normality(tmp_path):
+    table = tmp_path / "overflow.csv"
+    table.write_text("doc_id,title_length_chars,fkgl,yules_k\n"
+                     "d1,10,1e300,50\nd2,12,-1e300,60\nd3,14,1e300,70\nd4,16,2,80\n")
+    out = tmp_path / "stats.json"
+    assert _run(["stats", str(table), str(table), "--out", str(out)]) == (0, "")
+    fkgl = json.loads(out.read_text(encoding="utf-8"))["fkgl"]
+    assert fkgl["normality_a"] is None and fkgl["normality_b"] is None
+
+
 # ---------------------------------------------------------------------------
 # Property: every exit is 0 or 1, and exit 1 names its subject once
 # ---------------------------------------------------------------------------

@@ -619,6 +619,22 @@ def test_manifest_rejects_kde_grid_below_16():
     assert load_run_config(_manifest(analysis={"kde_grid_points": 16})).analysis.kde_grid_points == 16
 
 
+def test_manifest_rejects_kde_grid_above_2_to_the_16(tmp_path, capsys):
+    # A density holds one (x, y) pair per grid point, so a huge grid is a
+    # configuration error (exit 1), not a memory error in kde (exit 2).
+    huge = _manifest(analysis={"kde_grid_points": 10**15})
+    message = r"^'kde_grid_points' must be <= 65536, got 1000000000000000$"
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(huge)
+    largest = load_run_config(_manifest(analysis={"kde_grid_points": 2**16}))
+    assert largest.analysis.kde_grid_points == 2**16
+    manifest = tmp_path / "run.json"
+    manifest.write_text(json.dumps(huge))
+    assert cli.main(["compare", "--config", str(manifest), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'kde_grid_points'" in err
+
+
 def test_manifest_rejects_negative_author_total():
     with pytest.raises(ConfigError, match="corpus 'A': 'author_total' must be non-negative"):
         load_run_config(_manifest({"author_total": -1}))

@@ -50,13 +50,14 @@ TRIANGLES = graph_from_edges(
 
 
 @st.composite
-def random_graphs(draw, max_weight=1):
-    """Graphs over 1-30 random names whose sorted order differs from their
-    drawing order; edge density from none to complete, so isolated nodes
-    and several components are common.  Edge weights are 1 to
-    ``max_weight``."""
+def random_graphs(draw, max_weight=1, max_nodes=30):
+    """Graphs over 1 to ``max_nodes`` random names whose sorted order differs
+    from their drawing order; edge density from none to complete, so
+    isolated nodes and several components are common.  Edge weights are 1
+    to ``max_weight``."""
     names = draw(
-        st.lists(st.text("abcdefghij", min_size=1, max_size=3), min_size=1, max_size=30, unique=True)
+        st.lists(st.text("abcdefghij", min_size=1, max_size=3), min_size=1, max_size=max_nodes,
+                 unique=True)
     )
     pairs = list(itertools.combinations(sorted(names), 2))
     threshold = draw(st.integers(0, 10))
@@ -409,6 +410,25 @@ def test_louvain_identical_to_dict_louvain_on_seeded_graphs(resolution):
             oracle = dict_louvain_communities(graph, resolution=resolution, seed=seed)
             assert result.assignment == oracle.assignment
             assert repr(result.modularity_q) == repr(oracle.modularity_q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    graph=random_graphs(max_weight=5, max_nodes=40),
+    resolution=st.sampled_from([0.1, 0.5, 1.0, 2.0]),
+    seed=st.integers(0, 50),
+)
+@example(graph=TRIANGLES, resolution=0.1, seed=5)
+def test_louvain_communities_are_connected(graph, resolution, seed):
+    # Louvain can leave a community internally disconnected (Traag, Waltman
+    # & van Eck 2019, "From Louvain to Leiden").  No drawn graph has shown
+    # one, so louvain_communities has no step that splits a community.
+    nx = pytest.importorskip("networkx")
+    whole = networkx_graph(graph)
+    assignment = louvain_communities(graph, resolution=resolution, seed=seed).assignment
+    for label in set(assignment.values()):
+        members = [node for node, community in assignment.items() if community == label]
+        assert nx.is_connected(whole.subgraph(members)), (label, members)
 
 
 @pytest.mark.parametrize(

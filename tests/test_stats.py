@@ -121,6 +121,19 @@ def test_shapiro_overflowing_sum_of_squares_raises(values):
         shapiro_wilk(values)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "values",
+    [[1e300, -1e300, 1e300, 2], [i * 1e200 for i in range(1, 9)],
+     [1.7e308, 1.7e308, -1.7e308, 1e308]],
+)
+def test_shapiro_overflow_raises_without_a_numpy_warning(values):
+    # The overflow is reported once, as the DomainError, not also as a
+    # RuntimeWarning on stderr.
+    with pytest.raises(DomainError, match="overflows"):
+        shapiro_wilk(values)
+
+
 def test_shapiro_rejects_clear_non_normality():
     rng = np.random.default_rng(11)
     result = shapiro_wilk(rng.exponential(size=500))
