@@ -53,6 +53,7 @@ from .semnet import (
     louvain_communities,
 )
 from .stats import (
+    _MAX_KDE_GRID_POINTS,
     QUARTILE_METHOD,
     DensitySeries,
     Descriptives,
@@ -116,10 +117,6 @@ class CorpusConfig:
                 raise ConfigError(
                     f"corpus {self.label!r}: {key!r} must be non-negative, got {value}"
                 )
-
-
-# Each density holds one (x, y) pair per grid point, so the grid is capped.
-_MAX_KDE_GRID_POINTS = 2**16
 
 
 @dataclass(frozen=True)

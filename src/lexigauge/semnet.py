@@ -12,10 +12,10 @@ and half-weight self-loop is an exact float, whatever the summation order.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 import numpy as np
@@ -119,44 +119,42 @@ class CentralityScores:
     degree: dict[str, int]
 
 
-def build_coword_graph(
-    titles, policy: GraphPolicy = GraphPolicy()
-) -> CoWordGraph:
-    """Build the co-word graph of a title list.
+# Kept terms are paired, so 256 terms make 32,640 pairs; no title of the
+# bundled corpora or of the benchmark workloads keeps more than 12.
+_MAX_TITLE_TERMS = 256
 
-    Per title: tokenize, drop stopwords and tokens without letters,
-    de-duplicate within the title, then link every remaining unordered
-    token pair.  Node and edge counts accumulate across titles; nodes seen
-    in fewer than ``policy.min_title_frequency`` titles are pruned together
-    with their edges.  The result is invariant under permutation of the
-    input titles.
+
+def build_coword_graph(titles, policy: GraphPolicy = GraphPolicy()) -> CoWordGraph:
+    """Build the co-word graph of a title list: prune, then pair.
+
+    Per title: tokenize, drop stopwords and tokens without letters, and
+    de-duplicate.  Tokens in fewer than ``policy.min_title_frequency`` titles
+    are pruned; each pair of a title's kept tokens is then linked, weighted by
+    the number of titles holding both.  The result is invariant under
+    permutation of the titles.  A title keeping more than 256 tokens raises
+    DomainError naming its position, counted from 1.
     """
-    titles = list(titles)
-    if not titles:
+    token_sets = [set(tokenize(title, policy.token_policy)) for title in titles]
+    if not token_sets:
         raise DomainError("cannot build a co-word graph from zero titles")
+    node_frequency = Counter(chain.from_iterable(token_sets))
     stopwords = policy.effective_stopwords()
-
-    node_frequency: dict[str, int] = defaultdict(int)
-    edges: dict[tuple[str, str], int] = defaultdict(int)
-    for title in titles:
-        tokens = {
-            t
-            for t in tokenize(title, policy.token_policy)
-            if t not in stopwords and any(c.isalpha() for c in t)
-        }
-        for token in tokens:
-            node_frequency[token] += 1
-        for u, v in combinations(sorted(tokens), 2):
-            edges[(u, v)] += 1
-
-    keep = {t for t, f in node_frequency.items() if f >= policy.min_title_frequency}
+    keep = {
+        t
+        for t, f in node_frequency.items()
+        if f >= policy.min_title_frequency and t not in stopwords and any(map(str.isalpha, t))
+    }
+    edges: Counter[tuple[str, str]] = Counter()
+    for position, terms in enumerate(token_sets, 1):
+        kept = sorted(terms & keep)
+        if len(kept) > _MAX_TITLE_TERMS:
+            raise DomainError(
+                f"title {position} keeps {len(kept)} terms, past the cap of {_MAX_TITLE_TERMS}"
+            )
+        edges.update(combinations(kept, 2))
     return CoWordGraph(
         node_frequency={t: node_frequency[t] for t in sorted(keep)},
-        edges={
-            pair: w
-            for pair, w in sorted(edges.items())
-            if pair[0] in keep and pair[1] in keep
-        },
+        edges=dict(sorted(edges.items())),
     )
 
 

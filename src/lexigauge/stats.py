@@ -430,6 +430,8 @@ def ndtri(y: float) -> float:
 
 # Elements of one block of kde's grid-by-sample array: 2 MB of float64.
 _KDE_BLOCK_ELEMENTS = 1 << 18
+# Each density holds one (x, y) pair per grid point, so the grid is capped.
+_MAX_KDE_GRID_POINTS = 2**16
 
 
 def kde(values, grid_points: int = 512) -> DensitySeries:
@@ -439,8 +441,9 @@ def kde(values, grid_points: int = 512) -> DensitySeries:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise DomainError("cannot estimate a density from an empty sample")
-    if grid_points < 16:
-        raise DomainError(f"grid_points must be >= 16, got {grid_points}")
+    if not 16 <= grid_points <= _MAX_KDE_GRID_POINTS:
+        bound = ">= 16" if grid_points < 16 else f"<= {_MAX_KDE_GRID_POINTS}"
+        raise DomainError(f"grid_points must be {bound}, got {grid_points}")
     sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     if sd == 0.0:
         raise DegenerateDataError("sample variance is zero")

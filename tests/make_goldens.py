@@ -2,8 +2,10 @@
 
 Runs the bundled toy corpora through the full pipeline with a pinned
 configuration and freezes (a) the report JSON with the timestamp field
-removed and (b) one density SVG.  The outputs were reviewed by hand when
-first generated; rerun only when an intentional behaviour change is made:
+removed, (b) one density SVG and (c) the report JSON of the sampled run
+that CI makes (12 documents of each corpus, seed 3).  The outputs were
+reviewed by hand when first generated; rerun only when an intentional
+behaviour change is made:
 
     python tests/make_goldens.py
 """
@@ -37,20 +39,34 @@ def golden_config(out_dir: str) -> RunConfig:
     )
 
 
-def main() -> None:
-    with tempfile.TemporaryDirectory() as tmp:
-        report = run_compare(golden_config(tmp))
+def sampled_config(out_dir: str) -> RunConfig:
+    """``lexigauge compare`` on the toy pair with ``--sample-size 12 --seed 3``."""
+    return RunConfig(
+        corpora=tuple(
+            CorpusConfig(csv_path=str(DATA / f"corpus_{label}.csv"), label=label,
+                         sample_size=12, seed=3)
+            for label in ("process", "leadership")
+        ),
+        output=OutputConfig(directory=out_dir, formats=("json",)),
+    )
 
+
+def golden_json(report) -> str:
+    """The report JSON without its environment- and location-dependent
+    fields (their stability is covered by the rerun-determinism test)."""
     doc = report.to_json_dict()
-    # environment- and location-dependent fields are excluded from the
-    # golden (their stability is covered by the rerun-determinism test)
     doc.pop("provenance")
     for corpus in doc["corpora"]:
         corpus.pop("source_csv")
-    (DATA / "golden_report.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        report = run_compare(golden_config(tmp))
+        sampled = run_compare(sampled_config(tmp))
+
+    (DATA / "golden_report.json").write_text(golden_json(report), encoding="utf-8")
     a, b = report.corpora
     svg = emit_density_svg(
         a.densities["fkgl"],
@@ -59,7 +75,8 @@ def main() -> None:
         title="fkgl",
     )
     (DATA / "golden_density.svg").write_bytes(svg)
-    print("wrote golden_report.json and golden_density.svg")
+    (DATA / "golden_report_sampled.json").write_text(golden_json(sampled), encoding="utf-8")
+    print("wrote golden_report.json, golden_density.svg and golden_report_sampled.json")
 
 
 if __name__ == "__main__":

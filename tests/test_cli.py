@@ -129,6 +129,22 @@ def test_single_file_commands_name_their_file(tmp_path):
     )
 
 
+def test_a_repeated_over_cap_title_is_named_by_compare_and_semnet(data_dir, tmp_path):
+    # Both copies keep all 257 words, whose pairs would make a 32,896-edge clique.
+    long_title = " ".join(f"term{i}" for i in range(257))
+    rows = [["", long_title, "Short text here.", "", "", ""],
+            ["", long_title, "Teams form. Teams change. Teams last.", "", "", ""],
+            ["", "Team process", "Team work is hard to measure in small firms.", "", "", ""]]
+    repeated = _write_rows(tmp_path / "repeated.csv", rows)
+    assert _compare(data_dir, tmp_path, repeated) == (
+        1, "error: corpus 'A': title 1 keeps 257 terms, past the cap of 256\n"
+    )
+    assert _run(["semnet", repeated, "--out", str(tmp_path / "g.gexf")]) == (
+        1, f"error: {repeated}: title 1 keeps 257 terms, past the cap of 256\n"
+    )
+    assert not (tmp_path / "g.gexf").exists()
+
+
 def test_metrics_rejects_a_csv_without_usable_records(tmp_path):
     # Every title is empty: compare rejects the corpus, and so does metrics.
     empty = _write_rows(tmp_path / "empty.csv", [["r1", "", "Some abstract.", "", "", ""]])

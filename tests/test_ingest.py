@@ -16,6 +16,7 @@ from lexigauge.ingest import (
     _parse_int,
     _parse_year,
     _read_table,
+    _sample_indices,
     bibliometric_descriptives,
     open_text,
     parse_bibliographic_csv,
@@ -459,6 +460,22 @@ def test_sample_preserves_input_order():
     sample = sample_corpus(corpus, 10, seed=3)
     positions = [int(r.id[1:]) for r in sample.records]
     assert positions == sorted(positions)
+
+
+# NumPy does not promise that a Generator method's stream stays the same
+# across releases (NEP 19): a release that moves choice(replace=False) fails
+# here, instead of quietly changing which rows a seed samples.
+@pytest.mark.parametrize(
+    "size, n, seed, expected",
+    [
+        (20, 12, 3, [0, 1, 2, 6, 7, 8, 9, 11, 12, 13, 16, 17]),
+        (19, 12, 3, [0, 1, 2, 5, 6, 8, 10, 11, 12, 15, 16, 18]),
+        (1000, 5, 12345, [204, 226, 316, 696, 787]),
+        (20000, 8, 887, [2833, 5467, 5515, 9264, 16007, 16834, 17796, 17865]),
+    ],
+)
+def test_sample_indices_are_pinned_per_seed(size, n, seed, expected):
+    assert _sample_indices(size, n, seed, "pinned") == expected
 
 
 def test_sample_too_large_raises_naming_corpus():

@@ -29,6 +29,7 @@ from lexigauge.report import (
 )
 from lexigauge.stats import DensitySeries, kde
 from lexigauge.textproc import TokenPolicy
+from make_goldens import golden_json, sampled_config
 
 
 def make_config(data_dir, out_dir, *, formats=("json", "csv", "svg", "gexf"), **analysis):
@@ -158,6 +159,12 @@ def test_run_compare_matches_golden_snapshot(data_dir, tmp_path):
     rendered = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     golden = (data_dir / "golden_report.json").read_text(encoding="utf-8")
     assert rendered == golden
+
+
+def test_sampled_run_matches_its_golden(data_dir, tmp_path):
+    report = run_compare(sampled_config(str(tmp_path / "out")))
+    golden = (data_dir / "golden_report_sampled.json").read_text(encoding="utf-8")
+    assert golden_json(report) == golden
 
 
 def test_run_compare_writes_expected_files(data_dir, tmp_path):

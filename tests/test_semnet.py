@@ -1,4 +1,5 @@
 import itertools
+import string
 from collections import Counter, defaultdict, deque
 from unittest import mock
 from xml.etree import ElementTree as ET
@@ -29,6 +30,7 @@ from lexigauge.semnet import (
     louvain_communities,
     modularity,
 )
+from lexigauge.textproc import tokenize
 
 
 def graph_from_edges(edges: dict, extra_nodes=()) -> CoWordGraph:
@@ -159,6 +161,52 @@ def test_build_matches_naive_pairwise_oracle():
     graph = build_coword_graph(titles, GraphPolicy(min_title_frequency=1))
     assert graph.node_frequency == dict(node_oracle)
     assert graph.edges == dict(edge_oracle)
+
+
+def pair_then_prune(titles, min_title_frequency):
+    """The co-word graph built the naive way: count every pair of a title's
+    content tokens, then drop the pairs that touch a pruned token."""
+    stop = default_stopwords()
+    nodes, pairs = Counter(), Counter()
+    for title in titles:
+        terms = sorted({t for t in tokenize(title) if t not in stop and any(map(str.isalpha, t))})
+        nodes.update(terms)
+        pairs.update(itertools.combinations(terms, 2))
+    keep = {t for t, f in nodes.items() if f >= min_title_frequency}
+    return (
+        {t: nodes[t] for t in sorted(keep)},
+        {(u, v): w for (u, v), w in sorted(pairs.items()) if u in keep and v in keep},
+    )
+
+
+_TITLE_WORDS = ["team", "Team", "process", "change", "firm", "the", "of", "and", "2020",
+                "3d", "co-word", "self-efficacy", "e.g.", "leadership"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # A few distinct titles, each drawn again and again: repeated titles.
+    titles=st.lists(
+        st.lists(st.sampled_from(_TITLE_WORDS), max_size=8).map(" ".join), min_size=1, max_size=6
+    ).flatmap(lambda distinct: st.lists(st.sampled_from(distinct), min_size=1, max_size=12)),
+    min_title_frequency=st.integers(1, 4),
+)
+def test_build_prunes_then_pairs_like_the_pair_then_prune_oracle(titles, min_title_frequency):
+    graph = build_coword_graph(titles, GraphPolicy(min_title_frequency=min_title_frequency))
+    nodes, edges = pair_then_prune(titles, min_title_frequency)
+    assert list(graph.node_frequency.items()) == list(nodes.items())
+    assert list(graph.edges.items()) == list(edges.items())
+
+
+def test_build_caps_the_kept_terms_of_one_title():
+    words = ["zq" + a + b for a, b in itertools.product(string.ascii_lowercase, repeat=2)]
+    at_cap, over_cap = " ".join(words[:256]), " ".join(words[:257])
+    assert build_coword_graph([at_cap, at_cap]).edge_count() == 256 * 255 // 2
+    # A repeated title keeps every term; 257 of them would make 32,896 edges.
+    with pytest.raises(DomainError, match=r"^title 3 keeps 257 terms, past the cap of 256$"):
+        build_coword_graph(["team process", "team change", over_cap, over_cap])
+    # A lone long title keeps none of its terms, so it is pruned, not rejected.
+    assert build_coword_graph(["team process", "team change", over_cap]).nodes == {"team"}
 
 
 # ---------------------------------------------------------------------------

