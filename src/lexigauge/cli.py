@@ -85,11 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _stopwords_path(flag_value: str | None, config_value: str | None = None) -> str | None:
-    if flag_value:
-        return flag_value
-    if config_value:
-        return config_value
-    return os.environ.get(STOPWORDS_ENV) or None
+    return flag_value or config_value or os.environ.get(STOPWORDS_ENV) or None
 
 
 def _cmd_compare(args) -> int:
@@ -174,6 +170,7 @@ def _cmd_semnet(args) -> int:
     )
     with named(args.csv):
         corpus = parse_bibliographic_csv(args.csv, label=Path(args.csv).stem)
+        require_records(corpus, args.csv)
         graph, partition, scores, summary = analyze_network(corpus.titles(), analysis)
     out = args.out or f"{Path(args.csv).with_suffix('')}_network.{args.format}"
     Path(out).write_bytes(export_graph(graph, partition, scores, args.format))

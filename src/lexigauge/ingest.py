@@ -409,6 +409,10 @@ def _summary(
         distinct_author_total if distinct_author_total is not None else sum(author_counts)
     )
     citations_total = sum(citations)
+    try:
+        authors_per_document = author_total / doc_count
+    except OverflowError:  # the message leaves out the number, which may be too long to print
+        raise DomainError("authors per document is past the float range") from None
 
     years = [year for year in years if year is not None]
     timespan = (min(years), max(years)) if years else None
@@ -421,7 +425,7 @@ def _summary(
     return BiblioSummary(
         document_count=doc_count,
         author_total=author_total,
-        authors_per_document=author_total / doc_count,
+        authors_per_document=authors_per_document,
         citations_per_document=citations_total / doc_count,
         annual_growth_pct=growth,
         timespan=timespan,

@@ -20,7 +20,8 @@ from .textproc import (
     DEFAULT_ABBREVIATIONS,
     DEFAULT_TOKEN_POLICY,
     TokenPolicy,
-    count_sentences,
+    _count_sentences,
+    check_abbreviations,
     count_syllables,
     tokenize,
 )
@@ -80,7 +81,7 @@ def fkgl(
     May be negative for very simple text; raises DomainError when the text
     contains no words (the words-per-sentence term would divide by zero).
     """
-    return _fkgl(text, Counter(tokenize(text, policy)), abbreviations, {})
+    return _fkgl(text, Counter(tokenize(text, policy)), check_abbreviations(abbreviations), {})
 
 
 def _fkgl(
@@ -92,7 +93,7 @@ def _fkgl(
     n_words = counts.total()
     if n_words == 0:
         raise DomainError("cannot compute a grade level for text with no words")
-    n_sentences = max(count_sentences(text, abbreviations), 1)
+    n_sentences = max(_count_sentences(text, abbreviations), 1)
     # A comprehension, not ``counts.keys() - syllables.keys()``: the set
     # difference walks the whole corpus table once per document.
     new = [token for token in counts if token not in syllables]
@@ -134,6 +135,7 @@ def lexical_records(
     Syllables are counted once per distinct token of the corpus, in a table
     that lives only for this call; the values equal per-document counting.
     """
+    check_abbreviations(abbreviations)
     syllables: dict[str, int] = {}
     rows = []
     for record in corpus.records:

@@ -272,7 +272,7 @@ def load_run_config(source) -> RunConfig:
         return _from_json(RunConfig, source, "config")
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a JSON, digit-limit or depth fault
         raise ConfigError(f"{name}: {exc}") from exc
     return _from_json(RunConfig, raw, "config")
 
@@ -541,10 +541,8 @@ def _self_audit(report: ComparisonReport) -> None:
 
 
 def _slug(label: str) -> str:
-    slug = "".join(c.lower() if c.isalnum() else "_" for c in label)
-    while "__" in slug:
-        slug = slug.replace("__", "_")
-    return slug.strip("_") or "corpus"
+    words = "".join(c.lower() if c.isalnum() else " " for c in label).split()
+    return "_".join(words) or "corpus"
 
 
 def _write_artifacts(report: ComparisonReport, config: RunConfig) -> None:

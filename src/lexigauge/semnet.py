@@ -16,12 +16,13 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations
+from math import inf
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .textproc import DEFAULT_TOKEN_POLICY, TokenPolicy, _load_word_list, tokenize
+from .textproc import DEFAULT_TOKEN_POLICY, TokenPolicy, _word_list_entries, tokenize
 
 __all__ = [
     "GraphPolicy",
@@ -46,7 +47,7 @@ _STOPWORDS_PATH = Path(__file__).parent / "data" / "stopwords_en.txt"
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Load a stopword list: one lowercase token per line, ``#`` comments
     and blank lines ignored."""
-    return _load_word_list(path)
+    return frozenset(entry for _, entry in _word_list_entries(path))
 
 
 @cache
@@ -66,9 +67,6 @@ class GraphPolicy:
     min_title_frequency: int = 2
     token_policy: TokenPolicy = DEFAULT_TOKEN_POLICY
     stopwords: frozenset[str] | None = None
-
-    def effective_stopwords(self) -> frozenset[str]:
-        return self.stopwords if self.stopwords is not None else default_stopwords()
 
 
 @dataclass
@@ -138,7 +136,7 @@ def build_coword_graph(titles, policy: GraphPolicy = GraphPolicy()) -> CoWordGra
     if not token_sets:
         raise DomainError("cannot build a co-word graph from zero titles")
     node_frequency = Counter(chain.from_iterable(token_sets))
-    stopwords = policy.effective_stopwords()
+    stopwords = default_stopwords() if policy.stopwords is None else policy.stopwords
     keep = {
         t
         for t, f in node_frequency.items()
@@ -282,20 +280,17 @@ def _local_moves(indptr, indices, weights, self_w, resolution, rng) -> np.ndarra
         moved = False
         for u in order:
             current = comm[u]
-            weight_to: dict[int, float] = defaultdict(float)
+            weight_to: dict[int, float] = defaultdict(float, {current: 0.0})
             for v, w in rows[u]:
                 weight_to[comm[v]] += w
             comm_tot[current] -= strength[u]
 
-            best_comm = current
-            best_gain = (
-                weight_to.get(current, 0.0) - resolution * comm_tot[current] * strength[u] / m2
-            )
-            for candidate in sorted(weight_to):
-                gain = weight_to[candidate] - resolution * comm_tot[candidate] * strength[u] / m2
+            # Larger gain, then smaller id: a total order, whatever the scan order.
+            best_comm, best_gain = current, -inf
+            for candidate, weight in weight_to.items():
+                gain = weight - resolution * comm_tot[candidate] * strength[u] / m2
                 if gain > best_gain or (gain == best_gain and candidate < best_comm):
-                    best_gain = gain
-                    best_comm = candidate
+                    best_comm, best_gain = candidate, gain
 
             comm_tot[best_comm] += strength[u]
             if best_comm != current:
@@ -480,16 +475,10 @@ def _check_same_nodes(graph, partition, scores):
         ("betweenness", scores.betweenness),
         ("degree", scores.degree),
     ):
-        extra = set(mapping) - nodes
-        missing = nodes - set(mapping)
-        if extra:
-            raise ConsistencyError(
-                f"{label} references nodes absent from the graph: {sorted(extra)[:5]}"
-            )
-        if missing:
-            raise ConsistencyError(
-                f"{label} misses graph nodes: {sorted(missing)[:5]}"
-            )
+        if extra := sorted(set(mapping) - nodes)[:5]:
+            raise ConsistencyError(f"{label} references nodes absent from the graph: {extra}")
+        if missing := sorted(nodes - set(mapping))[:5]:
+            raise ConsistencyError(f"{label} misses graph nodes: {missing}")
 
 
 # ---------------------------------------------------------------------------
@@ -528,21 +517,20 @@ def export_graph(
     names, _, _ = _edge_ends(graph)
     if format not in ("gexf", "graphml"):
         raise DomainError(f"unsupported graph format {format!r} (gexf, graphml)")
+    # Each name escaped once; ``_edge_ends`` checked every edge end is a node.
+    escaped = {node: node.translate(XML_ATTRIB_ESCAPES) for node in names}
     # Each node's escaped name, then its values in _NODE_ATTRIBUTES order.
     nodes = [
         (
-            node.translate(XML_ATTRIB_ESCAPES),
+            name,
             str(partition.assignment[node]),
             repr(scores.betweenness[node]),
             str(scores.degree[node]),
             str(graph.node_frequency[node]),
         )
-        for node in names
+        for node, name in escaped.items()
     ]
-    edges = [
-        (u.translate(XML_ATTRIB_ESCAPES), v.translate(XML_ATTRIB_ESCAPES), w)
-        for (u, v), w in sorted(graph.edges.items())
-    ]
+    edges = [(escaped[u], escaped[v], w) for (u, v), w in sorted(graph.edges.items())]
     lines = (_gexf_lines if format == "gexf" else _graphml_lines)(nodes, edges)
     text = "\n".join(["<?xml version='1.0' encoding='utf-8'?>", *lines])
     return text.encode("utf-8", "xmlcharrefreplace")  # a lone surrogate as &#...;

@@ -126,8 +126,8 @@ def split_sentences(
     Periods belonging to ``abbreviations`` never split.  Text containing at
     least one word character but no terminator is a single sentence.
     """
-    chunks = (text[a:b].strip() for a, b in _sentence_spans(text, abbreviations))
-    return [chunk for chunk in chunks if _HAS_WORD.search(chunk)]
+    spans = _sentence_spans(text, check_abbreviations(abbreviations))
+    return [text[a:b].strip() for a, b in spans if _HAS_WORD.search(text, a, b)]
 
 
 def count_sentences(
@@ -135,8 +135,24 @@ def count_sentences(
 ) -> int:
     """``len(split_sentences(text, abbreviations))``, without building the
     sentence strings."""
-    spans = _sentence_spans(text, abbreviations)
-    return sum(1 for a, b in spans if _HAS_WORD.search(text, a, b))
+    return _count_sentences(text, check_abbreviations(abbreviations))
+
+
+def _count_sentences(text: str, abbreviations: frozenset[str]) -> int:
+    return sum(1 for a, b in _sentence_spans(text, abbreviations) if _HAS_WORD.search(text, a, b))
+
+
+def _is_abbreviation(entry: str) -> bool:
+    return entry.endswith((".", "!", "?")) and entry == entry.lower()
+
+
+def check_abbreviations(abbreviations: frozenset[str]) -> frozenset[str]:
+    """``abbreviations``, or ConfigError naming an entry that is empty, not lowercase
+    or without a final terminator: it would match every terminator or none."""
+    bad = sorted(entry for entry in abbreviations if not _is_abbreviation(entry))
+    if bad:
+        raise ConfigError(f"abbreviation {bad[0]!r} is not lowercase ending in '.', '!' or '?'")
+    return abbreviations
 
 
 def _sentence_spans(text: str, abbreviations: frozenset[str]):
@@ -325,12 +341,6 @@ def _word_list_entries(path: str | Path) -> list[tuple[int, str]]:
     return entries
 
 
-def _load_word_list(path: str | Path) -> frozenset[str]:
-    """One stripped, lowercased entry per line; ``#`` comments and blank
-    lines ignored."""
-    return frozenset(entry for _, entry in _word_list_entries(path))
-
-
 def load_abbreviations(path: str | Path) -> frozenset[str]:
     """Load a sentence-abbreviation list: one entry per line, ``#`` comments
     and blank lines ignored; entries lowercased.  Abbreviations are tested
@@ -338,7 +348,7 @@ def load_abbreviations(path: str | Path) -> frozenset[str]:
     ``.``, ``!`` or ``?`` raises ConfigError."""
     entries = _word_list_entries(path)
     for lineno, entry in entries:
-        if not _TERMINATOR.fullmatch(entry[-1]):
+        if not _is_abbreviation(entry):  # entries are non-empty and lowercased
             raise ConfigError(
                 f"{path}:{lineno}: abbreviation {entry!r} does not end in '.', '!' or '?'"
             )

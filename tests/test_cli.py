@@ -155,6 +155,16 @@ def test_metrics_rejects_a_csv_without_usable_records(tmp_path):
     assert not out.exists()
 
 
+def test_semnet_rejects_a_csv_without_usable_records(tmp_path):
+    # Every title is empty: semnet fails as metrics and compare do.
+    empty = _write_rows(tmp_path / "empty.csv", [["r1", "", "Some abstract.", "", "", ""]])
+    out = tmp_path / "graph.gexf"
+    assert _run(["semnet", empty, "--out", str(out)]) == (
+        1, f"error: {empty}: no usable records in {empty}\n"
+    )
+    assert not out.exists()
+
+
 def test_stats_names_the_table_or_the_metric(data_dir, tmp_path):
     good = str(tmp_path / "good.csv")
     assert _run(["metrics", str(data_dir / "corpus_process.csv"), "--out", good])[0] == 0

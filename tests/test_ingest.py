@@ -565,6 +565,14 @@ def test_author_total_defaults_to_per_record_sum():
     assert summary.authors_per_document == pytest.approx(2.5)
 
 
+def test_an_author_total_past_float_range_is_a_domain_error():
+    corpus = _corpus(3)
+    with pytest.raises(DomainError, match=r"^authors per document is past the float range$"):
+        bibliometric_descriptives(corpus, distinct_author_total=10**400)
+    summary = bibliometric_descriptives(corpus, distinct_author_total=3 * 10**300)
+    assert summary.authors_per_document == 1e300
+
+
 def test_empty_corpus_raises():
     with pytest.raises(DomainError):
         bibliometric_descriptives(Corpus(label="empty", records=()))

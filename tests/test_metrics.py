@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexigauge import cli
-from lexigauge.errors import CsvParseError, DomainError
+from lexigauge import cli, textproc
+from lexigauge.errors import ConfigError, CsvParseError, DomainError
 from lexigauge.ingest import BibRecord, Corpus
 from lexigauge.metrics import (
     LexicalRecord,
@@ -505,3 +505,39 @@ def test_reference_abstract_segmentation(data_dir):
     assert len(tokens) == 70
     assert len(tokens) != len(set(tokens.tokens))  # repetition present
     assert math.isfinite(fkgl(abstract))
+
+
+# ---------------------------------------------------------------------------
+# Abbreviation sets
+# ---------------------------------------------------------------------------
+
+_THREE_DOCUMENTS = Corpus(
+    label="three",
+    records=tuple(
+        BibRecord(id=f"d{i}", title=f"Title {i}", abstract="One thing. Two things. Three.")
+        for i in range(3)
+    ),
+)
+
+
+def test_fkgl_and_lexical_records_check_the_abbreviation_set():
+    # At -3.14 the three sentences count; {""} would make them one (-1.84).
+    assert fkgl("One thing. Two things. Three.") == pytest.approx(-3.14, abs=0.005)
+    with pytest.raises(ConfigError, match=r"^abbreviation '' is not lowercase"):
+        fkgl("One thing. Two things. Three.", abbreviations=frozenset({""}))
+    for bad in ("thing", "E.G."):
+        with pytest.raises(ConfigError, match=f"^abbreviation '{bad}' is not lowercase"):
+            lexical_records(_THREE_DOCUMENTS, abbreviations=frozenset({bad}))
+        with pytest.raises(ConfigError):
+            lexical_records(Corpus(label="empty", records=()), abbreviations=frozenset({bad}))
+
+
+def test_lexical_records_checks_the_abbreviation_set_once_per_call(monkeypatch):
+    checked = []
+    rule = textproc._is_abbreviation
+    monkeypatch.setattr(
+        textproc, "_is_abbreviation", lambda entry: checked.append(entry) or rule(entry)
+    )
+    records = lexical_records(_THREE_DOCUMENTS)
+    assert len(records) == 3
+    assert sorted(checked) == sorted(DEFAULT_ABBREVIATIONS)

@@ -715,6 +715,96 @@ def test_malformed_manifest_names_its_file(tmp_path, capsys):
         load_run_config(stream)
 
 
+def test_manifest_integer_past_the_digit_limit_names_its_file(tmp_path, capsys):
+    # Python refuses to convert an integer string of more than 4,300 digits.
+    manifest = tmp_path / "long.json"
+    manifest.write_text('{"corpora": [], "seed": ' + "9" * 5000 + "}")
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--config", str(manifest), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: ") and err.count("\n") == 1
+    assert "5000 digits" in err and not out.exists()
+
+
+def test_manifest_nested_past_the_recursion_limit_names_its_file(tmp_path, capsys):
+    manifest = tmp_path / "deep.json"
+    manifest.write_text("[" * 200_000 + "]" * 200_000)
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--config", str(manifest), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: maximum recursion depth exceeded")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_author_total_past_float_range_names_the_corpus(data_dir, tmp_path, capsys):
+    # 10**400 authors over 20 documents is past the float range; the message
+    # does not print the number, which may be too long to convert.
+    manifest = tmp_path / "run.json"
+    corpora = [
+        {"csv_path": str(data_dir / "corpus_process.csv"), "label": "A"},
+        {"csv_path": str(data_dir / "corpus_leadership.csv"), "label": "B",
+         "author_total": 10**400},
+    ]
+    manifest.write_text(json.dumps({"corpora": corpora}))
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--config", str(manifest), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: corpus 'B': authors per document is past the float range\n"
+    )
+    assert not out.exists()
+
+
+def test_cli_compare_rejects_sample_size_zero(data_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["compare", "--corpus-a", str(data_dir / "corpus_process.csv"), "--label-a", "A",
+            "--corpus-b", str(data_dir / "corpus_leadership.csv"), "--label-b", "B",
+            "--sample-size", "0", "--seed", "1", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: corpus 'A': sample_size must be positive\n"
+    assert not out.exists()
+
+
+def test_stopwords_flag_beats_manifest_beats_environment(data_dir, tmp_path, monkeypatch):
+    lists = {}
+    for source in ("env", "manifest", "flag"):
+        lists[source] = tmp_path / f"{source}.txt"
+        lists[source].write_text("team\n", encoding="utf-8")
+    monkeypatch.setenv(cli.STOPWORDS_ENV, str(lists["env"]))
+
+    def stopwords_used(run, analysis, *flags) -> str:
+        manifest = tmp_path / "run.json"
+        corpora = [
+            {"csv_path": str(data_dir / "corpus_process.csv"), "label": "A"},
+            {"csv_path": str(data_dir / "corpus_leadership.csv"), "label": "B"},
+        ]
+        manifest.write_text(json.dumps({"corpora": corpora, "analysis": analysis}))
+        out = tmp_path / run
+        argv = ["compare", "--config", str(manifest), "--out", str(out), "--formats", "json"]
+        assert cli.main([*argv, *flags]) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        return report["provenance"]["policies"]["graph_policy"]["stopwords"]
+
+    assert stopwords_used("env", {}) == str(lists["env"])
+    with_path = {"stopwords_path": str(lists["manifest"])}
+    assert stopwords_used("manifest", with_path) == str(lists["manifest"])
+    flag = ["--stopwords", str(lists["flag"])]
+    assert stopwords_used("flag", with_path, *flag) == str(lists["flag"])
+
+
+def test_artifact_names_collapse_runs_of_punctuation(data_dir, tmp_path):
+    out = tmp_path / "out"
+    corpora = (
+        CorpusConfig(csv_path=str(data_dir / "corpus_process.csv"), label="Org. Sci. -- 2020"),
+        CorpusConfig(csv_path=str(data_dir / "corpus_leadership.csv"), label="B"),
+    )
+    run_compare(RunConfig(corpora=corpora, output=OutputConfig(str(out), formats=("csv",))))
+    assert (out / "metrics_org_sci_2020.csv").exists()
+    colliding = (CorpusConfig(csv_path="a.csv", label="A & B"),
+                 CorpusConfig(csv_path="b.csv", label="a b"))
+    with pytest.raises(ConfigError, match=r"^corpus labels 'A & B' and 'a b' collide"):
+        RunConfig(corpora=colliding)
+
+
 def test_manifest_stream_of_invalid_utf8_names_the_stream(data_dir, tmp_path):
     stream = io.BytesIO(b'{"corpora": [\xff]}')
     message = r"^manifest: not valid UTF-8 at byte 13 \(invalid start byte\)$"

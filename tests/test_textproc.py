@@ -409,6 +409,24 @@ def test_load_abbreviations_rejects_an_entry_that_cannot_end_a_sentence(tmp_path
         load_abbreviations(path)
 
 
+@pytest.mark.parametrize("entry", ["", "thing", "E.G.", "Proc."])
+def test_a_programmatic_abbreviation_set_is_checked(entry):
+    # "" would suppress every boundary ("One thing. Two things. Three." would
+    # be one sentence); "thing" ends in no terminator, and an uppercase entry
+    # is matched against lowercased text, so either would match nothing.
+    text = "One thing. Two things. Three."
+    message = rf"^abbreviation {re.escape(repr(entry))} is not lowercase ending in"
+    for count in (split_sentences, count_sentences):
+        with pytest.raises(ConfigError, match=message):
+            count(text, frozenset({"e.g.", entry}))
+
+
+def test_a_programmatic_abbreviation_set_names_its_smallest_bad_entry():
+    with pytest.raises(ConfigError, match=r"^abbreviation 'b' is not"):
+        split_sentences("One. Two.", frozenset({"zz", "e.g.", "b", "nO.", "ok?"}))
+    assert split_sentences("See fig. Two.", frozenset({"fig.", "wow!", "eh?"})) == ["See fig. Two."]
+
+
 def test_load_token_policy(tmp_path):
     path = tmp_path / "policy.txt"
     path.write_text("keep_numbers = false\nbind_hyphens=true\n# note\n")
