@@ -40,8 +40,17 @@ from .stats import wilcoxon_rank_sum
 STOPWORDS_ENV = "LEXIGAUGE_STOPWORDS"
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise LexigaugeError, so they
+    exit 1 with one line like every other input error; subparsers are
+    made from the same class."""
+
+    def error(self, message):
+        raise LexigaugeError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lexigauge",
         description="Lexical-structure comparison of bibliographic corpora",
     )
@@ -215,8 +224,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (LexigaugeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -331,17 +331,20 @@ def betweenness(graph: CoWordGraph) -> CentralityScores:
     counted once; degrees reported alongside.
 
     Brandes' algorithm on the ``_csr`` adjacency, a batch of sources at a
-    time.  Every floating-point sum runs in the order of the single-source
-    queue/stack form, which visits neighbors in ascending name order, so
-    the scores are bit-identical to it.
+    time.  A source's BFS stops once it has reached every node of its
+    connected component, and its own dependency is never accumulated: the
+    levels skipped hold no predecessor edge.  Every floating-point sum runs
+    in the order of the single-source queue/stack form, which visits
+    neighbors in ascending name order, so the scores are bit-identical to it.
     """
     names, indptr, indices, _ = _csr(graph)
     n = len(names)
+    component_size = _component_sizes(indptr, indices)
     scores = np.zeros(n)
     batch = max(1, _BATCH_ELEMENTS // max(n, indices.size))
     for first in range(0, n, batch):
         sources = np.arange(first, min(first + batch, n))
-        for row in _dependencies(sources, indptr, indices):
+        for row in _dependencies(sources, indptr, indices, component_size[sources]):
             scores += row
     return CentralityScores(
         betweenness=dict(zip(names, (scores / 2.0).tolist())),
@@ -349,14 +352,49 @@ def betweenness(graph: CoWordGraph) -> CentralityScores:
     )
 
 
-def _dependencies(sources, indptr, indices) -> np.ndarray:
+def _expand(frontier, indptr, indices):
+    """``(tail, counts)``: the far end of every edge out of ``frontier``,
+    whose node ``v`` of row ``r`` is ``r * n + v``, addressed the same way
+    and ordered by frontier position, then ascending tail; and the number
+    of edges out of each frontier node."""
+    n = indptr.size - 1
+    row_base, ids = np.divmod(frontier, n)
+    starts = indptr[ids]
+    counts = indptr[ids + 1] - starts
+    slot = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    slot += np.arange(slot.size)
+    return indices[slot] + np.repeat(row_base * n, counts), counts
+
+
+def _component_sizes(indptr, indices) -> np.ndarray:
+    """The node count of each node's connected component: one
+    level-synchronous BFS per component, each edge expanded once."""
+    n = indptr.size - 1
+    root_of = np.full(n, -1)
+    for root in range(n):
+        if root_of[root] >= 0:
+            continue
+        frontier = np.array([root])
+        while frontier.size:
+            root_of[frontier] = root
+            tail = _expand(frontier, indptr, indices)[0]
+            frontier = np.unique(tail[root_of[tail] < 0])
+    return np.bincount(root_of, minlength=n)[root_of]
+
+
+def _dependencies(sources, indptr, indices, component_size) -> np.ndarray:
     """Brandes dependencies of every node on each of ``sources``, one row
-    per source; a source's dependency on itself is zeroed.
+    per source; a source's dependency on itself is 0, never accumulated.
 
     Node ``v`` of row ``r`` is addressed as ``r * n + v``.  The BFS of all
     rows advances one level per step; ``position`` numbers reached nodes in
     the order the single-source queue would dequeue them (one counter for
-    all rows, increasing within each).
+    all rows, increasing within each).  Row ``r`` leaves the frontier once
+    it has reached ``component_size[r]`` nodes, its source's whole
+    component: every edge out of it then ends at a reached node, so no
+    predecessor edge is lost.  The first level's predecessor edges all
+    start at a source, so the backward pass skips them.  Both cuts leave
+    every sum, and its order, as in the single-source form.
     """
     n = indptr.size - 1
     rows = sources.size
@@ -366,16 +404,17 @@ def _dependencies(sources, indptr, indices) -> np.ndarray:
     sigma = np.zeros(rows * n)
     sigma[frontier] = 1.0
     reached = rows
+    to_reach = component_size.copy()
     levels = []
-    while frontier.size:
+    while True:
+        row = frontier // n
+        to_reach -= np.bincount(row, minlength=rows)
+        frontier = frontier[to_reach[row] > 0]
+        if not frontier.size:
+            break
         # Every edge out of the frontier, ordered by row, BFS position of
         # the head, then ascending tail: the queue's visiting order.
-        row_base, ids = np.divmod(frontier, n)
-        starts = indptr[ids]
-        counts = indptr[ids + 1] - starts
-        slot = np.repeat(starts - np.cumsum(counts) + counts, counts)
-        slot += np.arange(slot.size)
-        tail = indices[slot] + np.repeat(row_base * n, counts)
+        tail, counts = _expand(frontier, indptr, indices)
         # Edges into unreached nodes are the next level's predecessor edges.
         keep = np.flatnonzero(position[tail] == _UNREACHED)
         head = np.repeat(frontier, counts)[keep]
@@ -390,14 +429,12 @@ def _dependencies(sources, indptr, indices) -> np.ndarray:
         levels.append((head, tail))
 
     delta = np.zeros(rows * n)
-    for head, tail in reversed(levels):
+    for head, tail in reversed(levels[1:]):
         # Successors in decreasing BFS position: the stack's popping order.
         order = np.argsort(position[tail])[::-1]
         head, tail = head[order], tail[order]
         np.add.at(delta, head, sigma[head] / sigma[tail] * (1.0 + delta[tail]))
-    delta = delta.reshape(rows, n)
-    delta[np.arange(rows), sources] = 0.0
-    return delta
+    return delta.reshape(rows, n)
 
 
 # ---------------------------------------------------------------------------

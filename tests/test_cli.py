@@ -192,6 +192,33 @@ def test_stats_on_an_overflowing_column_exits_0_with_a_null_normality(tmp_path):
     assert fkgl["normality_a"] is None and fkgl["normality_b"] is None
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "--corpus-a", "a.csv", "--corpus-b", "b.csv", "--sample-size", "abc"],
+         "argument --sample-size: invalid int value: 'abc'"),
+        (["compare", "--corpus-a", "a.csv", "--corpus-b", "b.csv", "--seed", "x"],
+         "argument --seed: invalid int value: 'x'"),
+        (["semnet", "a.csv", "--min-title-frequency", "1.5"],
+         "argument --min-title-frequency: invalid int value: '1.5'"),
+        (["semnet", "a.csv", "--resolution", "x"],
+         "argument --resolution: invalid float value: 'x'"),
+        (["metrics", "a.csv", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["sample-size", "seed", "min-title-frequency", "resolution", "unknown-flag",
+         "no-subcommand"],
+)
+def test_a_usage_error_exits_1_with_one_line(argv, message):
+    assert _run(argv) == (1, f"error: {message}\n")
+
+
+def test_help_still_exits_0():
+    with pytest.raises(SystemExit) as leaving, contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["compare", "--help"])
+    assert leaving.value.code == 0
+
+
 # ---------------------------------------------------------------------------
 # Property: every exit is 0 or 1, and exit 1 names its subject once
 # ---------------------------------------------------------------------------

@@ -647,14 +647,37 @@ def assert_same_bits(graph: CoWordGraph, oracle: dict) -> None:
     assert [repr(x) for x in result.values()] == [repr(x) for x in oracle.values()]
 
 
+# A 6-node path, a disjoint triangle and an isolated node: 10 nodes and 16
+# directed edges, so a cap of 160 puts every source in one batch, whose rows
+# reach their whole component after 0 to 5 levels.
+PATH_TRIANGLE_LONE = graph_from_edges(
+    {**{(f"p{i}", f"p{i + 1}"): 1 for i in range(1, 6)},
+     ("t1", "t2"): 1, ("t1", "t3"): 1, ("t2", "t3"): 1},
+    extra_nodes=["lone"],
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(graph=random_graphs(), cap=st.sampled_from([1, 16, 64, 1024, semnet._BATCH_ELEMENTS]))
 @example(graph=CoWordGraph(node_frequency={"solo": 1}, edges={}), cap=semnet._BATCH_ELEMENTS)
 @example(graph=CoWordGraph(node_frequency={"a": 1, "b": 1, "c": 1}, edges={}), cap=1)
 @example(graph=TRIANGLES, cap=16)
+@example(graph=PATH_TRIANGLE_LONE, cap=160)
+@example(graph=PATH_TRIANGLE_LONE, cap=1)
 def test_betweenness_bit_identical_to_dict_brandes(graph, cap):
     with mock.patch.object(semnet, "_BATCH_ELEMENTS", cap):
         assert_same_bits(graph, dict_brandes_betweenness(graph))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=random_graphs())
+@example(graph=CoWordGraph(node_frequency={"a": 1, "b": 1, "c": 1}, edges={}))
+@example(graph=graph_from_edges({(f"a{i:03d}", f"b{i:03d}"): 1 for i in range(500)}))
+def test_component_sizes_equal_networkx_connected_components(graph):
+    nx = pytest.importorskip("networkx")
+    names, indptr, indices, _ = semnet._csr(graph)
+    size_of = {u: len(c) for c in nx.connected_components(networkx_graph(graph)) for u in c}
+    assert semnet._component_sizes(indptr, indices).tolist() == [size_of[u] for u in names]
 
 
 def dense_graph(n: int = 290, p: float = 0.4, seed: int = 13) -> CoWordGraph:
