@@ -57,6 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compare = sub.add_parser("compare", help="run the full two-corpus comparison")
+    compare.set_defaults(run=_cmd_compare)
     compare.add_argument("--config", help="JSON run manifest")
     compare.add_argument("--corpus-a", help="CSV path of the first corpus")
     compare.add_argument("--label-a", help="label of the first corpus")
@@ -71,10 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     metrics = sub.add_parser("metrics", help="emit the per-document metric table")
+    metrics.set_defaults(run=_cmd_metrics)
     metrics.add_argument("csv", help="bibliographic CSV export")
     metrics.add_argument("--out", help="output CSV path (default: stdout)")
 
     semnet = sub.add_parser("semnet", help="build and export the title co-word network")
+    semnet.set_defaults(run=_cmd_semnet)
     semnet.add_argument("csv", help="bibliographic CSV export")
     semnet.add_argument("--out", help="output path (default: <csv>_network.<format>)")
     semnet.add_argument("--format", choices=("gexf", "graphml"), default="gexf")
@@ -87,6 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     semnet.add_argument("--resolution", type=float, default=defaults.louvain_resolution)
 
     stats = sub.add_parser("stats", help="compare two per-document metric tables")
+    stats.set_defaults(run=_cmd_stats)
     stats.add_argument("metrics_a", help="metric CSV of the first corpus")
     stats.add_argument("metrics_b", help="metric CSV of the second corpus")
     stats.add_argument("--out", help="output JSON path (default: stdout)")
@@ -215,18 +219,10 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "compare": _cmd_compare,
-    "metrics": _cmd_metrics,
-    "semnet": _cmd_semnet,
-    "stats": _cmd_stats,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (LexigaugeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import CsvParseError, DomainError
+from .errors import CsvParseError, DomainError, named
 from .ingest import open_text, read_csv_rows, write_csv
 from .textproc import (
     DEFAULT_ABBREVIATIONS,
@@ -139,13 +139,11 @@ def lexical_records(
     syllables: dict[str, int] = {}
     rows = []
     for record in corpus.records:
-        try:
+        with named(f"document {record.id!r}"):
             length = title_length(record.title)
             counts = Counter(tokenize(record.abstract, policy))
             grade = _fkgl(record.abstract, counts, abbreviations, syllables) if counts else None
             diversity = _yules_k(counts) if counts else None
-        except DomainError as exc:
-            raise DomainError(f"document {record.id!r}: {exc}") from exc
         rows.append(
             LexicalRecord(
                 doc_id=record.id,

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ConsistencyError, DegenerateDataError, DomainError, named
+from .errors import ConfigError, ConsistencyError, DomainError, named
 from .ingest import (
     SAMPLING_RNG,
     BiblioSummary,
@@ -53,12 +53,12 @@ from .semnet import (
     louvain_communities,
 )
 from .stats import (
-    _MAX_KDE_GRID_POINTS,
     QUARTILE_METHOD,
     DensitySeries,
     Descriptives,
     NormalityResult,
     RankSumResult,
+    _check_kde_grid,
     descriptives,
     kde,
     shapiro_wilk,
@@ -95,6 +95,15 @@ KNOWN_FORMATS = ("json", "csv", "svg", "gexf", "graphml")
 _NOT_XML = frozenset([*map(chr, range(32)), "\ufffe", "\uffff"]) - set("\t\n\r")
 
 
+def _svg_text_fault(text: str) -> str | None:
+    """Why ``text`` cannot be written as SVG text, or None."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return "is not valid UTF-8"
+    return "holds a character XML 1.0 forbids" if _NOT_XML.intersection(text) else None
+
+
 @dataclass(frozen=True)
 class CorpusConfig:
     csv_path: str
@@ -105,12 +114,8 @@ class CorpusConfig:
     author_total: int | None = None
 
     def __post_init__(self):
-        try:
-            self.label.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ConfigError(f"corpus label {self.label!r} is not valid UTF-8") from None
-        if _NOT_XML.intersection(self.label):
-            raise ConfigError(f"corpus label {self.label!r} holds a character XML 1.0 forbids")
+        if fault := _svg_text_fault(self.label):
+            raise ConfigError(f"corpus label {self.label!r} {fault}")
         for key in ("seed", "author_total"):
             value = getattr(self, key)
             if value is not None and value < 0:
@@ -131,9 +136,7 @@ class AnalysisConfig:
     def __post_init__(self):
         if self.network_seed < 0:
             raise ConfigError(f"'network_seed' must be non-negative, got {self.network_seed}")
-        if not 16 <= self.kde_grid_points <= _MAX_KDE_GRID_POINTS:
-            bound = ">= 16" if self.kde_grid_points < 16 else f"<= {_MAX_KDE_GRID_POINTS}"
-            raise ConfigError(f"'kde_grid_points' must be {bound}, got {self.kde_grid_points}")
+        _check_kde_grid(self.kde_grid_points, "'kde_grid_points'", ConfigError)
         try:
             valid = math.isfinite(self.louvain_resolution) and self.louvain_resolution >= 0
         except OverflowError:  # an integer past the float range
@@ -164,8 +167,6 @@ class RunConfig:
                 f"a comparison needs exactly two corpora, got {len(self.corpora)}"
             )
         labels = [c.label for c in self.corpora]
-        if labels[0] == labels[1]:
-            raise ConfigError(f"corpus labels must differ, both are {labels[0]!r}")
         if _slug(labels[0]) == _slug(labels[1]):
             raise ConfigError(
                 f"corpus labels {labels[0]!r} and {labels[1]!r} collide once "
@@ -336,7 +337,6 @@ def as_json(result) -> dict | None:
 
 
 def _corpus_json(c: CorpusResult) -> dict:
-    with_abstract = len(c.records) - c.missing_abstract_count
     return {
         "label": c.label,
         "source_csv": c.source_csv,
@@ -346,11 +346,7 @@ def _corpus_json(c: CorpusResult) -> dict:
         "analyzed_documents": len(c.records),
         "missing_abstract_count": c.missing_abstract_count,
         "bibliometrics": as_json(c.bibliometrics),
-        "metric_counts": {
-            "title_length": len(c.records),
-            "fkgl": with_abstract,
-            "yules_k": with_abstract,
-        },
+        "metric_counts": {m: len(v) for m, v in metric_vectors(c.records).items()},
         "descriptives": {m: as_json(d) for m, d in c.descriptives.items()},
         "normality": {m: as_json(r) for m, r in c.normality.items()},
         "network": {
@@ -424,8 +420,8 @@ def _analyze_corpus(config: CorpusConfig, analysis: AnalysisConfig) -> CorpusRes
     del table  # the rows left out of a sample are freed before the analysis
 
     records = lexical_records(analyzed, policy=analysis.token_policy)
-    missing = sum(1 for r in records if r.fkgl is None)
     vectors = metric_vectors(records)
+    missing = len(records) - len(vectors["fkgl"])
 
     desc: dict[str, Descriptives] = {}
     normality: dict[str, NormalityResult | None] = {}
@@ -438,10 +434,8 @@ def _analyze_corpus(config: CorpusConfig, analysis: AnalysisConfig) -> CorpusRes
             )
         desc[metric] = descriptives(values)
         normality[metric] = normality_or_none(values)
-        try:
+        with named(f"cannot build a density for {metric!r}"):
             densities[metric] = kde(values, grid_points=analysis.kde_grid_points)
-        except DegenerateDataError as exc:
-            raise DegenerateDataError(f"cannot build a density for {metric!r}: {exc}") from exc
 
     graph, partition, centrality, clusters = analyze_network(analyzed.titles(), analysis)
     return CorpusResult(
@@ -603,7 +597,11 @@ def emit_density_svg(
 ) -> bytes:
     """Render two density series as one self-contained SVG: two labeled
     curves (the only ``path`` elements), ticked axes, no external assets.
-    Deterministic byte output for identical inputs."""
+    Deterministic byte output for identical inputs.  Raises DomainError for
+    a bad series, and for a title or label that cannot be written as XML."""
+    for text in (title, *labels):
+        if fault := _svg_text_fault(text):
+            raise DomainError(f"SVG text {text!r} {fault}")
     for series in (series_a, series_b):
         if len(series.grid) == 0:
             raise DomainError("cannot plot an empty density series")

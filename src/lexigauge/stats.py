@@ -34,6 +34,14 @@ __all__ = [
 QUARTILE_METHOD = "linear interpolation at (n-1)*p"
 
 
+def _sample(values) -> np.ndarray:
+    """``values`` as a float array; raises DomainError if one is not finite."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DomainError("sample holds a NaN or an infinity")
+    return arr
+
+
 @dataclass(frozen=True)
 class Descriptives:
     """Six-number summary: min, 1st quartile, median, mean, 3rd quartile, max."""
@@ -72,8 +80,9 @@ class DensitySeries:
 
 def descriptives(values) -> Descriptives:
     """Six-number summary with quartiles by linear interpolation between
-    order statistics at index (n-1)*p."""
-    arr = np.asarray(values, dtype=float)
+    order statistics at index (n-1)*p.  Raises DomainError for an empty
+    sample or one holding a NaN or an infinity."""
+    arr = _sample(values)
     if arr.size == 0:
         raise DomainError("descriptives of an empty sample are undefined")
     q1, med, q3 = np.quantile(arr, [0.25, 0.5, 0.75])
@@ -142,9 +151,10 @@ def shapiro_wilk(values) -> NormalityResult:
     W close to 1 is consistent with a normal sample; the p-value uses the
     exact n=3 distribution and a normalizing transformation of 1-W
     elsewhere (Royston's approximation, valid through n=5000).  Raises
-    DomainError when the sample's sum of squares overflows a float.
+    DomainError when the sample holds a NaN or an infinity, or when its sum
+    of squares overflows a float.
     """
-    x = np.sort(np.asarray(values, dtype=float))
+    x = np.sort(_sample(values))
     n = x.size
     if n < 3 or n > 5000:
         raise DomainError(f"Shapiro-Wilk supports 3 <= n <= 5000, got n={n}")
@@ -202,10 +212,10 @@ def wilcoxon_rank_sum(x, y) -> RankSumResult:
     """Two-sided Wilcoxon rank-sum (Mann-Whitney U) test.
 
     Midranks for ties, tie-corrected variance, 0.5 continuity correction,
-    and effect size r = |z| / sqrt(n_x + n_y).
+    and effect size r = |z| / sqrt(n_x + n_y).  Raises DomainError when a
+    sample is empty or holds a NaN or an infinity.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _sample(x), _sample(y)
     n_x, n_y = x.size, y.size
     if n_x == 0 or n_y == 0:
         raise DomainError("both samples must be non-empty")
@@ -239,10 +249,10 @@ def exact_rank_sum_p(x, y) -> float:
     assignment of ranks to the first sample.
 
     Supports n_x + n_y <= 20 and tie-free data only; used as the oracle
-    that validates the normal approximation at small sample sizes.
+    that validates the normal approximation at small sample sizes.  Raises
+    DomainError when a sample is empty or holds a NaN or an infinity.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _sample(x), _sample(y)
     n_x, n_y = x.size, y.size
     if n_x == 0 or n_y == 0:
         raise DomainError("both samples must be non-empty")
@@ -253,21 +263,11 @@ def exact_rank_sum_p(x, y) -> float:
     if np.unique(combined).size != n:
         raise UnsupportedDataError("exact enumeration requires tie-free data")
 
-    ranks = np.argsort(np.argsort(combined)) + 1
-    u_obs = float(ranks[:n_x].sum()) - n_x * (n_x + 1) / 2.0
-
-    offset = n_x * (n_x + 1) / 2.0
-    count_le = 0
-    count_ge = 0
-    total = 0
-    for assignment in combinations(range(1, n + 1), n_x):
-        u = sum(assignment) - offset
-        if u <= u_obs:
-            count_le += 1
-        if u >= u_obs:
-            count_ge += 1
-        total += 1
-    return min(1.0, 2.0 * min(count_le, count_ge) / total)
+    # U is the first sample's rank sum less a constant: rank sums order alike.
+    observed = (np.argsort(np.argsort(combined))[:n_x] + 1).sum()
+    rank_sums = np.fromiter(map(sum, combinations(range(1, n + 1), n_x)), dtype=np.int64)
+    count = min(int((rank_sums <= observed).sum()), int((rank_sums >= observed).sum()))
+    return min(1.0, 2.0 * count / rank_sums.size)
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +434,22 @@ _KDE_BLOCK_ELEMENTS = 1 << 18
 _MAX_KDE_GRID_POINTS = 2**16
 
 
+def _check_kde_grid(grid_points: int, name: str, error: type[Exception]) -> None:
+    """Raise ``error`` naming ``name`` unless 16 <= grid_points <= 65,536."""
+    if not 16 <= grid_points <= _MAX_KDE_GRID_POINTS:
+        bound = ">= 16" if grid_points < 16 else f"<= {_MAX_KDE_GRID_POINTS}"
+        raise error(f"{name} must be {bound}, got {grid_points}")
+
+
 def kde(values, grid_points: int = 512) -> DensitySeries:
     """Gaussian KDE with Silverman's rule-of-thumb bandwidth
     0.9 * min(sd, IQR/1.34) * n^(-1/5), evaluated on grid_points equally
-    spaced points spanning [min - 3h, max + 3h]."""
-    arr = np.asarray(values, dtype=float)
+    spaced points spanning [min - 3h, max + 3h].  Raises DomainError for an
+    empty or non-finite sample or a grid outside 16..65,536 points."""
+    arr = _sample(values)
     if arr.size == 0:
         raise DomainError("cannot estimate a density from an empty sample")
-    if not 16 <= grid_points <= _MAX_KDE_GRID_POINTS:
-        bound = ">= 16" if grid_points < 16 else f"<= {_MAX_KDE_GRID_POINTS}"
-        raise DomainError(f"grid_points must be {bound}, got {grid_points}")
+    _check_kde_grid(grid_points, "grid_points", DomainError)
     sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     if sd == 0.0:
         raise DegenerateDataError("sample variance is zero")

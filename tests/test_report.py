@@ -358,6 +358,22 @@ def test_svg_escapes_labels():
     assert "a&lt;b" in svg and "c&amp;d" in svg
 
 
+@pytest.mark.parametrize(
+    "text, fault",
+    [
+        ("a\x01", "holds a character XML 1.0 forbids"),
+        ("b\uffff", "holds a character XML 1.0 forbids"),
+        ("caf\udce9", "is not valid UTF-8"),
+    ],
+)
+@pytest.mark.parametrize("where", ["label", "title"])
+def test_svg_rejects_text_xml_cannot_hold(where, text, fault):
+    a, b = _two_series()
+    labels, title = ((text, "b"), "t") if where == "label" else (("a", "b"), text)
+    with pytest.raises(DomainError, match=f"^{re.escape(f'SVG text {text!r} {fault}')}$"):
+        emit_density_svg(a, b, labels=labels, title=title)
+
+
 def _cdata_escape(text: str) -> str:
     """The SVG's text escaping before it shared semnet's tables."""
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

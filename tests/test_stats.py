@@ -520,6 +520,25 @@ def test_kde_grid_past_the_cap_rejected():
         kde([1.0, 2.0, 3.0, 5.0], grid_points=2**16 + 1)
 
 
+# Every entry point that reads a sample rejects a NaN or an infinity in it.
+_READS_A_SAMPLE = {
+    "descriptives": descriptives,
+    "shapiro_wilk": shapiro_wilk,
+    "kde": kde,
+    "wilcoxon_rank_sum x": lambda v: wilcoxon_rank_sum(v, [2.5, 3.5]),
+    "wilcoxon_rank_sum y": lambda v: wilcoxon_rank_sum([2.5, 3.5], v),
+    "exact_rank_sum_p x": lambda v: exact_rank_sum_p(v, [2.5, 3.5]),
+    "exact_rank_sum_p y": lambda v: exact_rank_sum_p([2.5, 3.5], v),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(_READS_A_SAMPLE))
+def test_stats_entry_points_reject_a_non_finite_sample(entry, bad):
+    with pytest.raises(DomainError, match=r"^sample holds a NaN or an infinity$"):
+        _READS_A_SAMPLE[entry]([bad, 1.0, 2.0, 4.0])
+
+
 def test_kde_grid_spans_three_bandwidths():
     rng = np.random.default_rng(33)
     values = rng.normal(size=100)
