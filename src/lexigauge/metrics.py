@@ -81,23 +81,28 @@ def fkgl(
     May be negative for very simple text; raises DomainError when the text
     contains no words (the words-per-sentence term would divide by zero).
     """
-    return _fkgl(text, Counter(tokenize(text, policy)), check_abbreviations(abbreviations), {})
+    return _fkgl(
+        text, Counter(tokenize(text, policy)), check_abbreviations(abbreviations), _Syllables()
+    )
+
+
+class _Syllables(dict):
+    """``count_syllables(token)`` by token, counted on a token's first lookup,
+    so that one table shared by many texts counts each distinct token once."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = count = count_syllables(token)
+        return count
 
 
 def _fkgl(
-    text: str, counts: Counter, abbreviations: frozenset[str], syllables: dict[str, int]
+    text: str, counts: Counter, abbreviations: frozenset[str], syllables: _Syllables
 ) -> float:
-    # ``counts`` is Counter(tokens of text).  ``syllables`` maps a token to
-    # count_syllables(token) and is filled here on first sight, so a caller
-    # that passes one table for many texts counts each distinct token once.
+    # ``counts`` is Counter(tokens of text).
     n_words = counts.total()
     if n_words == 0:
         raise DomainError("cannot compute a grade level for text with no words")
     n_sentences = max(_count_sentences(text, abbreviations), 1)
-    # A comprehension, not ``counts.keys() - syllables.keys()``: the set
-    # difference walks the whole corpus table once per document.
-    new = [token for token in counts if token not in syllables]
-    syllables.update(zip(new, map(count_syllables, new)))
     n_syllables = sum(map(mul, counts.values(), map(syllables.__getitem__, counts)))
     return 0.39 * (n_words / n_sentences) + 11.8 * (n_syllables / n_words) - 15.59
 
@@ -136,7 +141,7 @@ def lexical_records(
     that lives only for this call; the values equal per-document counting.
     """
     check_abbreviations(abbreviations)
-    syllables: dict[str, int] = {}
+    syllables = _Syllables()
     rows = []
     for record in corpus.records:
         with named(f"document {record.id!r}"):

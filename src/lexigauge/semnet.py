@@ -233,8 +233,11 @@ def louvain_communities(
     joins the neighboring community with the largest modularity gain (ties
     broken toward the smallest community index), and converged levels are
     aggregated into super-node graphs until no merge improves modularity.
-    Deterministic for a fixed (graph, seed).  The reported modularity is
-    recomputed on the original graph at resolution 1.
+    A community of the last level that is not connected over its own edges
+    is then split into its connected components, which at a resolution
+    >= 0 never lowers modularity (Traag, Waltman & van Eck 2019, "From
+    Louvain to Leiden").  Deterministic for a fixed (graph, seed).  The
+    reported modularity is recomputed on the original graph at resolution 1.
 
     Like ``betweenness``, it runs on the sorted-name CSR from ``_csr``;
     integer edge weights keep every gain exact, whatever the summation order.
@@ -243,6 +246,7 @@ def louvain_communities(
     community size, ties by lexicographically smallest member.
     """
     names, indptr, indices, weights = _csr(graph)
+    graph_csr = indptr, indices
     self_w = np.zeros(len(names))
     rng = np.random.Generator(np.random.PCG64(seed))
     # original node -> node id in the current (aggregated) level
@@ -253,12 +257,23 @@ def louvain_communities(
         if comm.max() + 1 == self_w.size:
             break
         indptr, indices, weights, self_w = _aggregate(indptr, indices, weights, self_w, comm)
+    node_of = _split_disconnected(node_of, *graph_csr)
 
     # Canonical ids: by decreasing size, ties by first (smallest) member name.
     first = np.unique(node_of, return_index=True)[1]
     canonical = np.argsort(np.lexsort((first, -np.bincount(node_of))))
     assignment = dict(zip(names, canonical[node_of].tolist()))
     return CommunityPartition(assignment=assignment, modularity_q=modularity(graph, assignment))
+
+
+def _split_disconnected(comm, indptr, indices) -> np.ndarray:
+    """``comm`` with each community split into its connected components over
+    its own edges, relabeled 0..k-1 in order of smallest member."""
+    rows = np.repeat(np.arange(comm.size), np.diff(indptr))
+    intra = comm[rows] == comm[indices]
+    intra_indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[intra], minlength=comm.size))))
+    roots = _component_roots(intra_indptr, indices[intra])
+    return np.unique(roots, return_inverse=True)[1].reshape(-1)
 
 
 def _local_moves(indptr, indices, weights, self_w, resolution, rng) -> np.ndarray:
@@ -367,7 +382,13 @@ def _expand(frontier, indptr, indices):
 
 
 def _component_sizes(indptr, indices) -> np.ndarray:
-    """The node count of each node's connected component: one
+    """The node count of each node's connected component."""
+    root_of = _component_roots(indptr, indices)
+    return np.bincount(root_of, minlength=root_of.size)[root_of]
+
+
+def _component_roots(indptr, indices) -> np.ndarray:
+    """The smallest node id of each node's connected component: one
     level-synchronous BFS per component, each edge expanded once."""
     n = indptr.size - 1
     root_of = np.full(n, -1)
@@ -379,7 +400,7 @@ def _component_sizes(indptr, indices) -> np.ndarray:
             root_of[frontier] = root
             tail = _expand(frontier, indptr, indices)[0]
             frontier = np.unique(tail[root_of[tail] < 0])
-    return np.bincount(root_of, minlength=n)[root_of]
+    return root_of
 
 
 def _dependencies(sources, indptr, indices, component_size) -> np.ndarray:

@@ -81,16 +81,21 @@ class DensitySeries:
 def descriptives(values) -> Descriptives:
     """Six-number summary with quartiles by linear interpolation between
     order statistics at index (n-1)*p.  Raises DomainError for an empty
-    sample or one holding a NaN or an infinity."""
+    sample, one holding a NaN or an infinity, or one whose mean or quartiles
+    overflow a float."""
     arr = _sample(values)
     if arr.size == 0:
         raise DomainError("descriptives of an empty sample are undefined")
-    q1, med, q3 = np.quantile(arr, [0.25, 0.5, 0.75])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        q1, med, q3 = np.quantile(arr, [0.25, 0.5, 0.75])
+        mean = arr.mean()
+    if not np.isfinite([q1, med, q3, mean]).all():
+        raise DomainError("descriptives overflow a float for this sample")
     return Descriptives(
         minimum=float(arr.min()),
         q1=float(q1),
         median=float(med),
-        mean=float(arr.mean()),
+        mean=float(mean),
         q3=float(q3),
         maximum=float(arr.max()),
     )
@@ -445,28 +450,32 @@ def kde(values, grid_points: int = 512) -> DensitySeries:
     """Gaussian KDE with Silverman's rule-of-thumb bandwidth
     0.9 * min(sd, IQR/1.34) * n^(-1/5), evaluated on grid_points equally
     spaced points spanning [min - 3h, max + 3h].  Raises DomainError for an
-    empty or non-finite sample or a grid outside 16..65,536 points."""
+    empty or non-finite sample, a grid outside 16..65,536 points, or a
+    sample whose grid or densities overflow a float."""
     arr = _sample(values)
     if arr.size == 0:
         raise DomainError("cannot estimate a density from an empty sample")
     _check_kde_grid(grid_points, "grid_points", DomainError)
-    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    if sd == 0.0:
-        raise DegenerateDataError("sample variance is zero")
-    q1, q3 = np.quantile(arr, [0.25, 0.75])
-    iqr = float(q3 - q1)
-    scale = min(sd, iqr / 1.34) if iqr > 0 else sd
-    h = 0.9 * scale * arr.size ** (-0.2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+        if sd == 0.0:
+            raise DegenerateDataError("sample variance is zero")
+        q1, q3 = np.quantile(arr, [0.25, 0.75])
+        iqr = float(q3 - q1)
+        scale = min(sd, iqr / 1.34) if iqr > 0 else sd
+        h = 0.9 * scale * arr.size ** (-0.2)
 
-    grid = np.linspace(arr.min() - 3.0 * h, arr.max() + 3.0 * h, grid_points)
-    # Grid rows are summed a block at a time, each row still in one
-    # contiguous sum, so the densities do not depend on the block size.
-    sums = np.empty(grid_points)
-    rows = max(1, _KDE_BLOCK_ELEMENTS // arr.size)
-    for start in range(0, grid_points, rows):
-        z = (grid[start:start + rows, None] - arr[None, :]) / h
-        sums[start:start + rows] = np.exp(-0.5 * z * z).sum(axis=1)
-    density = sums / (arr.size * h * math.sqrt(2.0 * math.pi))
+        grid = np.linspace(arr.min() - 3.0 * h, arr.max() + 3.0 * h, grid_points)
+        # Grid rows are summed a block at a time, each row still in one
+        # contiguous sum, so the densities do not depend on the block size.
+        sums = np.empty(grid_points)
+        rows = max(1, _KDE_BLOCK_ELEMENTS // arr.size)
+        for start in range(0, grid_points, rows):
+            z = (grid[start:start + rows, None] - arr[None, :]) / h
+            sums[start:start + rows] = np.exp(-0.5 * z * z).sum(axis=1)
+        density = sums / (arr.size * h * math.sqrt(2.0 * math.pi))
+    if not (np.isfinite(grid).all() and np.isfinite(density).all()):
+        raise DomainError("kernel density estimate overflows a float for this sample")
     return DensitySeries(
         grid=tuple(float(g) for g in grid),
         density=tuple(float(d) for d in density),

@@ -68,6 +68,25 @@ def _token_pattern(bind_hyphens: bool, bind_apostrophes: bool, word: str = _WORD
     return re.compile(rf"{word}+")
 
 
+@cache
+def _ascii_token_table(bind_hyphens: bool, bind_apostrophes: bool) -> bytes:
+    """A ``bytes.translate`` table that lowercases [A-Z], keeps [a-z0-9] and
+    the bound joiners ("’" is never ASCII), and blanks every other byte."""
+    joiners = b"-" * bind_hyphens + b"'" * bind_apostrophes
+    table = bytearray(b" " * 256)
+    for kept in b"abcdefghijklmnopqrstuvwxyz0123456789" + joiners:
+        table[kept] = kept
+    table[65:91] = table[97:123]
+    return bytes(table)
+
+
+@cache
+def _misplaced_joiner(joiner: str) -> re.Pattern:
+    # ``joiner`` not between two [a-z0-9]: literal-prefix scans, far faster
+    # than a scan for a character class.
+    return re.compile(rf"{joiner}(?:(?![a-z0-9])|(?<![a-z0-9]{joiner}))")
+
+
 @dataclass(frozen=True)
 class TokenStream:
     """Lowercased word tokens plus the character count of the source text."""
@@ -90,15 +109,27 @@ def tokenize(text: str, policy: TokenPolicy = DEFAULT_TOKEN_POLICY) -> TokenStre
     text with no word characters) yields an empty stream.
     """
     flags = (policy.bind_hyphens, policy.bind_apostrophes)
-    if text.isascii():
-        tokens = _token_pattern(*flags, _LOWER_ASCII_WORD).findall(text.lower())
-    else:
-        # Lowercasing can split a token ("İ" -> "i" + a combining mark), so
-        # non-ASCII text is matched first and lowercased per token.
-        tokens = [t.lower() for t in _token_pattern(*flags).findall(text)]
+    tokens = _ascii_tokens(text, *flags) if text.isascii() else _general_tokens(text, *flags)
     if not policy.keep_numbers:
         tokens = [t for t in tokens if any(c.isalpha() for c in t)]
     return TokenStream(tokens=tuple(tokens), source_char_count=len(text))
+
+
+def _ascii_tokens(text: str, bind_hyphens: bool, bind_apostrophes: bool) -> list[str]:
+    # After the translate, a token is a run of non-spaces exactly when each
+    # joiner in it sits between two word characters, as the pattern binds.
+    table = _ascii_token_table(bind_hyphens, bind_apostrophes)
+    spaced = text.encode("ascii").translate(table).decode("ascii")
+    joiners = "-" * bind_hyphens + "'" * bind_apostrophes
+    if any(_misplaced_joiner(joiner).search(spaced) for joiner in joiners):
+        return _token_pattern(bind_hyphens, bind_apostrophes, _LOWER_ASCII_WORD).findall(spaced)
+    return spaced.split()
+
+
+def _general_tokens(text: str, bind_hyphens: bool, bind_apostrophes: bool) -> list[str]:
+    # Lowercasing can split a token ("İ" -> "i" + a combining mark), so
+    # the text is matched first and lowercased per token.
+    return [t.lower() for t in _token_pattern(bind_hyphens, bind_apostrophes).findall(text)]
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +145,25 @@ DEFAULT_ABBREVIATIONS = frozenset(
 _TERMINATOR = re.compile(r"[.!?]+")
 _NEXT_VISIBLE = re.compile(r"\s*(.?)", re.DOTALL)
 _HAS_WORD = re.compile(_WORD)
+
+
+# The class of each ASCII character for the whole-text sentence scan: a
+# terminator ".", whitespace " ", a letter or digit that may open a sentence
+# "A", another letter "a", anything else "x".  A terminator run opens a
+# sentence where its last "." is followed by whitespace and an "A".
+def _sentence_class(char: str) -> str:
+    if char in ".!?":
+        return "."
+    if char.isspace():
+        return " "
+    if char.isupper() or char.isdigit():
+        return "A"
+    return "a" if char.islower() else "x"
+
+
+_ASCII_SENTENCE_CLASSES = bytes(ord(_sentence_class(chr(b))) for b in range(128)).ljust(256, b"x")
+_OPENS_SENTENCE = re.compile(rb"\.(?= +A)")
+_CLASS_WORD = re.compile(rb"[Aa]")
 
 
 def split_sentences(
@@ -139,7 +189,26 @@ def count_sentences(
 
 
 def _count_sentences(text: str, abbreviations: frozenset[str]) -> int:
-    return sum(1 for a, b in _sentence_spans(text, abbreviations) if _HAS_WORD.search(text, a, b))
+    if not text.isascii():
+        spans = _sentence_spans(text, abbreviations)
+        return sum(1 for a, b in spans if _HAS_WORD.search(text, a, b))
+    # The rule of _sentence_spans over character classes.  A boundary
+    # followed by whitespace and an "A" opens a sentence that holds the "A";
+    # one followed by whitespace alone opens none, so it is not looked for.
+    # The text before the first boundary is a sentence if it holds a word.
+    classes = text.encode("ascii").translate(_ASCII_SENTENCE_CLASSES)
+    lowered = text.lower()
+    suffixes = tuple(abbreviations)
+    boundaries = [
+        end
+        for end in map(re.Match.end, _OPENS_SENTENCE.finditer(classes))
+        if not (
+            lowered.endswith(suffixes, 0, end)
+            and _ends_with_abbreviation(lowered, end, abbreviations)
+        )
+    ]
+    before_first = boundaries[0] if boundaries else len(text)
+    return len(boundaries) + bool(_CLASS_WORD.search(classes, 0, before_first))
 
 
 def _is_abbreviation(entry: str) -> bool:

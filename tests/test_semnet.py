@@ -479,6 +479,22 @@ def test_louvain_communities_are_connected(graph, resolution, seed):
         assert nx.is_connected(whole.subgraph(members)), (label, members)
 
 
+def test_louvain_splits_a_community_that_is_not_connected():
+    # At this resolution and seed the last level leaves c and d in one
+    # community, though their only neighbor, aaa, sits in another.
+    graph = graph_from_edges(
+        {("a", "aa"): 1, ("aaa", "ab"): 3, ("aaa", "c"): 1, ("aaa", "d"): 1},
+        extra_nodes="abcdef",
+    )
+    assignment = louvain_communities(graph, resolution=2.0, seed=11).assignment
+    members = defaultdict(list)
+    for node in sorted(assignment):
+        members[assignment[node]].append(node)
+    assert sorted(members.values()) == [["a", "aa"], ["aaa", "ab"], ["b"], ["c"], ["d"], ["e"], ["f"]]
+    merged = dict(assignment, d=assignment["c"])
+    assert modularity(graph, assignment, 2.0) > modularity(graph, merged, 2.0)
+
+
 @pytest.mark.parametrize(
     "nodes,edges",
     [

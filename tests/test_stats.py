@@ -539,6 +539,19 @@ def test_stats_entry_points_reject_a_non_finite_sample(entry, bad):
         _READS_A_SAMPLE[entry]([bad, 1.0, 2.0, 4.0])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "entry,values",
+    [(descriptives, [1.7e308, 1.7e308]), (kde, [1e308, -1e308, 0.0, 5.0])],
+    ids=["descriptives-mean", "kde-grid"],
+)
+def test_a_finite_sample_whose_arithmetic_overflows_is_a_domain_error(entry, values):
+    # Reported once, as the DomainError, not as a RuntimeWarning and an
+    # infinite or NaN result.
+    with pytest.raises(DomainError, match="overflow"):
+        entry(values)
+
+
 def test_kde_grid_spans_three_bandwidths():
     rng = np.random.default_rng(33)
     values = rng.normal(size=100)

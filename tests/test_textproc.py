@@ -291,6 +291,55 @@ def test_count_sentences_equals_len_split_sentences(text, abbreviations):
     assert count_sentences(text, abbreviations) == len(split_sentences(text, abbreviations))
 
 
+# Every ASCII character, with the ones the two segmentation paths treat
+# specially drawn more often: terminators, joiners, underscore, digits,
+# upper case, and whitespace that ``str.split`` and ``\s`` both know.
+_ASCII_TEXT = st.text(
+    st.one_of(
+        st.characters(max_codepoint=127),
+        st.sampled_from(".!?-'_09AZ \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"),
+        st.sampled_from("aegixz"),
+    ),
+    max_size=60,
+)
+_ASCII_ABBREVIATION_SETS = st.one_of(
+    st.just(DEFAULT_ABBREVIATIONS),
+    st.frozensets(
+        st.builds(
+            lambda body, end: body.lower() + end,
+            st.text(st.characters(max_codepoint=127), max_size=4),
+            st.sampled_from(".!?"),
+        ),
+        max_size=4,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_ASCII_TEXT, abbreviations=_ASCII_ABBREVIATION_SETS)
+@example(text="a--b", abbreviations=DEFAULT_ABBREVIATIONS)
+@example(text="-a", abbreviations=DEFAULT_ABBREVIATIONS)
+@example(text="a-", abbreviations=DEFAULT_ABBREVIATIONS)
+@example(text="a-'b", abbreviations=DEFAULT_ABBREVIATIONS)
+@example(text="'quoted'", abbreviations=DEFAULT_ABBREVIATIONS)
+@example(text="e.g. x", abbreviations=DEFAULT_ABBREVIATIONS)
+@example(text="e.g. X", abbreviations=DEFAULT_ABBREVIATIONS)
+@example(text="4.8", abbreviations=DEFAULT_ABBREVIATIONS)
+@example(text="...A", abbreviations=DEFAULT_ABBREVIATIONS)
+@example(text="One. Two!", abbreviations=frozenset())
+@example(text="One.\x0b\x1c\x1fTwo", abbreviations=frozenset())
+@example(text="One? Two. \t\x1c\n", abbreviations=frozenset({"two."}))
+def test_ascii_segmentation_equals_the_general_path(text, abbreviations):
+    # ASCII text takes whole-text passes; the general path, which non-ASCII
+    # text and split_sentences take, is the oracle.
+    for policy in _ALL_POLICIES:
+        general = textproc._general_tokens(text, policy.bind_hyphens, policy.bind_apostrophes)
+        if not policy.keep_numbers:
+            general = [t for t in general if any(c.isalpha() for c in t)]
+        assert list(tokenize(text, policy).tokens) == general, policy
+    assert count_sentences(text, abbreviations) == len(split_sentences(text, abbreviations))
+
+
 # ---------------------------------------------------------------------------
 # Syllables
 # ---------------------------------------------------------------------------
