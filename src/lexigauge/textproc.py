@@ -53,38 +53,40 @@ class TokenPolicy:
 
 DEFAULT_TOKEN_POLICY = TokenPolicy()
 
-# Word characters: Unicode letters and digits, underscore excluded.  In
-# lowercased ASCII text they are exactly [a-z0-9], a class the regex engine
-# tests faster.
+# Word characters: Unicode letters and digits, underscore excluded.
 _WORD = r"[^\W_]"
-_LOWER_ASCII_WORD = "[a-z0-9]"
+_HAS_WORD = re.compile(_WORD)
 
 
 @cache
-def _token_pattern(bind_hyphens: bool, bind_apostrophes: bool, word: str = _WORD) -> re.Pattern:
+def _token_pattern(bind_hyphens: bool, bind_apostrophes: bool) -> re.Pattern:
     joiners = (r"\-" if bind_hyphens else "") + ("'’" if bind_apostrophes else "")
     if joiners:
-        return re.compile(rf"{word}+(?:[{joiners}]{word}+)*")
-    return re.compile(rf"{word}+")
+        return re.compile(rf"{_WORD}+(?:[{joiners}]{_WORD}+)*")
+    return re.compile(rf"{_WORD}+")
 
 
 @cache
-def _ascii_token_table(bind_hyphens: bool, bind_apostrophes: bool) -> bytes:
-    """A ``bytes.translate`` table that lowercases [A-Z], keeps [a-z0-9] and
-    the bound joiners ("’" is never ASCII), and blanks every other byte."""
-    joiners = b"-" * bind_hyphens + b"'" * bind_apostrophes
-    table = bytearray(b" " * 256)
-    for kept in b"abcdefghijklmnopqrstuvwxyz0123456789" + joiners:
-        table[kept] = kept
-    table[65:91] = table[97:123]
-    return bytes(table)
+def _latin1_tokenizer(bind_hyphens: bool, bind_apostrophes: bool):
+    """A ``bytes.translate`` table over Latin-1 that lowercases each word
+    character, keeps each joiner the token pattern binds and blanks every
+    other byte, and per joiner a pattern that finds it outside a word."""
+    # Every Latin-1 word character lowercases to one Latin-1 word character.
+    latin1 = list(map(chr, range(256)))
+    pattern = _token_pattern(bind_hyphens, bind_apostrophes)
+    joiners = [c for c in latin1 if not _HAS_WORD.match(c) and pattern.fullmatch(f"a{c}a")]
+    table = "".join(c.lower() if _HAS_WORD.match(c) else c if c in joiners else " " for c in latin1)
+    # Literal-prefix scans, far faster than a scan for a character class.
+    misplaced = [
+        re.compile(rf"{j}(?:(?!{_WORD})|(?<!{_WORD}{j}))") for j in map(re.escape, joiners)
+    ]
+    return table.encode("latin-1"), misplaced
 
 
-@cache
-def _misplaced_joiner(joiner: str) -> re.Pattern:
-    # ``joiner`` not between two [a-z0-9]: literal-prefix scans, far faster
-    # than a scan for a character class.
-    return re.compile(rf"{joiner}(?:(?![a-z0-9])|(?<![a-z0-9]{joiner}))")
+def _latin1(text: str) -> bytes | None:
+    """``text`` encoded as Latin-1, or None if a character lies outside it."""
+    data = text.encode("latin-1", "ignore")
+    return data if len(data) == len(text) else None
 
 
 @dataclass(frozen=True)
@@ -106,23 +108,26 @@ def tokenize(text: str, policy: TokenPolicy = DEFAULT_TOKEN_POLICY) -> TokenStre
 
     Punctuation is never a token.  Intra-word hyphens/apostrophes bind per
     ``policy``; diacritic letters count as word characters.  Empty text (or
-    text with no word characters) yields an empty stream.
+    text with no word characters) yields an empty stream.  Text that fits
+    Latin-1 takes one ``bytes.translate`` through a table derived from the
+    token pattern, then ``str.split``; other text is matched with the
+    pattern and lowercased per token.  Both give the same tokens.
     """
     flags = (policy.bind_hyphens, policy.bind_apostrophes)
-    tokens = _ascii_tokens(text, *flags) if text.isascii() else _general_tokens(text, *flags)
+    data = _latin1(text)
+    tokens = _general_tokens(text, *flags) if data is None else _latin1_tokens(data, *flags)
     if not policy.keep_numbers:
         tokens = [t for t in tokens if any(c.isalpha() for c in t)]
     return TokenStream(tokens=tuple(tokens), source_char_count=len(text))
 
 
-def _ascii_tokens(text: str, bind_hyphens: bool, bind_apostrophes: bool) -> list[str]:
+def _latin1_tokens(data: bytes, bind_hyphens: bool, bind_apostrophes: bool) -> list[str]:
     # After the translate, a token is a run of non-spaces exactly when each
     # joiner in it sits between two word characters, as the pattern binds.
-    table = _ascii_token_table(bind_hyphens, bind_apostrophes)
-    spaced = text.encode("ascii").translate(table).decode("ascii")
-    joiners = "-" * bind_hyphens + "'" * bind_apostrophes
-    if any(_misplaced_joiner(joiner).search(spaced) for joiner in joiners):
-        return _token_pattern(bind_hyphens, bind_apostrophes, _LOWER_ASCII_WORD).findall(spaced)
+    table, misplaced = _latin1_tokenizer(bind_hyphens, bind_apostrophes)
+    spaced = data.translate(table).decode("latin-1")
+    if any(pattern.search(spaced) for pattern in misplaced):
+        return _token_pattern(bind_hyphens, bind_apostrophes).findall(spaced)
     return spaced.split()
 
 
@@ -143,72 +148,54 @@ DEFAULT_ABBREVIATIONS = frozenset(
 )
 
 _TERMINATOR = re.compile(r"[.!?]+")
-_NEXT_VISIBLE = re.compile(r"\s*(.?)", re.DOTALL)
-_HAS_WORD = re.compile(_WORD)
+_OPENER = re.compile(r"\s+(\S)")
 
 
-# The class of each ASCII character for the whole-text sentence scan: a
-# terminator ".", whitespace " ", a letter or digit that may open a sentence
-# "A", another letter "a", anything else "x".  A terminator run opens a
-# sentence where its last "." is followed by whitespace and an "A".
+# The class of each character for the sentence scan: an upper-case letter
+# or digit "A", which opens a sentence, whitespace " ", a terminator ".",
+# anything else "x".  A terminator run is a boundary where its last "." is
+# followed by whitespace and an "A".
 def _sentence_class(char: str) -> str:
-    if char in ".!?":
-        return "."
-    if char.isspace():
-        return " "
     if char.isupper() or char.isdigit():
         return "A"
-    return "a" if char.islower() else "x"
+    if char.isspace():
+        return " "
+    return "." if _TERMINATOR.match(char) else "x"
 
 
-_ASCII_SENTENCE_CLASSES = bytes(ord(_sentence_class(chr(b))) for b in range(128)).ljust(256, b"x")
-_OPENS_SENTENCE = re.compile(rb"\.(?= +A)")
-_CLASS_WORD = re.compile(rb"[Aa]")
+_SENTENCE_CLASSES = "".join(map(_sentence_class, map(chr, range(256)))).encode("latin-1")
+_BOUNDARY = re.compile(rb"\.(?= +A)")
 
 
-def split_sentences(
-    text: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
-) -> list[str]:
+def split_sentences(text: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS) -> list[str]:
     """Split ``text`` into sentences.
 
     A run of ``.``, ``!`` or ``?`` ends a sentence when followed by
     whitespace and an uppercase letter or digit, or when it ends the text.
     Periods belonging to ``abbreviations`` never split.  Text containing at
-    least one word character but no terminator is a single sentence.
+    least one word character but no terminator is a single sentence; a
+    stretch between boundaries that holds no word character is none.
     """
-    spans = _sentence_spans(text, check_abbreviations(abbreviations))
+    boundaries = _boundaries(text, check_abbreviations(abbreviations))
+    spans = pairwise([0, *boundaries, len(text)])
     return [text[a:b].strip() for a, b in spans if _HAS_WORD.search(text, a, b)]
 
 
-def count_sentences(
-    text: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
-) -> int:
-    """``len(split_sentences(text, abbreviations))``, without building the
-    sentence strings."""
+def count_sentences(text: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS) -> int:
+    """``len(split_sentences(text, abbreviations))``: the same boundary
+    scan, without building the sentence strings."""
     return _count_sentences(text, check_abbreviations(abbreviations))
 
 
 def _count_sentences(text: str, abbreviations: frozenset[str]) -> int:
-    if not text.isascii():
-        spans = _sentence_spans(text, abbreviations)
+    boundaries = _boundaries(text, abbreviations)
+    if _latin1(text) is None:  # "Ⓐ" opens a sentence but is no word character
+        spans = pairwise([0, *boundaries, len(text)])
         return sum(1 for a, b in spans if _HAS_WORD.search(text, a, b))
-    # The rule of _sentence_spans over character classes.  A boundary
-    # followed by whitespace and an "A" opens a sentence that holds the "A";
-    # one followed by whitespace alone opens none, so it is not looked for.
-    # The text before the first boundary is a sentence if it holds a word.
-    classes = text.encode("ascii").translate(_ASCII_SENTENCE_CLASSES)
-    lowered = text.lower()
-    suffixes = tuple(abbreviations)
-    boundaries = [
-        end
-        for end in map(re.Match.end, _OPENS_SENTENCE.finditer(classes))
-        if not (
-            lowered.endswith(suffixes, 0, end)
-            and _ends_with_abbreviation(lowered, end, abbreviations)
-        )
-    ]
+    # Every Latin-1 opener is a word character, so each boundary opens a
+    # sentence, and the text before the first is one if it holds a word.
     before_first = boundaries[0] if boundaries else len(text)
-    return len(boundaries) + bool(_CLASS_WORD.search(classes, 0, before_first))
+    return len(boundaries) + bool(_HAS_WORD.search(text, 0, before_first))
 
 
 def _is_abbreviation(entry: str) -> bool:
@@ -224,35 +211,44 @@ def check_abbreviations(abbreviations: frozenset[str]) -> frozenset[str]:
     return abbreviations
 
 
-def _sentence_spans(text: str, abbreviations: frozenset[str]):
-    """``(start, end)`` of each stretch of ``text`` between sentence
-    boundaries; the ones that hold a word character are the sentences."""
+def _boundaries(text: str, abbreviations: frozenset[str]) -> list[int]:
+    """The end of each terminator run in ``text`` that is followed by
+    whitespace and a character that opens a sentence, and does not close one
+    of ``abbreviations``.  A boundary at the end of the text, or before
+    trailing whitespace, would change no sentence, so none is returned."""
     # Abbreviations are matched in the text lowercased once.  That equals
-    # text[:end].lower() wherever text[end] is whitespace or absent, final
-    # sigma included ("AB'Σ." -> "ab'ς.", which a window "'Σ." would miss).
-    # Lowercasing can lengthen a character ("İ" -> "i̇"): map offsets onto it.
+    # text[:end].lower() wherever text[end] is whitespace, final sigma
+    # included ("AB'Σ." -> "ab'ς.", which a window "'Σ." would miss).  One
+    # C-level suffix test per boundary; only a hit pays for the exact
+    # per-abbreviation check of the character before it.
     lowered = text.lower()
+    suffixes = tuple(abbreviations)
+    data = _latin1(text)
+    if data is not None:
+        ends = map(re.Match.end, _BOUNDARY.finditer(data.translate(_SENTENCE_CLASSES)))
+        return [
+            end
+            for end in ends
+            if not (
+                lowered.endswith(suffixes, 0, end)
+                and _ends_with_abbreviation(lowered, end, abbreviations)
+            )
+        ]
+    # Lowercasing can lengthen a character ("İ" -> "i̇"): map offsets onto it.
     at = range(len(text) + 1)
     if len(lowered) != len(text):
         at = list(accumulate((len(c.lower()) for c in text), initial=0))
-    # One C-level suffix test per terminator; only a hit pays for the exact
-    # per-abbreviation check of the character before it.
-    suffixes = tuple(abbreviations)
-    boundaries = []
-    for match in _TERMINATOR.finditer(text):
-        end = match.end()
-        if end < len(text):
-            if not text[end].isspace():
-                continue  # "4.8" or "e.g" mid-abbreviation: no split
-            following = _NEXT_VISIBLE.match(text, end).group(1)
-            if following and not (following.isupper() or following.isdigit()):
-                continue  # continuation starts lowercase: no split
-        if lowered.endswith(suffixes, 0, at[end]) and _ends_with_abbreviation(
-            lowered, at[end], abbreviations
-        ):
-            continue
-        boundaries.append(end)
-    return pairwise([0, *boundaries, len(text)])
+    ends = map(re.Match.end, _TERMINATOR.finditer(text))
+    return [
+        end
+        for end in ends
+        if (opener := _OPENER.match(text, end))
+        and _sentence_class(opener[1]) == "A"
+        and not (
+            lowered.endswith(suffixes, 0, at[end])
+            and _ends_with_abbreviation(lowered, at[end], abbreviations)
+        )
+    ]
 
 
 def _ends_with_abbreviation(lowered: str, end: int, abbreviations) -> bool:

@@ -356,6 +356,7 @@ def dict_louvain_communities(
     for (u, v), w in graph.edges.items():
         adj[index[u]][index[v]] = float(w)
         adj[index[v]][index[u]] = float(w)
+    neighbors = adj
     self_w = [0.0] * len(names)
     rng = np.random.Generator(np.random.PCG64(seed))
     node_of = list(range(len(names)))
@@ -367,9 +368,21 @@ def dict_louvain_communities(
         if n_comms == level_n:
             break
         adj, self_w = _dict_aggregate(adj, self_w, comm, n_comms)
+    # Split each last-level community into its connected components over its
+    # own edges: a BFS from each node not yet reached, in name order.
+    root_of = [-1] * len(names)
+    for root in range(len(names)):
+        if root_of[root] < 0:
+            root_of[root] = root
+            queue = [root]
+            for u in queue:
+                for v in neighbors[u]:
+                    if root_of[v] < 0 and node_of[v] == node_of[u]:
+                        root_of[v] = root
+                        queue.append(v)
     members = defaultdict(list)
-    for name, community in zip(names, node_of):
-        members[community].append(name)
+    for name, root in zip(names, root_of):
+        members[root].append(name)
     ordered = sorted(members.values(), key=lambda ms: (-len(ms), min(ms)))
     assignment = {name: new_id for new_id, ms in enumerate(ordered) for name in ms}
     return CommunityPartition(assignment=assignment, modularity_q=modularity(graph, assignment))
@@ -443,6 +456,15 @@ def _dict_aggregate(adj, self_w, comm, n_comms):
     resolution=0.1,
     seed=5,
 )
+# A last level that leaves c and d, whose only neighbor is aaa, in one community.
+@example(
+    graph=graph_from_edges(
+        {("a", "aa"): 1, ("aaa", "ab"): 3, ("aaa", "c"): 1, ("aaa", "d"): 1},
+        extra_nodes="abcdef",
+    ),
+    resolution=2.0,
+    seed=11,
+)
 def test_louvain_identical_to_dict_louvain(graph, resolution, seed):
     result = louvain_communities(graph, resolution=resolution, seed=seed)
     oracle = dict_louvain_communities(graph, resolution=resolution, seed=seed)
@@ -469,8 +491,8 @@ def test_louvain_identical_to_dict_louvain_on_seeded_graphs(resolution):
 @example(graph=TRIANGLES, resolution=0.1, seed=5)
 def test_louvain_communities_are_connected(graph, resolution, seed):
     # Louvain can leave a community internally disconnected (Traag, Waltman
-    # & van Eck 2019, "From Louvain to Leiden").  No drawn graph has shown
-    # one, so louvain_communities has no step that splits a community.
+    # & van Eck 2019, "From Louvain to Leiden"); louvain_communities splits
+    # each such community of its last level into its connected components.
     nx = pytest.importorskip("networkx")
     whole = networkx_graph(graph)
     assignment = louvain_communities(graph, resolution=resolution, seed=seed).assignment

@@ -278,6 +278,31 @@ def test_split_sentences_long_dot_run():
     assert split_sentences(text) == ["Word" + "." * 200_000, "Next words"]
 
 
+# Latin-1 text takes the whole-text class scan; a trailing "—", outside
+# Latin-1, sends the same text through the per-terminator scan.
+@pytest.mark.parametrize("suffix", ["", "—"], ids=["latin-1", "general"])
+def test_split_sentences_terminator_before_long_whitespace(suffix):
+    text = "Word." + " \t\n\x85\xa0" * 40_000 + suffix
+    assert split_sentences(text) == [text.strip()]
+    assert count_sentences(text) == 1
+
+
+@pytest.mark.parametrize("suffix", ["", "—"], ids=["latin-1", "general"])
+def test_split_sentences_many_short_sentences(suffix):
+    text = "A" + ". A" * 99_999 + suffix
+    sentences = split_sentences(text)
+    assert len(sentences) == count_sentences(text) == 100_000
+    assert sentences[-1] == "A" + suffix
+
+
+def test_a_stretch_opened_by_an_upper_case_non_word_character_is_no_sentence():
+    # "Ⓐ" is upper case, so a boundary before it stands, but it is no word
+    # character, so the stretch it opens holds no word.
+    text = "Foo. Ⓐ. Bar"
+    assert split_sentences(text) == _quadratic_split_sentences(text) == ["Foo.", "Bar"]
+    assert count_sentences(text) == 2
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     text=st.one_of(st.text(_SPLIT_ALPHABET, max_size=60), st.text("aAeE09.!? \t\n", max_size=60)),
@@ -330,14 +355,64 @@ _ASCII_ABBREVIATION_SETS = st.one_of(
 @example(text="One.\x0b\x1c\x1fTwo", abbreviations=frozenset())
 @example(text="One? Two. \t\x1c\n", abbreviations=frozenset({"two."}))
 def test_ascii_segmentation_equals_the_general_path(text, abbreviations):
-    # ASCII text takes whole-text passes; the general path, which non-ASCII
-    # text and split_sentences take, is the oracle.
+    # ASCII text takes the whole-text byte passes; the token pattern, which
+    # text outside Latin-1 takes, is the oracle for its tokens.
     for policy in _ALL_POLICIES:
         general = textproc._general_tokens(text, policy.bind_hyphens, policy.bind_apostrophes)
         if not policy.keep_numbers:
             general = [t for t in general if any(c.isalpha() for c in t)]
         assert list(tokenize(text, policy).tokens) == general, policy
     assert count_sentences(text, abbreviations) == len(split_sentences(text, abbreviations))
+
+
+# Every Latin-1 code point, with more of the ones whose classes differ from
+# ASCII's: "©", accented letters, word characters that are neither upper
+# nor lower case ("¼ ½ ¾"), lowercase letters without a Latin-1 upper case
+# ("µ ß ÿ"), ordinal indicators ("ª º"), whitespace "\x85" and "\xa0"; and
+# the joiners and terminators.
+_LATIN1_TEXT = st.text(
+    st.one_of(
+        st.characters(max_codepoint=255),
+        st.sampled_from("©¼½¾µßÿªº\x85\xa0"),
+        st.sampled_from("áéíñóúüÁÉÍÑÓÚÜçÇ"),
+        st.sampled_from(".!?-' aAX0"),
+    ),
+    max_size=60,
+)
+_LATIN1_ABBREVIATION_SETS = st.one_of(
+    st.just(DEFAULT_ABBREVIATIONS),
+    st.frozensets(
+        st.builds(
+            lambda body, end: body.lower() + end,
+            st.text(st.one_of(st.characters(max_codepoint=255), st.sampled_from("ñéß")), max_size=4),
+            st.sampled_from(".!?"),
+        ),
+        max_size=4,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_LATIN1_TEXT, abbreviations=_LATIN1_ABBREVIATION_SETS)
+@example(text="¼", abbreviations=DEFAULT_ABBREVIATIONS)
+@example(text="½. Éa", abbreviations=DEFAULT_ABBREVIATIONS)
+@example(text="Año. Él", abbreviations=frozenset({"año."}))
+@example(text="Año. Él", abbreviations=DEFAULT_ABBREVIATIONS)
+@example(text="a\x85B. C", abbreviations=DEFAULT_ABBREVIATIONS)
+@example(text="e.g.\xa0X", abbreviations=DEFAULT_ABBREVIATIONS)
+@example(text="ÿ-ß'ª -x", abbreviations=DEFAULT_ABBREVIATIONS)
+@example(text="Fin. ¾ más. 2020 © Elsevier Ltd.", abbreviations=DEFAULT_ABBREVIATIONS)
+def test_latin1_segmentation_equals_the_general_path(text, abbreviations):
+    # Latin-1 text takes whole-text byte passes; the token pattern and the
+    # quadratic splitter are the oracles.
+    for policy in _ALL_POLICIES:
+        general = textproc._general_tokens(text, policy.bind_hyphens, policy.bind_apostrophes)
+        if not policy.keep_numbers:
+            general = [t for t in general if any(c.isalpha() for c in t)]
+        assert list(tokenize(text, policy).tokens) == general, policy
+    sentences = split_sentences(text, abbreviations)
+    assert sentences == _quadratic_split_sentences(text, abbreviations)
+    assert count_sentences(text, abbreviations) == len(sentences)
 
 
 # ---------------------------------------------------------------------------
