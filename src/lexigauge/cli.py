@@ -184,7 +184,8 @@ def _cmd_semnet(args) -> int:
     with named(args.csv):
         corpus = parse_bibliographic_csv(args.csv, label=Path(args.csv).stem)
         require_records(corpus, args.csv)
-        graph, partition, scores, summary = analyze_network(corpus.titles(), analysis)
+        titles = {record.id: record.title for record in corpus.records}
+        graph, partition, scores, summary = analyze_network(titles, analysis)
     out = args.out or f"{Path(args.csv).with_suffix('')}_network.{args.format}"
     Path(out).write_bytes(export_graph(graph, partition, scores, args.format))
     print(

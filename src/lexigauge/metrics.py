@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, filterfalse
 from operator import mul
 
 from .errors import CsvParseError, DomainError, named
@@ -21,8 +22,8 @@ from .textproc import (
     DEFAULT_TOKEN_POLICY,
     TokenPolicy,
     _count_sentences,
+    _syllable_counts,
     check_abbreviations,
-    count_syllables,
     tokenize,
 )
 
@@ -81,24 +82,15 @@ def fkgl(
     May be negative for very simple text; raises DomainError when the text
     contains no words (the words-per-sentence term would divide by zero).
     """
-    return _fkgl(
-        text, Counter(tokenize(text, policy)), check_abbreviations(abbreviations), _Syllables()
-    )
-
-
-class _Syllables(dict):
-    """``count_syllables(token)`` by token, counted on a token's first lookup,
-    so that one table shared by many texts counts each distinct token once."""
-
-    def __missing__(self, token: str) -> int:
-        self[token] = count = count_syllables(token)
-        return count
+    counts = Counter(tokenize(text, policy))
+    syllables = dict(zip(counts, _syllable_counts(list(counts))))
+    return _fkgl(text, counts, check_abbreviations(abbreviations), syllables)
 
 
 def _fkgl(
-    text: str, counts: Counter, abbreviations: frozenset[str], syllables: _Syllables
+    text: str, counts: Counter, abbreviations: frozenset[str], syllables: dict[str, int]
 ) -> float:
-    # ``counts`` is Counter(tokens of text).
+    # ``counts`` is Counter(tokens of text); ``syllables`` holds each token.
     n_words = counts.total()
     if n_words == 0:
         raise DomainError("cannot compute a grade level for text with no words")
@@ -127,6 +119,12 @@ def _yules_k(counts: Counter) -> float:
     return 1e4 * (s2 - n) / (n * n)
 
 
+# (document, type) pairs per block of lexical_records: enough that the
+# syllable pass's per-call cost is small against its per-type cost, few
+# enough that the block's Counters stay a small share of the heap.
+_BLOCK_PAIRS = 1 << 14
+
+
 def lexical_records(
     corpus,
     policy: TokenPolicy = DEFAULT_TOKEN_POLICY,
@@ -137,16 +135,36 @@ def lexical_records(
     Abstract-less documents receive None for fkgl / yules_k; they still get
     a title length.  Errors are annotated with the offending document id.
     Each abstract is tokenized once; both metrics read that token count.
-    Syllables are counted once per distinct token of the corpus, in a table
-    that lives only for this call; the values equal per-document counting.
+    Documents are finished in blocks of about ``_BLOCK_PAIRS`` (document,
+    type) pairs, so that the syllables of a block's types not yet in the
+    syllable table are counted in one array pass.  The table lives only
+    for this call; the values equal per-document counting.
     """
     check_abbreviations(abbreviations)
-    syllables = _Syllables()
-    rows = []
+    syllables: dict[str, int] = {}
+    rows: list[LexicalRecord] = []
+    block = []
+    pairs = 0
     for record in corpus.records:
         with named(f"document {record.id!r}"):
             length = title_length(record.title)
             counts = Counter(tokenize(record.abstract, policy))
+        block.append((record, length, counts))
+        pairs += len(counts)
+        if pairs >= _BLOCK_PAIRS:
+            rows += _finish_block(block, syllables, abbreviations)
+            block, pairs = [], 0
+    rows += _finish_block(block, syllables, abbreviations)
+    return rows
+
+
+def _finish_block(block, syllables: dict[str, int], abbreviations) -> list[LexicalRecord]:
+    types = chain.from_iterable(counts for _, _, counts in block)
+    new = list(dict.fromkeys(filterfalse(syllables.__contains__, types)))
+    syllables.update(zip(new, _syllable_counts(new)))
+    rows = []
+    for record, length, counts in block:
+        with named(f"document {record.id!r}"):
             grade = _fkgl(record.abstract, counts, abbreviations, syllables) if counts else None
             diversity = _yules_k(counts) if counts else None
         rows.append(

@@ -379,7 +379,9 @@ def analyze_network(
 ) -> tuple[CoWordGraph, CommunityPartition, CentralityScores, ClusterSummary]:
     """The co-word network stage of one corpus: the title graph under
     ``analysis``'s graph settings, its seeded communities, betweenness and
-    degree scores, and the cluster summary."""
+    degree scores, and the cluster summary.  ``titles`` is as for
+    ``build_coword_graph``: given record ids, an over-cap title is named by
+    its id."""
     policy = GraphPolicy(
         min_title_frequency=analysis.min_title_frequency,
         token_policy=analysis.token_policy,
@@ -437,7 +439,9 @@ def _analyze_corpus(config: CorpusConfig, analysis: AnalysisConfig) -> CorpusRes
         with named(f"cannot build a density for {metric!r}"):
             densities[metric] = kde(values, grid_points=analysis.kde_grid_points)
 
-    graph, partition, centrality, clusters = analyze_network(analyzed.titles(), analysis)
+    graph, partition, centrality, clusters = analyze_network(
+        {record.id: record.title for record in analyzed.records}, analysis
+    )
     return CorpusResult(
         label=config.label,
         source_csv=str(config.csv_path),

@@ -13,6 +13,7 @@ and half-weight self-loop is an exact float, whatever the summation order.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations
@@ -129,9 +130,14 @@ def build_coword_graph(titles, policy: GraphPolicy = GraphPolicy()) -> CoWordGra
     de-duplicate.  Tokens in fewer than ``policy.min_title_frequency`` titles
     are pruned; each pair of a title's kept tokens is then linked, weighted by
     the number of titles holding both.  The result is invariant under
-    permutation of the titles.  A title keeping more than 256 tokens raises
-    DomainError naming its position, counted from 1.
+    permutation of the titles.  ``titles`` is a sequence of titles, or a
+    mapping from record id to title.  A title keeping more than 256 tokens
+    raises DomainError naming its record id, or else its position counted
+    from 1.
     """
+    ids = list(titles) if isinstance(titles, Mapping) else None
+    if ids is not None:
+        titles = titles.values()
     token_sets = [set(tokenize(title, policy.token_policy)) for title in titles]
     if not token_sets:
         raise DomainError("cannot build a co-word graph from zero titles")
@@ -143,11 +149,12 @@ def build_coword_graph(titles, policy: GraphPolicy = GraphPolicy()) -> CoWordGra
         if f >= policy.min_title_frequency and t not in stopwords and any(map(str.isalpha, t))
     }
     edges: Counter[tuple[str, str]] = Counter()
-    for position, terms in enumerate(token_sets, 1):
+    for position, terms in enumerate(token_sets):
         kept = sorted(terms & keep)
         if len(kept) > _MAX_TITLE_TERMS:
+            title = f"title {position + 1}" if ids is None else f"record {ids[position]!r}: title"
             raise DomainError(
-                f"title {position} keeps {len(kept)} terms, past the cap of {_MAX_TITLE_TERMS}"
+                f"{title} keeps {len(kept)} terms, past the cap of {_MAX_TITLE_TERMS}"
             )
         edges.update(combinations(kept, 2))
     return CoWordGraph(
@@ -388,11 +395,12 @@ def _component_sizes(indptr, indices) -> np.ndarray:
 
 
 def _component_roots(indptr, indices) -> np.ndarray:
-    """The smallest node id of each node's connected component: one
-    level-synchronous BFS per component, each edge expanded once."""
+    """The smallest node id of each node's connected component: a node
+    without edges is its own root, and each other component takes one
+    level-synchronous BFS from its smallest node, each edge expanded once."""
     n = indptr.size - 1
-    root_of = np.full(n, -1)
-    for root in range(n):
+    root_of = np.where(np.diff(indptr) == 0, np.arange(n), -1)
+    for root in np.flatnonzero(root_of < 0).tolist():
         if root_of[root] >= 0:
             continue
         frontier = np.array([root])

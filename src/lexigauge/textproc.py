@@ -15,6 +15,8 @@ from functools import cache
 from itertools import accumulate, pairwise
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 
 __all__ = [
@@ -347,6 +349,61 @@ def _has_silent_e(p: str) -> bool:
                 return True
             return False
     return False
+
+
+# ``bytes.translate`` tables from lowercased ASCII text to bool bytes: is
+# the byte a-z, a vowel, a newline.
+_LETTER_BYTES = bytes("a" <= chr(b) <= "z" for b in range(256))
+_VOWEL_BYTES = bytes(chr(b) in _VOWELS for b in range(256))
+_NEWLINE_BYTES = bytes(chr(b) == "\n" for b in range(256))
+# Each ending as the shift that leaves a part's last len(ending) bytes of a
+# little-endian word of its last 8 bytes, and those bytes' value.
+_ENDING_KEYS = [
+    (64 - 8 * len(ending), int.from_bytes(ending.encode(), "little"))
+    for ending in _SILENT_E_ENDINGS
+]
+
+
+def _syllable_counts(words: list[str]) -> list[int]:
+    """``count_syllables`` of each of ``words`` (none holding a newline),
+    in one array pass.
+
+    The words are joined by newlines, lowercased and encoded one byte per
+    character ("?" for each character outside ASCII, which splits parts as
+    ``_ALPHA_SPLIT`` does).  Vowel runs are counted per ``[a-z]`` part by
+    ``searchsorted``; a part with two or more runs whose tail is one of
+    ``_SILENT_E_ENDINGS`` goes to ``_has_silent_e``; ``bincount`` sums the
+    parts of each word.
+    """
+    if not words:
+        return []
+    # Eight newlines first, so that every part has eight bytes before its end.
+    text = "\n" * 8 + "\n".join(words).lower() + "\n"
+    data = text.encode("ascii", "replace")
+    letters, vowels, newlines = (
+        np.frombuffer(data.translate(table), bool)
+        for table in (_LETTER_BYTES, _VOWEL_BYTES, _NEWLINE_BYTES)
+    )
+    data = np.frombuffer(data, np.uint8)
+    # Starts and (exclusive) ends of parts alternate among the edges.
+    edges = np.flatnonzero(np.diff(letters, prepend=False, append=False))
+    starts, ends = edges[::2], edges[1::2]
+    run_starts = np.flatnonzero(np.diff(vowels, prepend=False))[::2]
+    runs = np.searchsorted(run_starts, ends) - np.searchsorted(run_starts, starts)
+    multi = np.flatnonzero(runs >= 2)
+    # Every ending is letters, and a part is preceded by a non-letter, so an
+    # ending that matches a part's last bytes lies within the part.  Every
+    # byte is ASCII, so the signed word is never negative.
+    tail = data[ends[multi, None] + np.arange(-8, 0)].view("<i8").ravel()
+    candidate = np.zeros(multi.size, bool)
+    for shift, key in _ENDING_KEYS:
+        candidate |= tail >> shift == key
+    multi = multi[candidate]
+    parts = map(text.__getitem__, map(slice, starts[multi].tolist(), ends[multi].tolist()))
+    runs[multi[np.fromiter(map(_has_silent_e, parts), bool, multi.size)]] -= 1
+    word_ends = np.flatnonzero(newlines)[8:]
+    totals = np.bincount(np.searchsorted(word_ends, starts), runs, len(words))
+    return np.maximum(totals, 1).astype(np.intp).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -131,18 +131,25 @@ def test_single_file_commands_name_their_file(tmp_path):
 
 def test_a_repeated_over_cap_title_is_named_by_compare_and_semnet(data_dir, tmp_path):
     # Both copies keep all 257 words, whose pairs would make a 32,896-edge clique.
+    # The error names the record id ("row3", after the third data row), not
+    # the title's position, which a skipped row or a sample would move.
     long_title = " ".join(f"term{i}" for i in range(257))
-    rows = [["", long_title, "Short text here.", "", "", ""],
+    rows = [["", "", "No title.", "", "", ""],
+            ["", "Team process", "Team work is hard to measure in small firms.", "", "", ""],
+            ["", long_title, "Short text here.", "", "", ""],
             ["", long_title, "Teams form. Teams change. Teams last.", "", "", ""],
-            ["", "Team process", "Team work is hard to measure in small firms.", "", "", ""]]
+            ["", long_title + " again", "Teams form again.", "", "", ""]]
     repeated = _write_rows(tmp_path / "repeated.csv", rows)
-    assert _compare(data_dir, tmp_path, repeated) == (
-        1, "error: corpus 'A': title 1 keeps 257 terms, past the cap of 256\n"
-    )
+    message = "record 'row3': title keeps 257 terms, past the cap of 256\n"
+    assert _compare(data_dir, tmp_path, repeated) == (1, f"error: corpus 'A': {message}")
     assert _run(["semnet", repeated, "--out", str(tmp_path / "g.gexf")]) == (
-        1, f"error: {repeated}: title 1 keeps 257 terms, past the cap of 256\n"
+        1, f"error: {repeated}: {message}"
     )
     assert not (tmp_path / "g.gexf").exists()
+    # Seed 0 samples rows 4 and 5, so the first over-cap title is row 4's.
+    assert _compare(data_dir, tmp_path, repeated, "--sample-size", "2", "--seed", "0") == (
+        1, f"error: corpus 'A': {message.replace('row3', 'row4')}"
+    )
 
 
 def test_metrics_rejects_a_csv_without_usable_records(tmp_path):

@@ -221,13 +221,15 @@ def test_lexical_records_tokenizes_each_abstract_once(monkeypatch):
 
 
 def test_lexical_records_counts_syllables_once_per_distinct_token(monkeypatch):
+    # Each distinct token goes to the syllable pass once per call, across
+    # blocks (two pairs each here), and no table outlives the call.
     import lexigauge.metrics as metrics
 
-    calls = Counter()
+    handed = Counter()
 
-    def counting_count_syllables(token):
-        calls[token] += 1
-        return count_syllables(token)
+    def counting_syllable_counts(words):
+        handed.update(words)
+        return textproc._syllable_counts(words)
 
     corpus = Corpus(
         label="shared",
@@ -237,16 +239,17 @@ def test_lexical_records_counts_syllables_once_per_distinct_token(monkeypatch):
             BibRecord(id="d3", title="Three", abstract="The dog sat. The cat ran away."),
         ),
     )
-    # Computed before patching, since fkgl() also calls metrics.count_syllables.
+    # Computed before patching, since fkgl() also calls the pass.
     per_document = [fkgl(r.abstract) if r.abstract else None for r in corpus.records]
     distinct = set().union(*(tokenize(record.abstract) for record in corpus.records))
-    monkeypatch.setattr(metrics, "count_syllables", counting_count_syllables)
+    monkeypatch.setattr(metrics, "_syllable_counts", counting_syllable_counts)
+    monkeypatch.setattr(metrics, "_BLOCK_PAIRS", 2)
     rows = lexical_records(corpus)
-    assert calls == Counter(dict.fromkeys(distinct, 1))
+    assert handed == Counter(dict.fromkeys(distinct, 1))
     assert [r.fkgl for r in rows] == per_document
     # A second call builds its own table: nothing is cached across calls.
     assert lexical_records(corpus) == rows
-    assert calls == Counter(dict.fromkeys(distinct, 2))
+    assert handed == Counter(dict.fromkeys(distinct, 2))
 
 
 def _per_type_lexical_records(corpus, policy, abbreviations):
@@ -333,6 +336,38 @@ def test_lexical_records_bit_identical_to_per_type_oracle_on_examples():
             assert _hex_rows(lexical_records(corpus, policy, abbreviations)) == _hex_rows(
                 _per_type_lexical_records(corpus, policy, abbreviations)
             )
+
+
+def test_lexical_records_bit_identical_to_per_type_oracle_across_blocks():
+    # Shared words make later blocks mostly known types; one document holds
+    # more distinct types than a whole block; some abstracts are empty.
+    import lexigauge.metrics as metrics
+
+    rng = random.Random(22)
+    syllables = ["ta", "ble", "man", "age", "ment", "ly", "es", "ed", "ful", "ness", "qu", "io"]
+
+    def word():
+        return "".join(rng.choices(syllables, k=rng.randint(1, 4)))
+
+    shared = [word() for _ in range(3_000)]
+    abstracts = [
+        " ".join(rng.choices(shared, k=rng.randint(50, 250))) + ". Next one! " + word()
+        for _ in range(400)
+    ]
+    abstracts[7] = abstracts[300] = ""
+    abstracts[150] = " ".join(f"{word()}{i}x" for i in range(metrics._BLOCK_PAIRS + 500))
+    corpus = Corpus(
+        label="blocks",
+        records=tuple(
+            BibRecord(id=f"d{i}", title="T", abstract=a) for i, a in enumerate(abstracts)
+        ),
+    )
+    pairs = sum(len(set(tokenize(a))) for a in abstracts)
+    assert pairs > 3 * metrics._BLOCK_PAIRS
+    policy, abbreviations = TokenPolicy(), DEFAULT_ABBREVIATIONS
+    assert _hex_rows(lexical_records(corpus, policy, abbreviations)) == _hex_rows(
+        _per_type_lexical_records(corpus, policy, abbreviations)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,17 @@ def test_build_caps_the_kept_terms_of_one_title():
     assert build_coword_graph(["team process", "team change", over_cap]).nodes == {"team"}
 
 
+def test_build_from_record_ids_names_an_over_cap_title_by_its_id():
+    words = ["zq" + a + b for a, b in itertools.product(string.ascii_lowercase, repeat=2)]
+    over_cap = " ".join(words[:257])
+    titles = {"p1": "team process", "p2": "team change", "x": over_cap, "y": over_cap + " team"}
+    message = r"^record 'x': title keeps 257 terms, past the cap of 256$"
+    with pytest.raises(DomainError, match=message):
+        build_coword_graph(titles)
+    del titles["y"]
+    assert build_coword_graph(titles) == build_coword_graph(list(titles.values()))
+
+
 # ---------------------------------------------------------------------------
 # Modularity + Louvain
 # ---------------------------------------------------------------------------
@@ -705,6 +716,22 @@ PATH_TRIANGLE_LONE = graph_from_edges(
 def test_betweenness_bit_identical_to_dict_brandes(graph, cap):
     with mock.patch.object(semnet, "_BATCH_ELEMENTS", cap):
         assert_same_bits(graph, dict_brandes_betweenness(graph))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=random_graphs())
+@example(graph=CoWordGraph(node_frequency={"a": 1, "b": 1, "c": 1}, edges={}))
+@example(graph=PATH_TRIANGLE_LONE)
+def test_component_roots_are_the_smallest_node_of_each_networkx_component(graph):
+    nx = pytest.importorskip("networkx")
+    names, indptr, indices, _ = semnet._csr(graph)
+    index = {u: i for i, u in enumerate(names)}
+    root_of = {
+        u: min(map(index.__getitem__, c))
+        for c in nx.connected_components(networkx_graph(graph))
+        for u in c
+    }
+    assert semnet._component_roots(indptr, indices).tolist() == [root_of[u] for u in names]
 
 
 @settings(max_examples=300, deadline=None)

@@ -437,6 +437,22 @@ def test_count_syllables_same_without_the_silent_e_gate(stem, endings):
         assert count_syllables(word) == gated
 
 
+# Pieces of drawn words: letters (a Kelvin sign lowercases to "k", "İ" to
+# "i" plus a combining dot), joiners, digits, and parts with no a-z letter.
+_PASS_PIECES = [*"aeiouybcdlmnsthgxzrAEYK", "é", "İ", "\u212a", "-", "'", "’", "2", "42",
+                "é-", "-'", *_ENDINGS, *textproc._SILENT_E_ENDINGS]
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=st.lists(st.lists(st.sampled_from(_PASS_PIECES), max_size=8).map("".join),
+                      max_size=40))
+@example(words=[stem + ending for stem in ("", "b", "ab", "tab", "mak", "eu")
+                for ending in textproc._SILENT_E_ENDINGS])
+@example(words=["", "-", "42", "é", "İİ", "\u212aate", "Tables", "well-made", "it's"])
+def test_syllable_pass_equals_count_syllables(words):
+    assert textproc._syllable_counts(words) == [count_syllables(w) for w in words]
+
+
 def _lexicon(data_dir):
     pairs = []
     for line in (data_dir / "syllable_lexicon.txt").read_text().splitlines():
@@ -458,6 +474,11 @@ def test_syllables_match_dictionary_lexicon(data_dir):
         if count_syllables(word) != expected
     ]
     assert mismatches == []
+
+
+def test_syllable_pass_matches_dictionary_lexicon(data_dir):
+    words, counts = zip(*_lexicon(data_dir))
+    assert textproc._syllable_counts(list(words)) == list(counts)
 
 
 @pytest.mark.parametrize(
