@@ -162,20 +162,16 @@ def _finish_block(block, syllables: dict[str, int], abbreviations) -> list[Lexic
     types = chain.from_iterable(counts for _, _, counts in block)
     new = list(dict.fromkeys(filterfalse(syllables.__contains__, types)))
     syllables.update(zip(new, _syllable_counts(new)))
-    rows = []
-    for record, length, counts in block:
-        with named(f"document {record.id!r}"):
-            grade = _fkgl(record.abstract, counts, abbreviations, syllables) if counts else None
-            diversity = _yules_k(counts) if counts else None
-        rows.append(
-            LexicalRecord(
-                doc_id=record.id,
-                title_length_chars=length,
-                fkgl=grade,
-                yules_k=diversity,
-            )
+    # Neither metric raises on a non-empty count, so no document is named here.
+    return [
+        LexicalRecord(
+            doc_id=record.id,
+            title_length_chars=length,
+            fkgl=_fkgl(record.abstract, counts, abbreviations, syllables) if counts else None,
+            yules_k=_yules_k(counts) if counts else None,
         )
-    return rows
+        for record, length, counts in block
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -264,23 +264,22 @@ def louvain_communities(
         if comm.max() + 1 == self_w.size:
             break
         indptr, indices, weights, self_w = _aggregate(indptr, indices, weights, self_w, comm)
-    node_of = _split_disconnected(node_of, *graph_csr)
+    roots = _split_disconnected(node_of, *graph_csr)
 
-    # Canonical ids: by decreasing size, ties by first (smallest) member name.
-    first = np.unique(node_of, return_index=True)[1]
-    canonical = np.argsort(np.lexsort((first, -np.bincount(node_of))))
-    assignment = dict(zip(names, canonical[node_of].tolist()))
+    # Canonical ids: by decreasing size, ties by smallest member (root) name.
+    smallest, inverse, size = np.unique(roots, return_inverse=True, return_counts=True)
+    canonical = np.argsort(np.lexsort((smallest, -size)))
+    assignment = dict(zip(names, canonical[inverse].tolist()))
     return CommunityPartition(assignment=assignment, modularity_q=modularity(graph, assignment))
 
 
 def _split_disconnected(comm, indptr, indices) -> np.ndarray:
-    """``comm`` with each community split into its connected components over
-    its own edges, relabeled 0..k-1 in order of smallest member."""
+    """The smallest member of each node's connected component over the
+    edges inside its community of ``comm``."""
     rows = np.repeat(np.arange(comm.size), np.diff(indptr))
     intra = comm[rows] == comm[indices]
     intra_indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[intra], minlength=comm.size))))
-    roots = _component_roots(intra_indptr, indices[intra])
-    return np.unique(roots, return_inverse=True)[1].reshape(-1)
+    return _component_roots(intra_indptr, indices[intra])
 
 
 def _local_moves(indptr, indices, weights, self_w, resolution, rng) -> np.ndarray:
@@ -395,20 +394,20 @@ def _component_sizes(indptr, indices) -> np.ndarray:
 
 
 def _component_roots(indptr, indices) -> np.ndarray:
-    """The smallest node id of each node's connected component: a node
-    without edges is its own root, and each other component takes one
-    level-synchronous BFS from its smallest node, each edge expanded once."""
-    n = indptr.size - 1
-    root_of = np.where(np.diff(indptr) == 0, np.arange(n), -1)
-    for root in np.flatnonzero(root_of < 0).tolist():
-        if root_of[root] >= 0:
-            continue
-        frontier = np.array([root])
-        while frontier.size:
-            root_of[frontier] = root
-            tail = _expand(frontier, indptr, indices)[0]
-            frontier = np.unique(tail[root_of[tail] < 0])
-    return root_of
+    """The smallest node id of each node's connected component, by hooking
+    and shortcutting (Shiloach & Vishkin 1982): each round, every edge that
+    joins two trees hooks the larger root under the smaller, then pointer
+    jumping flattens each tree onto its root, its smallest node.  Every two
+    rounds at least halve the trees that still touch another."""
+    parent = np.arange(indptr.size - 1)
+    heads = np.repeat(parent, np.diff(indptr))
+    while True:
+        a, b = parent[heads], parent[indices]
+        if np.array_equal(a, b):
+            return parent
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(grand := parent[parent], parent):
+            parent = grand
 
 
 def _dependencies(sources, indptr, indices, component_size) -> np.ndarray:

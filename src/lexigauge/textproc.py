@@ -225,28 +225,24 @@ def _boundaries(text: str, abbreviations: frozenset[str]) -> list[int]:
     # per-abbreviation check of the character before it.
     lowered = text.lower()
     suffixes = tuple(abbreviations)
-    data = _latin1(text)
-    if data is not None:
-        ends = map(re.Match.end, _BOUNDARY.finditer(data.translate(_SENTENCE_CLASSES)))
-        return [
-            end
-            for end in ends
-            if not (
-                lowered.endswith(suffixes, 0, end)
-                and _ends_with_abbreviation(lowered, end, abbreviations)
-            )
-        ]
-    # Lowercasing can lengthen a character ("İ" -> "i̇"): map offsets onto it.
+    # Lowercasing can lengthen a character ("İ" -> "i̇"), never in Latin-1:
+    # map offsets onto it.
     at = range(len(text) + 1)
     if len(lowered) != len(text):
         at = list(accumulate((len(c.lower()) for c in text), initial=0))
-    ends = map(re.Match.end, _TERMINATOR.finditer(text))
+    data = _latin1(text)
+    if data is not None:
+        ends = map(re.Match.end, _BOUNDARY.finditer(data.translate(_SENTENCE_CLASSES)))
+    else:
+        ends = (
+            end
+            for end in map(re.Match.end, _TERMINATOR.finditer(text))
+            if (opener := _OPENER.match(text, end)) and _sentence_class(opener[1]) == "A"
+        )
     return [
         end
         for end in ends
-        if (opener := _OPENER.match(text, end))
-        and _sentence_class(opener[1]) == "A"
-        and not (
+        if not (
             lowered.endswith(suffixes, 0, at[end])
             and _ends_with_abbreviation(lowered, at[end], abbreviations)
         )

@@ -500,6 +500,17 @@ def test_louvain_identical_to_dict_louvain_on_seeded_graphs(resolution):
     seed=st.integers(0, 50),
 )
 @example(graph=TRIANGLES, resolution=0.1, seed=5)
+# A last level that leaves cd, ce and cf, whose only neighbor is aaa, in one
+# community: three pieces.
+@example(
+    graph=graph_from_edges(
+        {("a", "aa"): 1, ("aaa", "ab"): 6, ("aaa", "cc"): 1, ("aaa", "cd"): 1,
+         ("aaa", "ce"): 1, ("aaa", "cf"): 1},
+        extra_nodes="abcdef",
+    ),
+    resolution=1.5,
+    seed=17,
+)
 def test_louvain_communities_are_connected(graph, resolution, seed):
     # Louvain can leave a community internally disconnected (Traag, Waltman
     # & van Eck 2019, "From Louvain to Leiden"); louvain_communities splits
@@ -705,6 +716,18 @@ PATH_TRIANGLE_LONE = graph_from_edges(
     extra_nodes=["lone"],
 )
 
+# Shapes whose hook rounds in _component_roots are many or whose components
+# are many: a 2,000-node path and a caterpillar (a 300-node path, each node
+# with one leaf that sorts before it) whose names fall in random order along
+# them, and 500 disjoint pairs.
+PATH_NAMES = [f"p{i:04d}" for i in np.random.default_rng(3).permutation(2000)]
+SHUFFLED_PATH = graph_from_edges(dict.fromkeys(itertools.pairwise(PATH_NAMES), 1))
+SPINE = [f"s{i:03d}" for i in np.random.default_rng(4).permutation(300)]
+CATERPILLAR = graph_from_edges(
+    {**dict.fromkeys(itertools.pairwise(SPINE), 1), **{(f"l{s[1:]}", s): 1 for s in SPINE}}
+)
+DISJOINT_PAIRS = graph_from_edges({(f"a{i:03d}", f"b{i:03d}"): 1 for i in range(500)})
+
 
 @settings(max_examples=300, deadline=None)
 @given(graph=random_graphs(), cap=st.sampled_from([1, 16, 64, 1024, semnet._BATCH_ELEMENTS]))
@@ -722,6 +745,9 @@ def test_betweenness_bit_identical_to_dict_brandes(graph, cap):
 @given(graph=random_graphs())
 @example(graph=CoWordGraph(node_frequency={"a": 1, "b": 1, "c": 1}, edges={}))
 @example(graph=PATH_TRIANGLE_LONE)
+@example(graph=SHUFFLED_PATH)
+@example(graph=CATERPILLAR)
+@example(graph=DISJOINT_PAIRS)
 def test_component_roots_are_the_smallest_node_of_each_networkx_component(graph):
     nx = pytest.importorskip("networkx")
     names, indptr, indices, _ = semnet._csr(graph)
@@ -737,7 +763,9 @@ def test_component_roots_are_the_smallest_node_of_each_networkx_component(graph)
 @settings(max_examples=300, deadline=None)
 @given(graph=random_graphs())
 @example(graph=CoWordGraph(node_frequency={"a": 1, "b": 1, "c": 1}, edges={}))
-@example(graph=graph_from_edges({(f"a{i:03d}", f"b{i:03d}"): 1 for i in range(500)}))
+@example(graph=SHUFFLED_PATH)
+@example(graph=CATERPILLAR)
+@example(graph=DISJOINT_PAIRS)
 def test_component_sizes_equal_networkx_connected_components(graph):
     nx = pytest.importorskip("networkx")
     names, indptr, indices, _ = semnet._csr(graph)
