@@ -45,6 +45,7 @@ from .semnet import (
     CoWordGraph,
     GraphPolicy,
     XML_TEXT_ESCAPES,
+    _xml_text_fault,
     betweenness,
     build_coword_graph,
     cluster_summary,
@@ -90,20 +91,6 @@ __all__ = [
 
 KNOWN_FORMATS = ("json", "csv", "svg", "gexf", "graphml")
 
-# What XML 1.0 forbids in a document (a label is SVG text): the C0 controls
-# other than tab, LF and CR, and U+FFFE and U+FFFF.
-_NOT_XML = frozenset([*map(chr, range(32)), "\ufffe", "\uffff"]) - set("\t\n\r")
-
-
-def _svg_text_fault(text: str) -> str | None:
-    """Why ``text`` cannot be written as SVG text, or None."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return "is not valid UTF-8"
-    return "holds a character XML 1.0 forbids" if _NOT_XML.intersection(text) else None
-
-
 @dataclass(frozen=True)
 class CorpusConfig:
     csv_path: str
@@ -114,7 +101,7 @@ class CorpusConfig:
     author_total: int | None = None
 
     def __post_init__(self):
-        if fault := _svg_text_fault(self.label):
+        if fault := _xml_text_fault(self.label):
             raise ConfigError(f"corpus label {self.label!r} {fault}")
         for key in ("seed", "author_total"):
             value = getattr(self, key)
@@ -604,7 +591,7 @@ def emit_density_svg(
     Deterministic byte output for identical inputs.  Raises DomainError for
     a bad series, and for a title or label that cannot be written as XML."""
     for text in (title, *labels):
-        if fault := _svg_text_fault(text):
+        if fault := _xml_text_fault(text):
             raise DomainError(f"SVG text {text!r} {fault}")
     for series in (series_a, series_b):
         if len(series.grid) == 0:

@@ -342,8 +342,12 @@ def _aggregate(indptr, indices, weights, self_w, comm):
 
 # Cap on the elements of each working array: a batch holds as many BFS
 # sources (at least one) as keep both sources x nodes and sources x
-# directed edges within it.
-_BATCH_ELEMENTS = 1 << 15
+# directed edges within it.  2^16 measured faster than 2^15 on all three
+# benchmark workloads.  Larger caps were faster still on the dense one, but
+# test_betweenness_bit_identical_on_dense_graph_in_batches needs two
+# sources' directed edges (4 x E = 67,504) above the cap, and 2^18 cost about
+# 2 MB more peak RSS.
+_BATCH_ELEMENTS = 1 << 16
 _UNREACHED = np.iinfo(np.intp).max
 
 
@@ -354,9 +358,12 @@ def betweenness(graph: CoWordGraph) -> CentralityScores:
     Brandes' algorithm on the ``_csr`` adjacency, a batch of sources at a
     time.  A source's BFS stops once it has reached every node of its
     connected component, and its own dependency is never accumulated: the
-    levels skipped hold no predecessor edge.  Every floating-point sum runs
-    in the order of the single-source queue/stack form, which visits
-    neighbors in ascending name order, so the scores are bit-identical to it.
+    levels skipped hold no predecessor edge.  The backward pass takes each
+    level in decreasing discovery rank of the edges' tails, the stack's
+    popping order; edges that tie share a tail, so they feed different
+    heads.  Every floating-point sum runs in the order of the single-source
+    queue/stack form, which visits neighbors in ascending name order, so
+    the scores are bit-identical to it.
     """
     names, indptr, indices, _ = _csr(graph)
     n = len(names)
@@ -423,6 +430,12 @@ def _dependencies(sources, indptr, indices, component_size) -> np.ndarray:
     predecessor edge is lost.  The first level's predecessor edges all
     start at a source, so the backward pass skips them.  Both cuts leave
     every sum, and its order, as in the single-source form.
+
+    A tail's discovery rank, the index of the edge that discovered it,
+    rises with BFS position, so a stable argsort of ``size - 1 - rank``
+    gives the stack's popping order; held in the narrowest unsigned dtype,
+    a key of up to 16 bits is radix sorted.  Edges that tie share a tail,
+    so they feed different heads, and their order changes no sum.
     """
     n = indptr.size - 1
     rows = sources.size
@@ -450,16 +463,19 @@ def _dependencies(sources, indptr, indices, component_size) -> np.ndarray:
         # The first of them into a node discovers it.
         seen = np.arange(tail.size)
         np.minimum.at(position, tail, seen)
-        frontier = tail[position[tail] == seen]
+        first = position[tail]
+        frontier = tail[first == seen]
         position[frontier] = np.arange(reached, reached + frontier.size)
         reached += frontier.size
         np.add.at(sigma, tail, sigma[head])
-        levels.append((head, tail))
+        # The backward pass's sort key: the tail's rank from the level's end.
+        key = (tail.size - 1 - first).astype(np.min_scalar_type(tail.size - 1))
+        levels.append((head, tail, key))
 
     delta = np.zeros(rows * n)
-    for head, tail in reversed(levels[1:]):
+    for head, tail, key in reversed(levels[1:]):
         # Successors in decreasing BFS position: the stack's popping order.
-        order = np.argsort(position[tail])[::-1]
+        order = np.argsort(key, kind="stable")
         head, tail = head[order], tail[order]
         np.add.at(delta, head, sigma[head] / sigma[tail] * (1.0 + delta[tail]))
     return delta.reshape(rows, n)
@@ -560,6 +576,21 @@ XML_ATTRIB_ESCAPES = XML_TEXT_ESCAPES | str.maketrans(
     {'"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
 )
 
+# What XML 1.0 forbids in a document: the C0 controls other than tab, LF
+# and CR, and U+FFFE and U+FFFF.
+_NOT_XML = frozenset([*map(chr, range(32)), "\ufffe", "\uffff"]) - set("\t\n\r")
+
+
+def _xml_text_fault(text: str) -> str | None:
+    """Why ``text`` cannot be written in an XML document (a node name, or
+    SVG text), or None."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return "is not valid UTF-8"
+    return "holds a character XML 1.0 forbids" if _NOT_XML.intersection(text) else None
+
+
 # Node attributes in export order: (name, GEXF type, GraphML type).
 _NODE_ATTRIBUTES = (
     ("community", "integer", "int"),
@@ -577,11 +608,15 @@ def export_graph(
 ) -> bytes:
     """Serialize the graph with community / betweenness / degree /
     title_frequency node attributes and edge weights, as UTF-8 XML in
-    GEXF 1.2draft or GraphML, laid out as ElementTree writes it after ``indent``."""
+    GEXF 1.2draft or GraphML, laid out as ElementTree writes it after ``indent``.
+    Raises DomainError for a node name that XML cannot hold."""
     _check_same_nodes(graph, partition, scores)
     names, _, _ = _edge_ends(graph)
     if format not in ("gexf", "graphml"):
         raise DomainError(f"unsupported graph format {format!r} (gexf, graphml)")
+    for node in names:
+        if fault := _xml_text_fault(node):
+            raise DomainError(f"graph node {node!r} {fault}")
     # Each name escaped once; ``_edge_ends`` checked every edge end is a node.
     escaped = {node: node.translate(XML_ATTRIB_ESCAPES) for node in names}
     # Each node's escaped name, then its values in _NODE_ATTRIBUTES order.
@@ -598,7 +633,7 @@ def export_graph(
     edges = [(escaped[u], escaped[v], w) for (u, v), w in sorted(graph.edges.items())]
     lines = (_gexf_lines if format == "gexf" else _graphml_lines)(nodes, edges)
     text = "\n".join(["<?xml version='1.0' encoding='utf-8'?>", *lines])
-    return text.encode("utf-8", "xmlcharrefreplace")  # a lone surrogate as &#...;
+    return text.encode("utf-8")
 
 
 def _gexf_lines(nodes, edges) -> list[str]:

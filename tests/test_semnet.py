@@ -818,6 +818,62 @@ def test_betweenness_bit_identical_past_exact_path_counts():
     assert_same_bits(graph, dict_brandes_betweenness(graph))
 
 
+def layered_graph(width: int, depth: int, seed: int) -> tuple[CoWordGraph, int]:
+    """``depth`` layers of ``width`` nodes, each linked to about 60% of the
+    layer above and to at least one node of it, names shuffled; and the
+    largest path count from the first node of the top layer."""
+    rng = np.random.default_rng(seed)
+    names = iter(rng.permutation(width * depth))
+    layers = [[f"v{next(names):04d}" for _ in range(width)] for _ in range(depth)]
+    edges = {}
+    paths = {layers[0][0]: 1}
+    for upper, lower in itertools.pairwise(layers):
+        for v in lower:
+            for u in upper:
+                if rng.random() < 0.6:
+                    edges[tuple(sorted((u, v)))] = 1
+            edges.setdefault(tuple(sorted((upper[int(rng.integers(width))], v))), 1)
+            paths[v] = sum(paths.get(u, 0) for u in upper if tuple(sorted((u, v))) in edges)
+    return graph_from_edges(edges), max(paths.values())
+
+
+def predecessor_edges_per_level(indptr, indices) -> np.ndarray:
+    """Edges (u, v) with dist(s, v) = dist(s, u) + 1, summed over every
+    source s and counted by dist(s, u): the predecessor edges of each BFS
+    level when every source runs in one batch."""
+    n = indptr.size - 1
+    heads = np.repeat(np.arange(n), np.diff(indptr))
+    adjacency = np.zeros((n, n))
+    adjacency[heads, indices] = 1.0
+    dist = np.full((n, n), -1)
+    frontier, level = np.eye(n, dtype=bool), 0
+    while frontier.any():
+        dist[frontier] = level
+        frontier = (frontier @ adjacency > 0) & (dist < 0)
+        level += 1
+    return np.bincount(dist[:, heads][dist[:, indices] == dist[:, heads] + 1])
+
+
+def test_betweenness_bit_identical_with_keys_wider_than_16_bits():
+    """A batch level with more than 2**16 predecessor edges orders them by a
+    key wider than 16 bits.  Each source's dependencies must be the same
+    bits in one batch of every source as alone, where no level needs the
+    wide key, and the scores must match the oracle at both extremes."""
+    graph, most_paths = layered_graph(width=16, depth=20, seed=5)
+    assert most_paths > 2**53
+    names, indptr, indices, _ = semnet._csr(graph)
+    assert predecessor_edges_per_level(indptr, indices).max() > 1 << 16
+    n = len(names)
+    sizes = semnet._component_sizes(indptr, indices)
+    together = semnet._dependencies(np.arange(n), indptr, indices, sizes)
+    alone = [semnet._dependencies(np.array([s]), indptr, indices, sizes[[s]]) for s in range(n)]
+    assert together.tobytes() == np.vstack(alone).tobytes()
+    oracle = dict_brandes_betweenness(graph)
+    for cap in (1, n * indices.size):
+        with mock.patch.object(semnet, "_BATCH_ELEMENTS", cap):
+            assert_same_bits(graph, oracle)
+
+
 def networkx_graph(graph: CoWordGraph):
     nx = pytest.importorskip("networkx")
     g = nx.Graph()
@@ -1074,6 +1130,22 @@ def test_export_rejects_unknown_format():
         export_graph(graph, partition, scores, "dot")
 
 
+@pytest.mark.parametrize("fmt", ["gexf", "graphml"])
+@pytest.mark.parametrize(
+    ("name", "fault"),
+    [
+        ("a\x01b", "holds a character XML 1.0 forbids"),
+        ("\ufffe", "holds a character XML 1.0 forbids"),
+        ("\ud800", "is not valid UTF-8"),
+    ],
+)
+def test_export_rejects_node_name_xml_cannot_hold(name, fault, fmt):
+    graph = graph_from_edges({tuple(sorted((name, "word"))): 1})
+    with pytest.raises(DomainError) as info:
+        export_graph(*analyzed_bundle(graph), fmt)
+    assert str(info.value) == f"graph node {name!r} {fault}"
+
+
 def test_export_deterministic_bytes():
     graph, partition, scores = _path_graph_bundle()
     assert export_graph(graph, partition, scores, "gexf") == export_graph(
@@ -1150,11 +1222,12 @@ def _graphml_tree(graph, partition, scores) -> ET.Element:
     return root
 
 
-# Characters XML escapes or ElementTree passes through as they are, letters
-# whose case mapping changes length, and one that UTF-8 cannot encode.
+# Characters XML escapes or ElementTree passes through as they are, and
+# letters whose case mapping changes length.  Names XML cannot hold are
+# rejected instead (test_export_rejects_node_name_xml_cannot_hold).
 _NAME_CHARACTERS = (
-    ["a", "b", " ", "-", "&", "<", ">", '"', "'", "\r", "\n", "\t", "\x01"]
-    + ["é", "İ", "ß", "\udcff"]
+    ["a", "b", " ", "-", "&", "<", ">", '"', "'", "\r", "\n", "\t"]
+    + ["é", "İ", "ß"]
 )
 
 
