@@ -214,13 +214,13 @@ def parse_bibliographic_csv(
     ``source`` may be a path, a text stream, a binary stream or ``bytes``
     (decoded as UTF-8, BOM tolerated).  ``column_map`` maps logical names
     (title, abstract, year, venue, citations, author_count, id) to CSV
-    headers; it must name at least the title column.  Rows whose title is
+    headers: the title at least, and no other field.  Rows whose title is
     empty are skipped and counted.  Missing abstract/citations default to
     empty / 0; unparseable or out-of-range years are treated as absent.
 
     Raises CsvParseError (with a row number) on malformed CSV, CsvParseError
-    naming the source on invalid UTF-8, and ConfigError when an explicitly
-    mapped column is missing from the header.
+    naming the source on invalid UTF-8, and ConfigError on an unknown field
+    or when an explicitly mapped column is missing from the header.
     """
     return _read_table(source, column_map, label).corpus()
 
@@ -284,6 +284,8 @@ def _read_table(source, column_map: dict[str, str] | None = None, label: str = "
     mapping = dict(DEFAULT_COLUMN_MAP if column_map is None else column_map)
     if "title" not in mapping:
         raise ConfigError("column_map must name the title column")
+    if unknown := sorted(mapping.keys() - _FIELDS):
+        raise ConfigError(f"column_map names unknown fields {unknown}; known: {list(_FIELDS)}")
 
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)

@@ -504,25 +504,24 @@ def run_compare(config: RunConfig) -> ComparisonReport:
     report = ComparisonReport(
         corpora=tuple(results), comparisons=comparisons, provenance=provenance
     )
-    _self_audit(report)
     _write_artifacts(report, config)
     return report
 
 
-def _self_audit(report: ComparisonReport) -> None:
-    """Recompute each corpus's descriptives from a serialization round-trip
-    of its metric table; any drift is an internal error."""
-    for corpus in report.corpora:
-        buffer = io.StringIO()
-        write_metrics_csv(corpus.records, buffer)
-        buffer.seek(0)
-        recovered = metric_vectors(read_metrics_csv(buffer))
-        for metric in METRIC_NAMES:
-            if descriptives(recovered[metric]) != corpus.descriptives[metric]:
-                raise ConsistencyError(
-                    f"corpus {corpus.label!r}: metric table round-trip changed "
-                    f"the {metric!r} descriptives"
-                )
+def _audited_metrics_csv(corpus: CorpusResult) -> str:
+    """The corpus's metric table as CSV text, audited as written: a drift of
+    the descriptives recomputed from the text is an internal error."""
+    buffer = io.StringIO()
+    write_metrics_csv(corpus.records, buffer)
+    buffer.seek(0)
+    recovered = metric_vectors(read_metrics_csv(buffer))
+    for metric in METRIC_NAMES:
+        if descriptives(recovered[metric]) != corpus.descriptives[metric]:
+            raise ConsistencyError(
+                f"corpus {corpus.label!r}: metric table round-trip changed "
+                f"the {metric!r} descriptives"
+            )
+    return buffer.getvalue()
 
 
 def _slug(label: str) -> str:
@@ -541,8 +540,9 @@ def _write_artifacts(report: ComparisonReport, config: RunConfig) -> None:
 
         for corpus in report.corpora:
             slug = _slug(corpus.label)
+            table = _audited_metrics_csv(corpus)
             if "csv" in formats:
-                write_metrics_csv(corpus.records, tmp_dir / f"metrics_{slug}.csv")
+                (tmp_dir / f"metrics_{slug}.csv").write_text(table, encoding="utf-8", newline="")
                 for metric, series in corpus.densities.items():
                     rows = zip(series.grid, series.density)
                     write_csv(tmp_dir / f"density_{metric}_{slug}.csv", ("x", "density"), rows)

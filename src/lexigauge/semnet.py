@@ -422,14 +422,14 @@ def _dependencies(sources, indptr, indices, component_size) -> np.ndarray:
     per source; a source's dependency on itself is 0, never accumulated.
 
     Node ``v`` of row ``r`` is addressed as ``r * n + v``.  The BFS of all
-    rows advances one level per step; ``position`` numbers reached nodes in
-    the order the single-source queue would dequeue them (one counter for
-    all rows, increasing within each).  Row ``r`` leaves the frontier once
-    it has reached ``component_size[r]`` nodes, its source's whole
-    component: every edge out of it then ends at a reached node, so no
-    predecessor edge is lost.  The first level's predecessor edges all
-    start at a source, so the backward pass skips them.  Both cuts leave
-    every sum, and its order, as in the single-source form.
+    rows advances one level per step; ``rank`` marks reached nodes, holding
+    for each the index in its level of the edge that discovered it (0 for a
+    source).  Row ``r`` leaves the frontier once it has reached
+    ``component_size[r]`` nodes, its source's whole component: every edge
+    out of it then ends at a reached node, so no predecessor edge is lost.
+    The first level's predecessor edges all start at a source, so the
+    backward pass skips them.  Both cuts leave every sum, and its order, as
+    in the single-source form.
 
     A tail's discovery rank, the index of the edge that discovered it,
     rises with BFS position, so a stable argsort of ``size - 1 - rank``
@@ -440,11 +440,10 @@ def _dependencies(sources, indptr, indices, component_size) -> np.ndarray:
     n = indptr.size - 1
     rows = sources.size
     frontier = np.arange(rows) * n + sources
-    position = np.full(rows * n, _UNREACHED)
-    position[frontier] = np.arange(rows)
+    rank = np.full(rows * n, _UNREACHED)
+    rank[frontier] = 0
     sigma = np.zeros(rows * n)
     sigma[frontier] = 1.0
-    reached = rows
     to_reach = component_size.copy()
     levels = []
     while True:
@@ -457,16 +456,14 @@ def _dependencies(sources, indptr, indices, component_size) -> np.ndarray:
         # the head, then ascending tail: the queue's visiting order.
         tail, counts = _expand(frontier, indptr, indices)
         # Edges into unreached nodes are the next level's predecessor edges.
-        keep = np.flatnonzero(position[tail] == _UNREACHED)
+        keep = np.flatnonzero(rank[tail] == _UNREACHED)
         head = np.repeat(frontier, counts)[keep]
         tail = tail[keep]
         # The first of them into a node discovers it.
         seen = np.arange(tail.size)
-        np.minimum.at(position, tail, seen)
-        first = position[tail]
+        np.minimum.at(rank, tail, seen)
+        first = rank[tail]
         frontier = tail[first == seen]
-        position[frontier] = np.arange(reached, reached + frontier.size)
-        reached += frontier.size
         np.add.at(sigma, tail, sigma[head])
         # The backward pass's sort key: the tail's rank from the level's end.
         key = (tail.size - 1 - first).astype(np.min_scalar_type(tail.size - 1))

@@ -110,10 +110,10 @@ def tokenize(text: str, policy: TokenPolicy = DEFAULT_TOKEN_POLICY) -> TokenStre
 
     Punctuation is never a token.  Intra-word hyphens/apostrophes bind per
     ``policy``; diacritic letters count as word characters.  Empty text (or
-    text with no word characters) yields an empty stream.  Text that fits
-    Latin-1 takes one ``bytes.translate`` through a table derived from the
-    token pattern, then ``str.split``; other text is matched with the
-    pattern and lowercased per token.  Both give the same tokens.
+    text with no word characters) yields an empty stream.  Latin-1 text is
+    translated through a table derived from the token pattern, its misplaced
+    joiners blanked, and split; other text is matched with the pattern and
+    lowercased per token.  Both give the same tokens.
     """
     flags = (policy.bind_hyphens, policy.bind_apostrophes)
     data = _latin1(text)
@@ -124,12 +124,12 @@ def tokenize(text: str, policy: TokenPolicy = DEFAULT_TOKEN_POLICY) -> TokenStre
 
 
 def _latin1_tokens(data: bytes, bind_hyphens: bool, bind_apostrophes: bool) -> list[str]:
-    # After the translate, a token is a run of non-spaces exactly when each
-    # joiner in it sits between two word characters, as the pattern binds.
+    # A joiner not between two word characters is blanked, which moves no
+    # other joiner out of place; each run of non-spaces is then one token.
     table, misplaced = _latin1_tokenizer(bind_hyphens, bind_apostrophes)
     spaced = data.translate(table).decode("latin-1")
-    if any(pattern.search(spaced) for pattern in misplaced):
-        return _token_pattern(bind_hyphens, bind_apostrophes).findall(spaced)
+    for pattern in misplaced:
+        spaced = pattern.sub(" ", spaced)
     return spaced.split()
 
 

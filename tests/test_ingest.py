@@ -1,5 +1,6 @@
 import gc
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,30 @@ def test_parse_column_map_must_name_title():
         parse_bibliographic_csv(io.StringIO("A\nx\n"), column_map={"abstract": "A"})
 
 
+def test_an_unknown_column_map_field_is_a_config_error(data_dir, tmp_path, capsys):
+    column_map = {"title": "Title", "abstract": "Abstract", "yaer": "Year"}
+    message = (
+        "column_map names unknown fields ['yaer']; "
+        "known: ['id', 'title', 'abstract', 'year', 'venue', 'citations', 'author_count']"
+    )
+    with pytest.raises(ConfigError) as caught:
+        parse_bibliographic_csv(data_dir / "corpus_process.csv", column_map=column_map)
+    assert str(caught.value) == message
+    # The title check's message wins over the unknown field.
+    with pytest.raises(ConfigError, match="^column_map must name the title column$"):
+        parse_bibliographic_csv(io.StringIO("Year\n2001\n"), column_map={"yaer": "Year"})
+    manifest = tmp_path / "run.json"
+    corpora = [
+        {"csv_path": str(data_dir / "corpus_process.csv"), "label": "A", "column_map": column_map},
+        {"csv_path": str(data_dir / "corpus_leadership.csv"), "label": "B"},
+    ]
+    manifest.write_text(json.dumps({"corpora": corpora}))
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--config", str(manifest), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: corpus 'A': {message}\n"
+    assert not out.exists()
+
+
 def test_parse_custom_column_map():
     corpus = parse_bibliographic_csv(
         io.StringIO("T,Y\nMapped title,2012\n"),
@@ -241,6 +266,9 @@ def _oracle_parse(source, column_map=None, label=""):
     mapping = dict(DEFAULT_COLUMN_MAP if column_map is None else column_map)
     if "title" not in mapping:
         raise ConfigError("column_map must name the title column")
+    if unknown := sorted(set(mapping) - set(ROUNDTRIP_COLUMN_MAP)):
+        known = list(ROUNDTRIP_COLUMN_MAP)
+        raise ConfigError(f"column_map names unknown fields {unknown}; known: {known}")
     explicit = column_map is not None
 
     if isinstance(source, (bytes, bytearray)):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from unittest import mock
 from xml.etree import ElementTree as ET
 
 import pytest
@@ -15,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexigauge import cli
-from lexigauge.errors import ConfigError, DomainError, LexigaugeError
-from lexigauge.metrics import read_metrics_csv
+from lexigauge.errors import ConfigError, ConsistencyError, DomainError, LexigaugeError
+from lexigauge.metrics import read_metrics_csv, write_metrics_csv
 from lexigauge.report import (
     AnalysisConfig,
     CorpusConfig,
@@ -270,6 +271,28 @@ def test_metric_csv_lists_every_sampled_document_once(data_dir, tmp_path):
         rows = read_metrics_csv(out / f"metrics_{slug}.csv")
         assert len(rows) == expected
         assert len({r.doc_id for r in rows}) == expected
+
+
+def test_self_audit_drift_raises_and_leaves_no_artifact(data_dir, tmp_path, monkeypatch):
+    def drifting(source):
+        records = read_metrics_csv(source)
+        records[0] = replace(records[0], fkgl=records[0].fkgl + 1.0)
+        return records
+
+    monkeypatch.setattr("lexigauge.report.read_metrics_csv", drifting)
+    out = tmp_path / "out"
+    with pytest.raises(ConsistencyError) as err:
+        run_compare(make_config(data_dir, out, formats=("json", "csv", "svg", "gexf", "graphml")))
+    assert str(err.value) == (
+        "corpus 'Process Review': metric table round-trip changed the 'fkgl' descriptives"
+    )
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_metric_table_is_rendered_once_per_corpus(data_dir, tmp_path):
+    with mock.patch("lexigauge.report.write_metrics_csv", wraps=write_metrics_csv) as spy:
+        run_compare(make_config(data_dir, tmp_path / "out", formats=("json", "csv")))
+    assert spy.call_count == 2
 
 
 def test_report_json_bytes_is_order_stable(data_dir, tmp_path):

@@ -665,37 +665,50 @@ def test_betweenness_weights_do_not_affect_unit_length_paths():
     assert betweenness(light).betweenness == betweenness(heavy).betweenness
 
 
-def dict_brandes_betweenness(graph: CoWordGraph) -> dict:
-    """The single-source queue/stack form of Brandes over name-keyed dicts,
+def dict_brandes_dependencies(graph: CoWordGraph, source: str, neighbors=None) -> dict:
+    """The dependency ``delta`` of every node on ``source``, by the
+    single-source queue/stack form of Brandes over name-keyed dicts,
     neighbors visited in ascending name order: the sums run in the order
-    the array form must reproduce bit for bit."""
+    the array form must reproduce bit for bit.  ``neighbors``, each node's
+    sorted neighbor list, is derived from ``graph`` when not given."""
+    nodes = sorted(graph.node_frequency)
+    if neighbors is None:
+        neighbors = {u: sorted(v) for u, v in graph.adjacency().items()}
+    stack = []
+    predecessors = {u: [] for u in nodes}
+    sigma = {u: 0.0 for u in nodes}
+    distance = {u: -1 for u in nodes}
+    sigma[source] = 1.0
+    distance[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        stack.append(u)
+        for v in neighbors[u]:
+            if distance[v] < 0:
+                distance[v] = distance[u] + 1
+                queue.append(v)
+            if distance[v] == distance[u] + 1:
+                sigma[v] += sigma[u]
+                predecessors[v].append(u)
+    delta = {u: 0.0 for u in nodes}
+    while stack:
+        w = stack.pop()
+        for u in predecessors[w]:
+            delta[u] += (sigma[u] / sigma[w]) * (1.0 + delta[w])
+    return delta
+
+
+def dict_brandes_betweenness(graph: CoWordGraph) -> dict:
+    """Betweenness summed from ``dict_brandes_dependencies``, one source at
+    a time in ascending name order, a source's own dependency left out."""
     nodes = sorted(graph.node_frequency)
     adjacency = graph.adjacency()
     neighbors = {u: sorted(adjacency[u]) for u in nodes}
     scores = {u: 0.0 for u in nodes}
     for source in nodes:
-        stack = []
-        predecessors = {u: [] for u in nodes}
-        sigma = {u: 0.0 for u in nodes}
-        distance = {u: -1 for u in nodes}
-        sigma[source] = 1.0
-        distance[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            stack.append(u)
-            for v in neighbors[u]:
-                if distance[v] < 0:
-                    distance[v] = distance[u] + 1
-                    queue.append(v)
-                if distance[v] == distance[u] + 1:
-                    sigma[v] += sigma[u]
-                    predecessors[v].append(u)
-        delta = {u: 0.0 for u in nodes}
-        while stack:
-            w = stack.pop()
-            for u in predecessors[w]:
-                delta[u] += (sigma[u] / sigma[w]) * (1.0 + delta[w])
+        delta = dict_brandes_dependencies(graph, source, neighbors)
+        for w in nodes:
             if w != source:
                 scores[w] += delta[w]
     return {u: scores[u] / 2.0 for u in nodes}
@@ -872,6 +885,30 @@ def test_betweenness_bit_identical_with_keys_wider_than_16_bits():
     for cap in (1, n * indices.size):
         with mock.patch.object(semnet, "_BATCH_ELEMENTS", cap):
             assert_same_bits(graph, oracle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=random_graphs())
+@example(graph=PATH_TRIANGLE_LONE)
+@example(graph=TRIANGLES)
+@example(graph=layered_graph(width=4, depth=6, seed=7)[0])
+def test_dependency_rows_bit_identical_to_dict_brandes(graph):
+    """Each row of ``_dependencies`` is the oracle's ``delta`` of its source,
+    with every source in one batch and with one source per batch.  A row's
+    own source entry is left at 0, never accumulated, so it is skipped."""
+    names, indptr, indices, _ = semnet._csr(graph)
+    n = len(names)
+    sizes = semnet._component_sizes(indptr, indices)
+    oracle = [dict_brandes_dependencies(graph, source) for source in names]
+    for batches in ([np.arange(n)], np.arange(n)[:, None]):
+        rows = np.vstack([
+            semnet._dependencies(sources, indptr, indices, sizes[sources]) for sources in batches
+        ])
+        for source, (row, delta) in enumerate(zip(rows, oracle)):
+            assert row[source] == 0.0
+            got = [repr(x) for v, x in enumerate(row.tolist()) if v != source]
+            want = [repr(delta[u]) for v, u in enumerate(names) if v != source]
+            assert got == want
 
 
 def networkx_graph(graph: CoWordGraph):
