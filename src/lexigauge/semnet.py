@@ -7,7 +7,9 @@ order); mediation is measured with unweighted shortest-path betweenness.
 
 Both algorithms run on one sorted-name CSR adjacency, built by ``_csr``.
 Edge weights are integer title counts, so every strength, aggregated weight
-and half-weight self-loop is an exact float, whatever the summation order.
+and half-weight self-loop is an exact float, whatever the summation order;
+so is each node's kept weight into a neighboring community, which Louvain
+updates as nodes move and which reads exactly 0.0 once no neighbor is left.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations
-from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,8 @@ class CoWordGraph:
     edges: (u, v) -> number of titles where both occur, one key per pair,
     with u < v and both nodes (as ``build_coword_graph`` emits them); the
     graph algorithms and ``export_graph`` raise ConsistencyError on any other key.
+    Weights are positive whole numbers; ``louvain_communities`` raises
+    DomainError on any other.
     """
 
     node_frequency: dict[str, int]
@@ -248,11 +251,26 @@ def louvain_communities(
 
     Like ``betweenness``, it runs on the sorted-name CSR from ``_csr``;
     integer edge weights keep every gain exact, whatever the summation order.
+    Each node's weight into each neighboring community is kept up to date
+    as nodes move, not summed again per visit; being exact, an entry reads
+    exactly 0.0 when its last neighbor leaves and is deleted, so the
+    candidates stay the neighbors' communities plus the node's own.  A
+    weight that is not a positive whole number raises DomainError naming
+    the first such edge key in name order.
 
     Community ids in the result are canonical: numbered by decreasing
     community size, ties by lexicographically smallest member.
     """
     names, indptr, indices, weights = _csr(graph)
+    # Each weight sits in both of its ends' rows; the first fault in CSR
+    # order is in the smaller end's row, so (row, column) is its edge key.
+    whole = np.isfinite(weights) & (weights > 0) & (np.floor(weights) == weights)
+    faults = np.flatnonzero(~whole)
+    if faults.size:
+        row = int(np.searchsorted(indptr, faults[0], side="right")) - 1
+        edge = names[row], names[indices[faults[0]]]
+        weight = graph.edges[edge]
+        raise DomainError(f"edge {edge!r} has weight {weight!r}, not a positive whole number")
     graph_csr = indptr, indices
     self_w = np.zeros(len(names))
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -294,29 +312,37 @@ def _local_moves(indptr, indices, weights, self_w, resolution, rng) -> np.ndarra
     comm_tot = strength.copy()
     order = rng.permutation(n).tolist()
     ptr, nbr, wt = indptr.tolist(), indices.tolist(), weights.tolist()
-    rows = [list(zip(nbr[a:b], wt[a:b])) for a, b in zip(ptr, ptr[1:])]
+    # links[u]: community -> u's edge weight into it, updated as nodes move.
+    # Every node starts alone, and no row repeats a neighbor.
+    links = [dict(zip(nbr[a:b], wt[a:b])) for a, b in zip(ptr, ptr[1:])]
 
     moved = True
     while moved:
         moved = False
         for u in order:
             current = comm[u]
-            weight_to: dict[int, float] = defaultdict(float, {current: 0.0})
-            for v, w in rows[u]:
-                weight_to[comm[v]] += w
-            comm_tot[current] -= strength[u]
+            link, k = links[u], strength[u]
+            comm_tot[current] -= k
 
             # Larger gain, then smaller id: a total order, whatever the scan order.
-            best_comm, best_gain = current, -inf
-            for candidate, weight in weight_to.items():
-                gain = weight - resolution * comm_tot[candidate] * strength[u] / m2
+            best_comm = current
+            best_gain = link.get(current, 0.0) - resolution * comm_tot[current] * k / m2
+            for candidate, weight in link.items():
+                gain = weight - resolution * comm_tot[candidate] * k / m2
                 if gain > best_gain or (gain == best_gain and candidate < best_comm):
                     best_comm, best_gain = candidate, gain
 
-            comm_tot[best_comm] += strength[u]
+            comm_tot[best_comm] += k
             if best_comm != current:
                 comm[u] = best_comm
                 moved = True
+                a, b = ptr[u], ptr[u + 1]
+                for v, w in zip(nbr[a:b], wt[a:b]):
+                    other = links[v]
+                    left = other.pop(current) - w
+                    if left:  # exact: 0.0 only when no neighbor of v is left there
+                        other[current] = left
+                    other[best_comm] = other.get(best_comm, 0.0) + w
 
     # dense relabel in order of first appearance for stable aggregation
     _, first, inverse = np.unique(comm, return_index=True, return_inverse=True)

@@ -476,6 +476,14 @@ def _dict_aggregate(adj, self_w, comm, n_comms):
     resolution=2.0,
     seed=11,
 )
+# A path on which d leaves its own community for e's: f's kept weight into d's
+# old, now empty community must be dropped, not held at 0.0, or f joins that
+# community on the tie toward the smaller id.
+@example(
+    graph=graph_from_edges({("a", "b"): 2, ("b", "e"): 2, ("d", "e"): 3, ("d", "f"): 1}),
+    resolution=2.0,
+    seed=48,
+)
 def test_louvain_identical_to_dict_louvain(graph, resolution, seed):
     result = louvain_communities(graph, resolution=resolution, seed=seed)
     oracle = dict_louvain_communities(graph, resolution=resolution, seed=seed)
@@ -537,6 +545,15 @@ def test_louvain_splits_a_community_that_is_not_connected():
     assert sorted(members.values()) == [["a", "aa"], ["aaa", "ab"], ["b"], ["c"], ["d"], ["e"], ["f"]]
     merged = dict(assignment, d=assignment["c"])
     assert modularity(graph, assignment, 2.0) > modularity(graph, merged, 2.0)
+
+
+@pytest.mark.parametrize("weight", [0, -1, 1.5, float("nan"), float("inf")])
+def test_louvain_rejects_a_weight_that_is_not_a_positive_whole_number(weight):
+    graph = graph_from_edges({("a", "b"): 1, ("b", "c"): weight, ("c", "d"): 0.5})
+    with pytest.raises(DomainError, match=r"edge \('b', 'c'\) has weight"):
+        louvain_communities(graph)
+    whole = graph_from_edges({("a", "b"): 2, ("b", "c"): 2.0})
+    assert louvain_communities(whole).assignment == {"a": 0, "b": 0, "c": 0}
 
 
 @pytest.mark.parametrize(
