@@ -77,8 +77,9 @@ class CoWordGraph:
 
     node_frequency: token -> number of titles containing it.
     edges: (u, v) -> number of titles where both occur, one key per pair,
-    with u < v and both nodes (as ``build_coword_graph`` emits them); the
-    graph algorithms and ``export_graph`` raise ConsistencyError on any other key.
+    with u < v and both nodes (as ``build_coword_graph`` emits them);
+    ``louvain_communities``, ``betweenness``, ``modularity``, ``adjacency``
+    and ``export_graph`` raise the same ConsistencyError on any other key.
     Weights are positive whole numbers; ``louvain_communities`` raises
     DomainError on any other.
     """
@@ -97,6 +98,7 @@ class CoWordGraph:
         return len(self.edges)
 
     def adjacency(self) -> dict[str, dict[str, int]]:
+        _edge_ends(self)
         adj: dict[str, dict[str, int]] = {node: {} for node in self.node_frequency}
         for (u, v), w in self.edges.items():
             adj[u][v] = w
@@ -213,24 +215,27 @@ def modularity(
     """Weighted modularity of a partition:
     Q = sum_c [ w_intra(c)/m - resolution * (strength(c)/(2m))^2 ].
 
-    An edgeless graph has Q = 0 by convention.
+    An edgeless graph has Q = 0 by convention.  Weights are summed in edge
+    order and communities in order of first sight, as a loop over
+    ``graph.edges`` would, so Q is that loop's float for any weights.
+    Raises ConsistencyError on an unassigned node, and as ``_edge_ends`` does.
     """
     missing = graph.nodes - set(assignment)
     if missing:
         raise ConsistencyError(f"assignment misses nodes: {sorted(missing)[:5]}")
+    names, heads, tails = _edge_ends(graph)
     m = float(sum(graph.edges.values()))
     if m == 0:
         return 0.0
-    intra: dict[int, float] = defaultdict(float)
-    strength: dict[int, float] = defaultdict(float)
-    for (u, v), w in graph.edges.items():
-        strength[assignment[u]] += w
-        strength[assignment[v]] += w
-        if assignment[u] == assignment[v]:
-            intra[assignment[u]] += w
+    _, community = np.unique(np.array([assignment[u] for u in names], object), return_inverse=True)
+    ends = community[np.column_stack([heads, tails]).ravel()]
+    weights = np.fromiter(graph.edges.values(), float, len(graph.edges))
+    same = ends[0::2] == ends[1::2]
+    strength = np.bincount(ends, np.repeat(weights, 2)).tolist()
+    intra = np.bincount(ends[0::2][same], weights[same], len(strength)).tolist()
     q = 0.0
-    for community in strength:
-        q += intra.get(community, 0.0) / m - resolution * (strength[community] / (2.0 * m)) ** 2
+    for c in dict.fromkeys(ends.tolist()):
+        q += intra[c] / m - resolution * (strength[c] / (2.0 * m)) ** 2
     return q
 
 
@@ -539,8 +544,11 @@ def cluster_summary(
 
     Clusters are ranked by node count (ties by smallest community id);
     per-cluster labels are the top-3 nodes by degree (ties lexicographic).
-    If ``k`` exceeds the cluster count, all clusters are returned.
+    If ``k`` exceeds the cluster count, all clusters are returned; a
+    negative ``k`` raises DomainError.
     """
+    if k < 0:
+        raise DomainError(f"cannot summarize {k} clusters; k must be >= 0")
     _check_same_nodes(graph, partition, scores)
     total = graph.node_count()
     members: dict[int, list[str]] = defaultdict(list)

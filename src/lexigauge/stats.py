@@ -480,7 +480,7 @@ def kde(values, grid_points: int = 512) -> DensitySeries:
     if not (np.isfinite(grid).all() and np.isfinite(density).all()):
         raise DomainError("kernel density estimate overflows a float for this sample")
     return DensitySeries(
-        grid=tuple(float(g) for g in grid),
-        density=tuple(float(d) for d in density),
+        grid=tuple(grid.tolist()),
+        density=tuple(density.tolist()),
         bandwidth=h,
     )

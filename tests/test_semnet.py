@@ -547,6 +547,50 @@ def test_louvain_splits_a_community_that_is_not_connected():
     assert modularity(graph, assignment, 2.0) > modularity(graph, merged, 2.0)
 
 
+def loop_modularity(graph: CoWordGraph, assignment: dict, resolution: float = 1.0) -> float:
+    """The per-edge dict loop that ``modularity`` replaced, kept as its oracle."""
+    m = float(sum(graph.edges.values()))
+    if m == 0:
+        return 0.0
+    intra = defaultdict(float)
+    strength = defaultdict(float)
+    for (u, v), w in graph.edges.items():
+        strength[assignment[u]] += w
+        strength[assignment[v]] += w
+        if assignment[u] == assignment[v]:
+            intra[assignment[u]] += w
+    q = 0.0
+    for community in strength:
+        q += intra.get(community, 0.0) / m - resolution * (strength[community] / (2.0 * m)) ** 2
+    return q
+
+
+@st.composite
+def shuffled_partitions(draw):
+    """A random graph with its edges in a drawn order and whole or fractional
+    weights, and its nodes assigned to a few arbitrary int labels."""
+    graph = draw(random_graphs())
+    weight = st.integers(1, 50) | st.floats(1e-3, 1e3)
+    edges = {key: draw(weight) for key in draw(st.permutations(list(graph.edges)))}
+    labels = draw(st.lists(st.integers(), min_size=1, max_size=6))
+    assignment = {u: draw(st.sampled_from(labels)) for u in sorted(graph.nodes)}
+    return CoWordGraph(node_frequency=graph.node_frequency, edges=edges), assignment
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=shuffled_partitions(), resolution=st.sampled_from([1.0, 0.5, 2.0, 0.3]))
+# Labels that a float array would merge: 2**63 and 2**63 + 1 beside -1.
+@example(
+    case=(TRIANGLES, {"a": -1, "b": 2**63, "c": 2**63} | dict.fromkeys("def", 2**63 + 1)),
+    resolution=1.0,
+)
+def test_modularity_repr_equal_to_the_edge_loop(case, resolution):
+    graph, assignment = case
+    assert repr(modularity(graph, assignment, resolution)) == repr(
+        loop_modularity(graph, assignment, resolution)
+    )
+
+
 @pytest.mark.parametrize("weight", [0, -1, 1.5, float("nan"), float("inf")])
 def test_louvain_rejects_a_weight_that_is_not_a_positive_whole_number(weight):
     graph = graph_from_edges({("a", "b"): 1, ("b", "c"): weight, ("c", "d"): 0.5})
@@ -566,7 +610,16 @@ def test_louvain_rejects_a_weight_that_is_not_a_positive_whole_number(weight):
     ],
     ids=["missing-tail", "missing-head", "self-loop", "reversed-pair"],
 )
-@pytest.mark.parametrize("algorithm", [louvain_communities, betweenness])
+@pytest.mark.parametrize(
+    "algorithm",
+    [
+        louvain_communities,
+        betweenness,
+        lambda graph: modularity(graph, dict.fromkeys(graph.nodes, 0)),
+        CoWordGraph.adjacency,
+    ],
+    ids=["louvain_communities", "betweenness", "modularity", "adjacency"],
+)
 def test_malformed_edge_key_is_consistency_error(nodes, edges, algorithm):
     graph = CoWordGraph(node_frequency={node: 1 for node in nodes}, edges=edges)
     with pytest.raises(ConsistencyError, match=r"edge \('(a|b)', '(a|b)'\)"):
@@ -1023,6 +1076,13 @@ def test_cluster_summary_k_larger_than_cluster_count():
     partition = louvain_communities(TRIANGLES, seed=5)
     summary = cluster_summary(TRIANGLES, partition, betweenness(TRIANGLES), k=10)
     assert len(summary.clusters) == 2
+
+
+@pytest.mark.parametrize("k", [-1, -2])
+def test_cluster_summary_rejects_negative_k(k):
+    partition = louvain_communities(TRIANGLES, seed=5)
+    with pytest.raises(DomainError, match=f"cannot summarize {k} clusters"):
+        cluster_summary(TRIANGLES, partition, betweenness(TRIANGLES), k=k)
 
 
 def test_cluster_summary_labels_are_top_degree():
