@@ -10,6 +10,10 @@ Edge weights are integer title counts, so every strength, aggregated weight
 and half-weight self-loop is an exact float, whatever the summation order;
 so is each node's kept weight into a neighboring community, which Louvain
 updates as nodes move and which reads exactly 0.0 once no neighbor is left.
+Brandes' BFS takes each level from the side with fewer nodes (Beamer,
+Asanovic & Patterson 2012): it pushes from the frontier, or pulls from the
+unreached nodes when fewer are left; both list the level's edges in the
+queue's order, so every betweenness sum runs as in the single-source form.
 """
 
 from __future__ import annotations
@@ -392,9 +396,11 @@ def betweenness(graph: CoWordGraph) -> CentralityScores:
     levels skipped hold no predecessor edge.  The backward pass takes each
     level in decreasing discovery rank of the edges' tails, the stack's
     popping order; edges that tie share a tail, so they feed different
-    heads.  Every floating-point sum runs in the order of the single-source
-    queue/stack form, which visits neighbors in ascending name order, so
-    the scores are bit-identical to it.
+    heads.  Each forward level pushes from its frontier, or pulls when the
+    unreached nodes of the batch's components are fewer than the frontier's
+    nodes (direction-optimizing BFS).  Every floating-point sum runs in the
+    order of the single-source queue/stack form, which visits neighbors in
+    ascending name order, so the scores are bit-identical to it.
     """
     names, indptr, indices, _ = _csr(graph)
     n = len(names)
@@ -462,6 +468,18 @@ def _dependencies(sources, indptr, indices, component_size) -> np.ndarray:
     backward pass skips them.  Both cuts leave every sum, and its order, as
     in the single-source form.
 
+    A level's predecessor edges run from the frontier to an unreached node.
+    The level pushes, expanding the frontier's rows, unless the active rows
+    hold fewer unreached nodes (``to_reach.sum()``, kept as a Python int)
+    than the frontier holds nodes; then it pulls, expanding the rows of the
+    active rows' unreached nodes and keeping the edges from the frontier.
+    Node counts stand in for the edges each side would scan, with no tuned
+    constant.  Unreached nodes ascend and each lists its neighbors in
+    ascending order, so a stable sort on the head's frontier position puts
+    the pulled edges in the push's order: row, BFS position of the head,
+    then ascending tail.  Ranks, sigma and every later sum are the same in
+    either direction.
+
     A tail's discovery rank, the index of the edge that discovered it,
     rises with BFS position, so a stable argsort of ``size - 1 - rank``
     gives the stack's popping order; held in the narrowest unsigned dtype,
@@ -476,20 +494,37 @@ def _dependencies(sources, indptr, indices, component_size) -> np.ndarray:
     sigma = np.zeros(rows * n)
     sigma[frontier] = 1.0
     to_reach = component_size.copy()
+    unreached_count = int(component_size.sum())
     levels = []
     while True:
         row = frontier // n
         to_reach -= np.bincount(row, minlength=rows)
+        unreached_count -= frontier.size
         frontier = frontier[to_reach[row] > 0]
         if not frontier.size:
             break
-        # Every edge out of the frontier, ordered by row, BFS position of
-        # the head, then ascending tail: the queue's visiting order.
-        tail, counts = _expand(frontier, indptr, indices)
-        # Edges into unreached nodes are the next level's predecessor edges.
-        keep = np.flatnonzero(rank[tail] == _UNREACHED)
-        head = np.repeat(frontier, counts)[keep]
-        tail = tail[keep]
+        # The next level's predecessor edges, frontier to unreached node, in
+        # the queue's visiting order: row, BFS position of the head, then
+        # ascending tail.
+        if unreached_count < frontier.size:
+            # Pull; a stable sort on the head's frontier position gives that order.
+            unreached = np.flatnonzero(rank == _UNREACHED)
+            unreached = unreached[to_reach[unreached // n] > 0]
+            position = np.full(rows * n, frontier.size)
+            position[frontier] = np.arange(frontier.size)
+            head, counts = _expand(unreached, indptr, indices)
+            key = position[head]
+            keep = np.flatnonzero(key < frontier.size)
+            key = key[keep].astype(np.min_scalar_type(frontier.size))
+            keep = keep[np.argsort(key, kind="stable")]
+            head = head[keep]
+            tail = np.repeat(unreached, counts)[keep]
+        else:
+            # Push, in that order already.
+            tail, counts = _expand(frontier, indptr, indices)
+            keep = np.flatnonzero(rank[tail] == _UNREACHED)
+            head = np.repeat(frontier, counts)[keep]
+            tail = tail[keep]
         # The first of them into a node discovers it.
         seen = np.arange(tail.size)
         np.minimum.at(rank, tail, seen)

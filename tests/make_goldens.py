@@ -2,15 +2,17 @@
 
 Runs the bundled toy corpora through the full pipeline with a pinned
 configuration and freezes (a) the report JSON with the timestamp field
-removed, (b) one density SVG and (c) the report JSON of the sampled run
-that CI makes (12 documents of each corpus, seed 3).  The outputs were
-reviewed by hand when first generated; rerun only when an intentional
-behaviour change is made:
+removed, (b) one density SVG, (c) the report JSON of the sampled run
+that CI makes (12 documents of each corpus, seed 3) and (d) the GEXF
+network of each corpus, which pins every node's community, betweenness
+and degree.  The outputs were reviewed by hand when first generated;
+rerun only when an intentional behaviour change is made:
 
     python tests/make_goldens.py
 """
 
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -24,6 +26,8 @@ from lexigauge.report import (
 )
 
 DATA = Path(__file__).parent / "data"
+# The corpus slugs of golden_config, which name its network exports.
+GOLDEN_NETWORKS = ("process_review", "leadership_studies")
 
 
 def golden_config(out_dir: str) -> RunConfig:
@@ -65,6 +69,9 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         report = run_compare(golden_config(tmp))
         sampled = run_compare(sampled_config(tmp))
+        for slug in GOLDEN_NETWORKS:
+            network = f"network_{slug}.gexf"
+            shutil.copyfile(Path(tmp) / network, DATA / f"golden_{network}")
 
     (DATA / "golden_report.json").write_text(golden_json(report), encoding="utf-8")
     a, b = report.corpora
@@ -76,7 +83,10 @@ def main() -> None:
     )
     (DATA / "golden_density.svg").write_bytes(svg)
     (DATA / "golden_report_sampled.json").write_text(golden_json(sampled), encoding="utf-8")
-    print("wrote golden_report.json, golden_density.svg and golden_report_sampled.json")
+    print(
+        "wrote golden_report.json, golden_density.svg, golden_report_sampled.json"
+        " and golden_network_{process_review,leadership_studies}.gexf"
+    )
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from lexigauge.report import (
 )
 from lexigauge.stats import DensitySeries, kde
 from lexigauge.textproc import TokenPolicy
-from make_goldens import golden_json, sampled_config
+from make_goldens import GOLDEN_NETWORKS, golden_json, sampled_config
 
 
 def make_config(data_dir, out_dir, *, formats=("json", "csv", "svg", "gexf"), **analysis):
@@ -166,6 +166,16 @@ def test_sampled_run_matches_its_golden(data_dir, tmp_path):
     report = run_compare(sampled_config(str(tmp_path / "out")))
     golden = (data_dir / "golden_report_sampled.json").read_text(encoding="utf-8")
     assert golden_json(report) == golden
+
+
+def test_run_compare_gexf_matches_golden_networks(data_dir, tmp_path):
+    """Each corpus's GEXF pins every node's community, betweenness and
+    degree, bytes that no report golden holds."""
+    out = tmp_path / "out"
+    run_compare(make_config(data_dir, out))
+    for slug in GOLDEN_NETWORKS:
+        network = f"network_{slug}.gexf"
+        assert (out / network).read_bytes() == (data_dir / f"golden_{network}").read_bytes()
 
 
 def test_run_compare_writes_expected_files(data_dir, tmp_path):

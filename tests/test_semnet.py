@@ -880,34 +880,59 @@ def test_betweenness_bit_identical_on_dense_graph_in_batches():
         assert_same_bits(graph, oracle)
 
 
+def push_only_edge_scans(graph: CoWordGraph) -> int:
+    """The edges a BFS that only pushes scans, summed over every source:
+    each level's frontier expands its whole rows while nodes of the
+    source's component remain unreached."""
+    adjacency = graph.adjacency()
+    scans = 0
+    for source in adjacency:
+        levels, seen = [{source}], {source}
+        while following := {v for u in levels[-1] for v in adjacency[u]} - seen:
+            seen |= following
+            levels.append(following)
+        reached = 0
+        for level in levels:
+            reached += len(level)
+            if reached < len(seen):
+                scans += sum(len(adjacency[u]) for u in level)
+    return scans
+
+
+def test_brandes_pull_scans_fewer_edges_than_push():
+    """On the dense graph most levels end with few nodes left to reach, so
+    pulling them from the unreached side scans fewer edges than the
+    push-only BFS, and leaves every score bit-identical.  The count is
+    exact on any host."""
+    graph = dense_graph()
+    expand, scanned = semnet._expand, []
+
+    def counting_expand(*args):
+        tail, counts = expand(*args)
+        scanned.append(tail.size)
+        return tail, counts
+
+    with mock.patch.object(semnet, "_expand", counting_expand):
+        assert_same_bits(graph, dict_brandes_betweenness(graph))
+    assert sum(scanned) < push_only_edge_scans(graph)
+
+
 def test_betweenness_bit_identical_past_exact_path_counts():
     """Thirty layers of eight nodes, each linked to about five nodes of the
     layer above: path counts pass 2**53, where float sums of them depend
     on their order.  Names are shuffled so that id order is not BFS order."""
-    rng = np.random.default_rng(5)
-    names = iter(rng.permutation(240))
-    layers = [[f"v{next(names):04d}" for _ in range(8)] for _ in range(30)]
-    edges = {}
-    paths = {layers[0][0]: 1}
-    for upper, lower in itertools.pairwise(layers):
-        for v in lower:
-            for u in upper:
-                if rng.random() < 0.6:
-                    edges[tuple(sorted((u, v)))] = 1
-            edges.setdefault(tuple(sorted((upper[int(rng.integers(8))], v))), 1)
-            paths[v] = sum(paths.get(u, 0) for u in upper if tuple(sorted((u, v))) in edges)
-    assert max(paths.values()) > 2**53
-    graph = graph_from_edges(edges)
+    graph, most_paths = layered_graph([8] * 30, seed=5)
+    assert most_paths > 2**53
     assert_same_bits(graph, dict_brandes_betweenness(graph))
 
 
-def layered_graph(width: int, depth: int, seed: int) -> tuple[CoWordGraph, int]:
-    """``depth`` layers of ``width`` nodes, each linked to about 60% of the
-    layer above and to at least one node of it, names shuffled; and the
-    largest path count from the first node of the top layer."""
+def layered_graph(widths: list[int], seed: int) -> tuple[CoWordGraph, int]:
+    """Layers of ``widths`` nodes, top first, each node linked to about 60%
+    of the layer above and to at least one node of it, names shuffled; and
+    the largest path count from the first node of the top layer."""
     rng = np.random.default_rng(seed)
-    names = iter(rng.permutation(width * depth))
-    layers = [[f"v{next(names):04d}" for _ in range(width)] for _ in range(depth)]
+    names = iter(rng.permutation(sum(widths)))
+    layers = [[f"v{next(names):04d}" for _ in range(width)] for width in widths]
     edges = {}
     paths = {layers[0][0]: 1}
     for upper, lower in itertools.pairwise(layers):
@@ -915,7 +940,7 @@ def layered_graph(width: int, depth: int, seed: int) -> tuple[CoWordGraph, int]:
             for u in upper:
                 if rng.random() < 0.6:
                     edges[tuple(sorted((u, v)))] = 1
-            edges.setdefault(tuple(sorted((upper[int(rng.integers(width))], v))), 1)
+            edges.setdefault(tuple(sorted((upper[int(rng.integers(len(upper)))], v))), 1)
             paths[v] = sum(paths.get(u, 0) for u in upper if tuple(sorted((u, v))) in edges)
     return graph_from_edges(edges), max(paths.values())
 
@@ -942,7 +967,7 @@ def test_betweenness_bit_identical_with_keys_wider_than_16_bits():
     key wider than 16 bits.  Each source's dependencies must be the same
     bits in one batch of every source as alone, where no level needs the
     wide key, and the scores must match the oracle at both extremes."""
-    graph, most_paths = layered_graph(width=16, depth=20, seed=5)
+    graph, most_paths = layered_graph([16] * 20, seed=5)
     assert most_paths > 2**53
     names, indptr, indices, _ = semnet._csr(graph)
     assert predecessor_edges_per_level(indptr, indices).max() > 1 << 16
@@ -961,11 +986,15 @@ def test_betweenness_bit_identical_with_keys_wider_than_16_bits():
 @given(graph=random_graphs())
 @example(graph=PATH_TRIANGLE_LONE)
 @example(graph=TRIANGLES)
-@example(graph=layered_graph(width=4, depth=6, seed=7)[0])
+@example(graph=layered_graph([4] * 6, seed=7)[0])
+@example(graph=layered_graph([8] * 30 + [2], seed=3)[0])
 def test_dependency_rows_bit_identical_to_dict_brandes(graph):
     """Each row of ``_dependencies`` is the oracle's ``delta`` of its source,
     with every source in one batch and with one source per batch.  A row's
-    own source entry is left at 0, never accumulated, so it is skipped."""
+    own source entry is left at 0, never accumulated, so it is skipped.
+    The funnel of thirty layers of eight that end in two pulls levels whose
+    path counts pass 2**53, where the order of the pulled edges decides
+    the float sums."""
     names, indptr, indices, _ = semnet._csr(graph)
     n = len(names)
     sizes = semnet._component_sizes(indptr, indices)
