@@ -9,8 +9,10 @@ read through ``read_csv_rows`` and written through ``write_csv``.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress
@@ -227,11 +229,15 @@ def parse_bibliographic_csv(
 
 class _Table:
     """The usable rows of one export as columns, one list per BibRecord
-    field in row order.  Records are built only for the rows asked for."""
+    field in row order.  Records are built only for the rows asked for.
+    A table of spans, read for a sample from a regular file, holds each
+    row's ``(last line, start, stop)`` byte span in the file in place of its
+    abstract, and re-reads the abstracts of the records it builds."""
 
-    def __init__(self, label: str, cells: dict[str, tuple]):
+    def __init__(self, label: str, cells: dict[str, tuple], source=None):
         """Columns of the rows in ``cells`` (one tuple per mapped field) that
-        have a title; an unmapped field reads as a column of "" cells."""
+        have a title; an unmapped field reads as a column of "" cells.
+        ``source`` is a table of spans' path and field -> position map."""
         blank = ("",) * len(cells.get("title", ()))
         titles = [title.strip() for title in cells.get("title", blank)]
         columns = [
@@ -251,15 +257,21 @@ class _Table:
         self.columns = columns  # in _FIELDS order
         (self.ids, self.titles, self.abstracts, self.years, self.venues,
          self.citations, self.author_counts) = columns
+        self.source = source
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def _records(self, rows: list[int]) -> tuple[BibRecord, ...]:
-        return tuple(map(BibRecord, *([column[i] for i in rows] for column in self.columns)))
+        columns = [[column[i] for i in rows] for column in self.columns]
+        if self.source is not None:
+            columns[2] = _reread_abstracts(*self.source, *columns[:3])
+        return tuple(map(BibRecord, *columns))
 
     def corpus(self) -> Corpus:
         """Corpus of every row."""
+        if self.source is not None:
+            raise RuntimeError("a table read for a sample holds no abstracts")
         return Corpus(self.label, tuple(map(BibRecord, *self.columns)), self.skipped_rows)
 
     def sample(self, n: int, seed: int) -> Corpus:
@@ -278,9 +290,13 @@ class _Table:
             self._records([next(row for row, pair in enumerate(pairs) if min(pair) < 0)])
 
 
-def _read_table(source, column_map: dict[str, str] | None = None, label: str = "") -> _Table:
+def _read_table(
+    source, column_map: dict[str, str] | None = None, label: str = "", sampled: bool = False
+) -> _Table:
     """Read and check every row of an export, as ``parse_bibliographic_csv``
-    documents, into a _Table."""
+    documents, into a _Table.  When the table is ``sampled`` and ``source``
+    names a regular file, each row's abstract is left in the file and its
+    byte span kept instead, so an unsampled row's abstract is never held."""
     mapping = dict(DEFAULT_COLUMN_MAP if column_map is None else column_map)
     if "title" not in mapping:
         raise ConfigError("column_map must name the title column")
@@ -292,11 +308,18 @@ def _read_table(source, column_map: dict[str, str] | None = None, label: str = "
     elif not (isinstance(source, (str, Path)) or hasattr(source, "read")):
         raise ConfigError(f"unsupported CSV source: {type(source).__name__}")
 
+    # A pipe cannot be read twice, so its abstracts are held.
+    counted = sampled and isinstance(source, (str, Path)) and os.path.isfile(source)
     fields: list[str] = []
     picked: list = []  # the mapped cells of each row that is not blank
+    located = None  # for a table of spans: (line, start, stop) of each picked row
     fault = None
     try:
         with open_text(source, encoding="utf-8-sig") as stream:
+            if counted:
+                # The text layer drops a leading BOM, 3 bytes of the file.
+                end = [3 if stream.buffer.peek(3).startswith(codecs.BOM_UTF8) else 0]
+                stream = _utf8_counted(stream, end)
             rows = read_csv_rows(stream)
             _, header = next(rows, (None, None))
             if header is None:
@@ -313,20 +336,36 @@ def _read_table(source, column_map: dict[str, str] | None = None, label: str = "
                     )
 
             fields = [field for field in _FIELDS if field in columns]
+            if counted and "abstract" in columns:
+                fields.remove("abstract")
+                located = []
             positions = [columns[field] for field in fields]
             get = itemgetter(*positions)
             pad = [""] * (max(positions) + 1)  # a short row's missing cells are ""
             append = picked.append
-            for _, row in rows:
-                if len(row) >= len(pad):
-                    append(get(row))
-                elif row:
-                    append(get(row + pad))
+            if located is None:
+                for _, row in rows:
+                    if len(row) >= len(pad):
+                        append(get(row))
+                    elif row:
+                        append(get(row + pad))
+            else:
+                # The reader reads no line past a row's last, so ``end[0]``
+                # is the end of the row just read.
+                stop = end[0]
+                for line, row in rows:
+                    start, stop = stop, end[0]
+                    if row:
+                        append(get(row if len(row) >= len(pad) else row + pad))
+                        located.append((line, start, stop))
     except LexigaugeError as exc:
         fault = exc
 
     # A one-field itemgetter picks the cell itself.
-    table = _Table(label, dict(zip(fields, zip(*picked) if len(fields) > 1 else [tuple(picked)])))
+    cells = dict(zip(fields, zip(*picked) if len(fields) > 1 else [tuple(picked)]))
+    if located is not None:
+        cells["abstract"] = located
+    table = _Table(label, cells, None if located is None else (source, columns))
     # A negative count is a fault of its row, so it wins over a fault further
     # on in the file.
     table.check_counts()
@@ -334,6 +373,39 @@ def _read_table(source, column_map: dict[str, str] | None = None, label: str = "
         raise fault
     _require_unique_ids(label, table.ids)
     return table
+
+
+def _utf8_counted(lines, end: list[int]):
+    """Yield each of ``lines`` after adding its UTF-8 length to ``end[0]``."""
+    for line in lines:
+        end[0] += len(line) if line.isascii() else len(line.encode())
+        yield line
+
+
+def _reread_abstracts(path, columns: dict[str, int], ids, titles, spans) -> list[str]:
+    """The abstract cells of rows read earlier from ``path``, one per
+    ``(line, start, stop)`` byte span, taken as the first read took them.
+    Raises CsvParseError naming the row's line when a span no longer holds
+    one row with the title and id that the first read found there."""
+    width = max(columns.values()) + 1
+    title, rec_id, abstract = columns["title"], columns.get("id"), columns["abstract"]
+    abstracts = []
+    with open(path, "rb", buffering=0) as raw:
+        for (line, start, stop), want_id, want_title in zip(spans, ids, titles):
+            raw.seek(start)
+            try:
+                # The reader takes the span as one line: a line end in quotes
+                # is cell text, and a line end outside quotes ends the row.
+                [row] = csv.reader([raw.read(stop - start).decode()], strict=True)
+            except (ValueError, csv.Error):  # not UTF-8, or not one row
+                row = []
+            row += [""] * (width - len(row))  # as the first read padded it
+            if row[title].strip() != want_title or (
+                rec_id is not None and (row[rec_id].strip() or want_id) != want_id
+            ):
+                raise CsvParseError(f"{path} changed while it was read", row=line)
+            abstracts.append(row[abstract])
+    return abstracts
 
 
 def _parse_cells(cells, parse) -> list:

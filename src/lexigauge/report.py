@@ -395,8 +395,10 @@ def normality_or_none(values) -> NormalityResult | None:
 
 def _analyze_corpus(config: CorpusConfig, analysis: AnalysisConfig) -> CorpusResult:
     # Every row is read and checked, but records are built only for the
-    # rows that are analyzed.
-    table = _read_table(config.csv_path, column_map=config.column_map, label=config.label)
+    # rows that are analyzed, and a sample's abstracts are re-read from the
+    # file, so no unsampled abstract is held.
+    table = _read_table(config.csv_path, config.column_map, config.label,
+                        sampled=config.sample_size is not None)
     require_records(table, config.csv_path)
 
     biblio = table.summary(distinct_author_total=config.author_total)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from lexigauge import cli
+from lexigauge import cli, report
 from lexigauge.errors import CsvParseError, named
 from lexigauge.metrics import METRIC_NAMES
 from lexigauge.report import KNOWN_FORMATS
@@ -112,6 +112,25 @@ def test_compare_names_the_corpus_of_an_oversized_sample(data_dir, tmp_path):
     leadership = str(data_dir / "corpus_leadership.csv")
     assert _compare(data_dir, tmp_path, leadership, "--sample-size", "500", "--seed", "1") == (
         1, "error: corpus 'A': sample size 500 exceeds its 20 records\n"
+    )
+
+
+def test_compare_names_an_export_changed_while_it_was_read(data_dir, tmp_path, monkeypatch):
+    # The export is rewritten between the read of every row and the re-read
+    # of the sampled rows' abstracts; one more header byte moves every span.
+    export = tmp_path / "leadership.csv"
+    shutil.copy(data_dir / "corpus_leadership.csv", export)
+    read = report._read_table
+
+    def read_then_rewrite(source, *args, **kwargs):
+        table = read(source, *args, **kwargs)
+        if source == str(export):
+            export.write_bytes(export.read_bytes().replace(b"Title", b"Titles", 1))
+        return table
+
+    monkeypatch.setattr(report, "_read_table", read_then_rewrite)
+    assert _compare(data_dir, tmp_path, str(export), "--sample-size", "20", "--seed", "0") == (
+        1, f"error: corpus 'A': row 2: {export} changed while it was read\n"
     )
 
 

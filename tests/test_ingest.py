@@ -1,6 +1,9 @@
+import csv
 import gc
 import io
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -324,7 +327,7 @@ _HEADERS = ["Title", "Abstract", "Year", "Source title", "Cited by", "Author cou
 _LOGICAL = ["title", "abstract", "year", "venue", "citations", "author_count", "id", "doi"]
 _CELLS = [
     "", " ", "A title", "  Padded title  ", "dup", "a, b", 'say "so"', "two\nlines",
-    " 2015 ", "2015.9", "1899", "n/a", "nan", "1e999", "1e300", "-3", "7",
+    " 2015 ", "2015.9", "1899", "n/a", "nan", "1e999", "1e300", "-3", "7", "café – ünï",
 ]
 # Faults the reader meets after the rows before them: a malformed quote, an
 # unclosed quote and an invalid UTF-8 byte.  The long cell pushes a fault
@@ -355,7 +358,7 @@ def _exports(draw):
     fault = draw(st.sampled_from([None] + _FAULTS))
     if fault is not None:
         lines.insert(draw(st.integers(1, len(lines))), fault)
-    newline = draw(st.sampled_from([b"\n", b"\r\n"]))
+    newline = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
     data = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + newline.join(lines) + newline
     column_map = draw(
         st.sampled_from([None, ROUNDTRIP_COLUMN_MAP])
@@ -409,6 +412,65 @@ def test_sampled_table_equals_sample_and_summary_of_the_parsed_corpus(
     assert _outcome(table.summary, author_total) == _outcome(
         bibliometric_descriptives, corpus, author_total
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exports(), st.integers(-1, 12), st.integers(0, 2**32), st.none() | st.integers(0, 50))
+@example((b'Title,Abstract\nOne,"a\nb"\nTwo,"c\r\nd\re"\nThree,f\nFour,"g\n\nh"\n', None),
+         2, 0, None)
+@example((b'\xef\xbb\xbfTitle,Abstract\r\nOne,a\r\n\r\nTwo,b\r\n', None), 1, 0, None)
+def test_sampled_read_of_a_file_equals_sample_and_summary_of_the_parsed_file(
+    export, n, seed, author_total
+):
+    # Every row's abstract is re-read from its byte span, so the sample of
+    # every row is drawn too: a wrong span shows as a wrong abstract or as
+    # a "changed while it was read" error.
+    data, column_map = export
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "export.csv"
+        path.write_bytes(data)
+        table = _outcome(_read_table, path, column_map, "c", True)
+        corpus = _outcome(parse_bibliographic_csv, path, column_map, "c")
+        if isinstance(corpus, tuple):
+            assert table == corpus
+            return
+        header = next(csv.reader(io.StringIO(data.decode("utf-8-sig", "replace"), newline="")))
+        abstract = (DEFAULT_COLUMN_MAP if column_map is None else column_map).get("abstract")
+        assert (table.source is not None) == (abstract in header)
+        for size in (n, len(corpus)):
+            assert _outcome(table.sample, size, seed) == _outcome(sample_corpus, corpus, size, seed)
+    assert _outcome(table.summary, author_total) == _outcome(
+        bibliometric_descriptives, corpus, author_total
+    )
+
+
+@pytest.mark.parametrize(
+    "rewritten",
+    [
+        b"Id,Title,Abstract\nr1,One,First.\nr2,Uno,Second.\n",  # a title
+        b"Id,Title,Abstract\nr1,One,First.\nr9,Two,Second.\n",  # an id
+        b"Id,Title,Abstract\nr1,One,First.\n",  # cut short
+        b"Id,Title,Abstract\nr1,One,First.\nr2,Two,\"Sec\n",  # not one row
+        b"Id,Title,Abstract\nr1,One,First.\nr2,Tw\xe9,Second.\n",  # not UTF-8
+    ],
+)
+def test_sampling_a_file_changed_after_its_read_is_an_input_error(tmp_path, rewritten):
+    path = tmp_path / "export.csv"
+    path.write_bytes(b"Id,Title,Abstract\nr1,One,First.\nr2,Two,Second.\n")
+    column_map = {"id": "Id", "title": "Title", "abstract": "Abstract"}
+    table = _read_table(path, column_map, "c", sampled=True)
+    assert table.sample(2, seed=1).records[1].abstract == "Second."
+    path.write_bytes(rewritten)
+    message = rf"^row 3: {re.escape(str(path))} changed while it was read$"
+    with pytest.raises(CsvParseError, match=message):
+        table.sample(2, seed=1)
+
+
+def test_a_sampled_table_builds_no_full_corpus(tmp_path):
+    path = tmp_path / "export.csv"
+    path.write_bytes(b"Title,Abstract\nOne,First.\n")
+    with pytest.raises(RuntimeError):
+        _read_table(path, sampled=True).corpus()
 
 
 def test_sampled_table_keeps_the_oversized_sample_message():

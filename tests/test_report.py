@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import tracemalloc
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 from unittest import mock
@@ -17,12 +19,14 @@ from hypothesis import strategies as st
 
 from lexigauge import cli
 from lexigauge.errors import ConfigError, ConsistencyError, DomainError, LexigaugeError
+from lexigauge.ingest import write_csv
 from lexigauge.metrics import read_metrics_csv, write_metrics_csv
 from lexigauge.report import (
     AnalysisConfig,
     CorpusConfig,
     OutputConfig,
     RunConfig,
+    _analyze_corpus,
     emit_density_svg,
     load_run_config,
     report_json_bytes,
@@ -166,6 +170,74 @@ def test_sampled_run_matches_its_golden(data_dir, tmp_path):
     report = run_compare(sampled_config(str(tmp_path / "out")))
     golden = (data_dir / "golden_report_sampled.json").read_text(encoding="utf-8")
     assert golden_json(report) == golden
+
+
+def test_a_sampled_run_holds_no_unsampled_abstract(data_dir, tmp_path):
+    # 2,000 rows with abstracts of about 3 KB, 20 of them sampled: holding
+    # every row's abstract until the sample is drawn traces more than the
+    # file's size.  A first run fills the lazily built tables, which any
+    # run keeps, so the traced peak is the second run's own.
+    words = "team leadership process change firm market network growth trust role".split()
+    rows = [
+        [f"r{i}", f"{words[i % 10].title()} {words[i % 7]} and {words[i % 9]} studies",
+         " ".join(f"The {words[(i + k) % 10]} of firm {k} shapes {words[i * k % 10]} growth."
+                  for k in range(70)),
+         2000 + i % 20]
+        for i in range(2000)
+    ]
+    export = tmp_path / "long.csv"
+    write_csv(export, ["Id", "Title", "Abstract", "Year"], rows)
+    analysis = AnalysisConfig()
+    warm = CorpusConfig(str(data_dir / "corpus_process.csv"), "warm", sample_size=10, seed=1)
+    _analyze_corpus(warm, analysis)
+    tracemalloc.start()
+    try:
+        _analyze_corpus(CorpusConfig(str(export), "long", sample_size=20, seed=1), analysis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * export.stat().st_size
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need os.mkfifo")
+def test_a_sampled_compare_reads_a_pipe_once(data_dir, tmp_path):
+    # A pipe's abstracts are held, since it cannot be read twice.  A second
+    # open would wait for a writer that never comes, so the compare runs in
+    # a child with a timeout.  Its metrics equal a regular file's.
+    source = data_dir / "corpus_process.csv"
+    pipe = tmp_path / "process.fifo"
+    os.mkfifo(pipe)
+
+    def write():
+        try:
+            with open(pipe, "wb") as stream:
+                stream.write(source.read_bytes())
+        except OSError:  # the child closed the pipe early
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+
+    def argv(corpus_a, out):
+        return ["compare", "--corpus-a", str(corpus_a), "--label-a", "process",
+                "--corpus-b", str(data_dir / "corpus_leadership.csv"), "--label-b", "leadership",
+                "--sample-size", "12", "--seed", "3", "--formats", "csv", "--out", str(out)]
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "lexigauge.cli", *argv(pipe, tmp_path / "piped")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+    finally:
+        # A writer still waiting for its reader is let through to a closed pipe.
+        os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert not writer.is_alive()
+    assert cli.main(argv(source, tmp_path / "file")) == 0
+    for name in ("metrics_process.csv", "metrics_leadership.csv"):
+        assert (tmp_path / "piped" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
 
 def test_run_compare_gexf_matches_golden_networks(data_dir, tmp_path):
