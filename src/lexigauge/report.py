@@ -45,13 +45,14 @@ from .semnet import (
     CoWordGraph,
     GraphPolicy,
     XML_TEXT_ESCAPES,
+    _betweenness,
+    _build_coword_graph,
+    _csr,
+    _export_graph,
+    _louvain,
     _xml_text_fault,
-    betweenness,
-    build_coword_graph,
     cluster_summary,
-    export_graph,
     load_stopwords,
-    louvain_communities,
 )
 from .stats import (
     QUARTILE_METHOD,
@@ -368,7 +369,7 @@ def analyze_network(
     ``analysis``'s graph settings, its seeded communities, betweenness and
     degree scores, and the cluster summary.  ``titles`` is as for
     ``build_coword_graph``: given record ids, an over-cap title is named by
-    its id."""
+    its id.  Louvain and betweenness share the build's own edge ids and one CSR."""
     policy = GraphPolicy(
         min_title_frequency=analysis.min_title_frequency,
         token_policy=analysis.token_policy,
@@ -376,11 +377,10 @@ def analyze_network(
             load_stopwords(analysis.stopwords_path) if analysis.stopwords_path else None
         ),
     )
-    graph = build_coword_graph(titles, policy)
-    partition = louvain_communities(
-        graph, resolution=analysis.louvain_resolution, seed=analysis.network_seed
-    )
-    centrality = betweenness(graph)
+    graph, ends = _build_coword_graph(titles, policy)
+    csr = _csr(graph, ends)
+    partition = _louvain(graph, ends, csr, analysis.louvain_resolution, analysis.network_seed)
+    centrality = _betweenness(*csr[:3])
     return graph, partition, centrality, cluster_summary(graph, partition, centrality)
 
 
@@ -548,11 +548,10 @@ def _write_artifacts(report: ComparisonReport, config: RunConfig) -> None:
                 for metric, series in corpus.densities.items():
                     rows = zip(series.grid, series.density)
                     write_csv(tmp_dir / f"density_{metric}_{slug}.csv", ("x", "density"), rows)
-            for fmt in ("gexf", "graphml"):
-                if fmt in formats:
-                    (tmp_dir / f"network_{slug}.{fmt}").write_bytes(
-                        export_graph(corpus.graph, corpus.partition, corpus.centrality, fmt)
-                    )
+            if wanted := [fmt for fmt in ("gexf", "graphml") if fmt in formats]:
+                render = _export_graph(corpus.graph, corpus.partition, corpus.centrality)
+                for fmt in wanted:
+                    (tmp_dir / f"network_{slug}.{fmt}").write_bytes(render(fmt))
 
         if "svg" in formats:
             a, b = report.corpora

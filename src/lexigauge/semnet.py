@@ -5,7 +5,8 @@ least one title, weighted by the number of such titles.  Communities come
 from greedy modularity optimization (local moves + aggregation, seeded node
 order); mediation is measured with unweighted shortest-path betweenness.
 
-Both algorithms run on one sorted-name CSR adjacency, built by ``_csr``.
+Both algorithms run on one sorted-name CSR adjacency, built by ``_csr``;
+``report.analyze_network`` builds one, from the build's own edge ids.
 Edge weights are integer title counts, so every strength, aggregated weight
 and half-weight self-loop is an exact float, whatever the summation order;
 so is each node's kept weight into a neighboring community, which Louvain
@@ -22,7 +23,7 @@ from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,12 @@ def build_coword_graph(titles, policy: GraphPolicy = GraphPolicy()) -> CoWordGra
     raises DomainError naming its record id, or else its position counted
     from 1.
     """
+    return _build_coword_graph(titles, policy)[0]
+
+
+def _build_coword_graph(titles, policy: GraphPolicy):
+    """``build_coword_graph``'s graph and its ``_edge_ends``, valid by construction:
+    a title's pair of term ids ``a < b`` in name order is the code ``a * n + b``."""
     ids = list(titles) if isinstance(titles, Mapping) else None
     if ids is not None:
         titles = titles.values()
@@ -152,52 +159,59 @@ def build_coword_graph(titles, policy: GraphPolicy = GraphPolicy()) -> CoWordGra
         raise DomainError("cannot build a co-word graph from zero titles")
     node_frequency = Counter(chain.from_iterable(token_sets))
     stopwords = default_stopwords() if policy.stopwords is None else policy.stopwords
-    keep = {
+    names = sorted(
         t
         for t, f in node_frequency.items()
         if f >= policy.min_title_frequency and t not in stopwords and any(map(str.isalpha, t))
-    }
-    edges: Counter[tuple[str, str]] = Counter()
-    for position, terms in enumerate(token_sets):
-        kept = sorted(terms & keep)
-        if len(kept) > _MAX_TITLE_TERMS:
-            title = f"title {position + 1}" if ids is None else f"record {ids[position]!r}: title"
-            raise DomainError(
-                f"{title} keeps {len(kept)} terms, past the cap of {_MAX_TITLE_TERMS}"
-            )
-        edges.update(combinations(kept, 2))
-    return CoWordGraph(
-        node_frequency={t: node_frequency[t] for t in sorted(keep)},
-        edges=dict(sorted(edges.items())),
     )
+    index = dict(zip(names, range(len(names))))
+    kept = [sorted([index[t] for t in terms if t in index]) for terms in token_sets]
+    sizes = np.fromiter(map(len, kept), np.intp, len(kept))
+    if (over := np.flatnonzero(sizes > _MAX_TITLE_TERMS)).size:
+        position = int(over[0])
+        title = f"title {position + 1}" if ids is None else f"record {ids[position]!r}: title"
+        raise DomainError(
+            f"{title} keeps {sizes[position]} terms, past the cap of {_MAX_TITLE_TERMS}"
+        )
+    flat = np.fromiter(chain.from_iterable(kept), np.intp, int(sizes.sum()))
+    # Term i pairs with the terms after it in its title, i + 1 up to the title's end.
+    after = np.repeat(np.cumsum(sizes), sizes) - np.arange(flat.size) - 1
+    first = np.repeat(np.arange(flat.size), after)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(after) - after, after)
+    codes, counts = np.unique(flat[first] * len(names) + flat[second], return_counts=True)
+    heads, tails = np.divmod(codes, max(len(names), 1))
+    named = np.array(names, object)
+    edges = dict(zip(zip(named[heads].tolist(), named[tails].tolist()), counts.tolist()))
+    return CoWordGraph({t: node_frequency[t] for t in names}, edges), (names, heads, tails)
 
 
 def _edge_ends(graph: CoWordGraph):
     """``(names, heads, tails)``: the sorted node names, and for each edge key
     ``(u, v)`` in ``graph.edges`` order the ids of ``u`` and ``v`` in ``names``.
-    Raises ConsistencyError on an edge key that is not ``(u, v)`` with
-    ``u < v``, both nodes."""
+    Raises ConsistencyError on an edge key that is not a 2-tuple ``(u, v)``
+    with ``u < v``, both nodes."""
     names = sorted(graph.node_frequency)
     index = {u: i for i, u in enumerate(names)}
-    m = len(graph.edges)
-    heads = np.fromiter((index.get(u, -1) for u, _ in graph.edges), np.intp, m)
-    tails = np.fromiter((index.get(v, -1) for _, v in graph.edges), np.intp, m)
+    keys = list(graph.edges)
+    # Any other key reads as the self-loop (key, key), which the check rejects.
+    pairs = chain.from_iterable(k if isinstance(k, tuple) and len(k) == 2 else (k, k) for k in keys)
+    heads, tails = np.fromiter(map(index.get, pairs, repeat(-1)), np.intp).reshape(-1, 2).T
     # Ids follow name order, so u < v holds exactly when -1 < head < tail.
     bad = np.flatnonzero((heads < 0) | (heads >= tails))
     if bad.size:
-        edge = list(graph.edges)[bad[0]]
+        edge = keys[bad[0]]
         raise ConsistencyError(f"edge {edge!r} is not (u, v) with u < v, both graph nodes")
     return names, heads, tails
 
 
-def _csr(graph: CoWordGraph):
+def _csr(graph: CoWordGraph, ends=None):
     """``(names, indptr, indices, weights)``: node ``i`` is ``names[i]`` (sorted)
     and CSR row ``i`` lists its neighbors in ascending order, with float edge
-    weights alongside.  Raises DomainError without nodes, and ConsistencyError
-    as ``_edge_ends`` does."""
+    weights alongside; ``ends``, if given, are the graph's ``_edge_ends``.
+    Raises DomainError without nodes, and ConsistencyError as ``_edge_ends`` does."""
     if not graph.node_frequency:
         raise DomainError("the co-word graph has no nodes")
-    names, heads, tails = _edge_ends(graph)
+    names, heads, tails = ends or _edge_ends(graph)
     n, m = len(names), len(graph.edges)
     weights = np.fromiter(graph.edges.values(), float, m)
     # Both directions of every edge as row * n + column, in ascending order.
@@ -228,10 +242,15 @@ def modularity(
     if missing:
         raise ConsistencyError(f"assignment misses nodes: {sorted(missing)[:5]}")
     names, heads, tails = _edge_ends(graph)
+    _, community = np.unique(np.array([assignment[u] for u in names], object), return_inverse=True)
+    return _modularity(graph, heads, tails, community, resolution)
+
+
+def _modularity(graph: CoWordGraph, heads, tails, community, resolution: float) -> float:
+    """``modularity`` with node ``i`` in name order in community ``community[i]``."""
     m = float(sum(graph.edges.values()))
     if m == 0:
         return 0.0
-    _, community = np.unique(np.array([assignment[u] for u in names], object), return_inverse=True)
     ends = community[np.column_stack([heads, tails]).ravel()]
     weights = np.fromiter(graph.edges.values(), float, len(graph.edges))
     same = ends[0::2] == ends[1::2]
@@ -270,7 +289,13 @@ def louvain_communities(
     Community ids in the result are canonical: numbered by decreasing
     community size, ties by lexicographically smallest member.
     """
-    names, indptr, indices, weights = _csr(graph)
+    ends = _edge_ends(graph)
+    return _louvain(graph, ends, _csr(graph, ends), resolution, seed)
+
+
+def _louvain(graph: CoWordGraph, ends, csr, resolution: float, seed: int) -> CommunityPartition:
+    """``louvain_communities`` on the graph's ``_edge_ends`` and ``_csr``."""
+    names, indptr, indices, weights = csr
     # Each weight sits in both of its ends' rows; the first fault in CSR
     # order is in the smaller end's row, so (row, column) is its edge key.
     whole = np.isfinite(weights) & (weights > 0) & (np.floor(weights) == weights)
@@ -280,7 +305,6 @@ def louvain_communities(
         edge = names[row], names[indices[faults[0]]]
         weight = graph.edges[edge]
         raise DomainError(f"edge {edge!r} has weight {weight!r}, not a positive whole number")
-    graph_csr = indptr, indices
     self_w = np.zeros(len(names))
     rng = np.random.Generator(np.random.PCG64(seed))
     # original node -> node id in the current (aggregated) level
@@ -291,13 +315,13 @@ def louvain_communities(
         if comm.max() + 1 == self_w.size:
             break
         indptr, indices, weights, self_w = _aggregate(indptr, indices, weights, self_w, comm)
-    roots = _split_disconnected(node_of, *graph_csr)
+    roots = _split_disconnected(node_of, *csr[1:3])
 
     # Canonical ids: by decreasing size, ties by smallest member (root) name.
     smallest, inverse, size = np.unique(roots, return_inverse=True, return_counts=True)
-    canonical = np.argsort(np.lexsort((smallest, -size)))
-    assignment = dict(zip(names, canonical[inverse].tolist()))
-    return CommunityPartition(assignment=assignment, modularity_q=modularity(graph, assignment))
+    community = np.argsort(np.lexsort((smallest, -size)))[inverse]
+    q = _modularity(graph, *ends[1:], community, 1.0)
+    return CommunityPartition(assignment=dict(zip(names, community.tolist())), modularity_q=q)
 
 
 def _split_disconnected(comm, indptr, indices) -> np.ndarray:
@@ -402,7 +426,11 @@ def betweenness(graph: CoWordGraph) -> CentralityScores:
     order of the single-source queue/stack form, which visits neighbors in
     ascending name order, so the scores are bit-identical to it.
     """
-    names, indptr, indices, _ = _csr(graph)
+    return _betweenness(*_csr(graph)[:3])
+
+
+def _betweenness(names, indptr, indices) -> CentralityScores:
+    """``betweenness`` on the graph's ``_csr``."""
     n = len(names)
     component_size = _component_sizes(indptr, indices)
     scores = np.zeros(n)
@@ -676,30 +704,33 @@ def export_graph(
     title_frequency node attributes and edge weights, as UTF-8 XML in
     GEXF 1.2draft or GraphML, laid out as ElementTree writes it after ``indent``.
     Raises DomainError for a node name that XML cannot hold."""
-    _check_same_nodes(graph, partition, scores)
-    names, _, _ = _edge_ends(graph)
     if format not in ("gexf", "graphml"):
         raise DomainError(f"unsupported graph format {format!r} (gexf, graphml)")
+    return _export_graph(graph, partition, scores)(format)
+
+
+def _export_graph(graph, partition, scores):
+    """The function that renders ``export_graph``'s bytes in a given format,
+    from rows checked and escaped once for every format."""
+    _check_same_nodes(graph, partition, scores)
+    names, heads, tails = _edge_ends(graph)
     for node in names:
         if fault := _xml_text_fault(node):
             raise DomainError(f"graph node {node!r} {fault}")
-    # Each name escaped once; ``_edge_ends`` checked every edge end is a node.
-    escaped = {node: node.translate(XML_ATTRIB_ESCAPES) for node in names}
+    escaped = [node.translate(XML_ATTRIB_ESCAPES) for node in names]
     # Each node's escaped name, then its values in _NODE_ATTRIBUTES order.
+    community, between, degree = partition.assignment, scores.betweenness, scores.degree
     nodes = [
-        (
-            name,
-            str(partition.assignment[node]),
-            repr(scores.betweenness[node]),
-            str(scores.degree[node]),
-            str(graph.node_frequency[node]),
-        )
-        for node, name in escaped.items()
+        (name, str(community[u]), repr(between[u]), str(degree[u]), str(graph.node_frequency[u]))
+        for u, name in zip(names, escaped)
     ]
-    edges = [(escaped[u], escaped[v], w) for (u, v), w in sorted(graph.edges.items())]
-    lines = (_gexf_lines if format == "gexf" else _graphml_lines)(nodes, edges)
-    text = "\n".join(["<?xml version='1.0' encoding='utf-8'?>", *lines])
-    return text.encode("utf-8")
+    # Edges in key order, as sorted(graph.edges) would list them: ids follow name order.
+    order = np.lexsort((tails, heads)).tolist()
+    heads, tails, weights = heads.tolist(), tails.tolist(), list(graph.edges.values())
+    edges = [(escaped[heads[i]], escaped[tails[i]], weights[i]) for i in order]
+    head = "<?xml version='1.0' encoding='utf-8'?>"
+    writers = {"gexf": _gexf_lines, "graphml": _graphml_lines}
+    return lambda fmt: "\n".join([head, *writers[fmt](nodes, edges)]).encode("utf-8")
 
 
 def _gexf_lines(nodes, edges) -> list[str]:

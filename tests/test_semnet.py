@@ -1,6 +1,8 @@
 import itertools
+import re
 import string
 from collections import Counter, defaultdict, deque
+from collections.abc import Mapping
 from unittest import mock
 from xml.etree import ElementTree as ET
 
@@ -218,6 +220,72 @@ def test_build_from_record_ids_names_an_over_cap_title_by_its_id():
         build_coword_graph(titles)
     del titles["y"]
     assert build_coword_graph(titles) == build_coword_graph(list(titles.values()))
+
+
+def counter_build(titles, policy: GraphPolicy) -> CoWordGraph:
+    """The tuple-Counter build that the integer-code build replaced, kept as
+    its oracle: it counts each title's sorted pairs of kept terms as
+    ``(u, v)`` keys, then sorts the keys."""
+    ids = list(titles) if isinstance(titles, Mapping) else None
+    if ids is not None:
+        titles = titles.values()
+    token_sets = [set(tokenize(title, policy.token_policy)) for title in titles]
+    if not token_sets:
+        raise DomainError("cannot build a co-word graph from zero titles")
+    node_frequency = Counter(itertools.chain.from_iterable(token_sets))
+    stopwords = default_stopwords() if policy.stopwords is None else policy.stopwords
+    keep = {
+        t
+        for t, f in node_frequency.items()
+        if f >= policy.min_title_frequency and t not in stopwords and any(map(str.isalpha, t))
+    }
+    edges: Counter = Counter()
+    for position, terms in enumerate(token_sets):
+        kept = sorted(terms & keep)
+        if len(kept) > 256:
+            title = f"title {position + 1}" if ids is None else f"record {ids[position]!r}: title"
+            raise DomainError(f"{title} keeps {len(kept)} terms, past the cap of 256")
+        edges.update(itertools.combinations(kept, 2))
+    return CoWordGraph(
+        node_frequency={t: node_frequency[t] for t in sorted(keep)},
+        edges=dict(sorted(edges.items())),
+    )
+
+
+_ZQ_WORDS = ["zq" + a + b for a, b in itertools.product(string.ascii_lowercase, repeat=2)]
+_OVER_CAP = " ".join(_ZQ_WORDS[:257])  # one term past the cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # A few distinct titles, each drawn again and again, so words repeat
+    # across titles; a title may keep no word at all.
+    titles=st.lists(
+        st.lists(st.sampled_from(_TITLE_WORDS + ["team's", "-", "x"]), max_size=8).map(" ".join),
+        min_size=1,
+        max_size=6,
+    ).flatmap(lambda distinct: st.lists(st.sampled_from(distinct), max_size=12)),
+    min_title_frequency=st.integers(1, 3),
+    by_id=st.booleans(),
+)
+@example(titles=["the of and", "2020", ""], min_title_frequency=1, by_id=False)
+@example(titles=["team", "the team", "2020"], min_title_frequency=1, by_id=True)
+@example(titles=["team process", _OVER_CAP, _OVER_CAP], min_title_frequency=2, by_id=True)
+@example(titles=["team process", _OVER_CAP, _OVER_CAP], min_title_frequency=2, by_id=False)
+def test_integer_build_equals_the_counter_oracle(titles, min_title_frequency, by_id):
+    if by_id:
+        titles = {f"r{position}": title for position, title in enumerate(titles)}
+    policy = GraphPolicy(min_title_frequency=min_title_frequency)
+    try:
+        expected = counter_build(titles, policy)
+    except DomainError as error:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(error))}$"):
+            build_coword_graph(titles, policy)
+        return
+    graph = build_coword_graph(titles, policy)
+    assert list(graph.node_frequency.items()) == list(expected.node_frequency.items())
+    assert list(graph.edges.items()) == list(expected.edges.items())
+    assert all(type(w) is int for w in graph.edges.values())
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +711,36 @@ def test_export_rejects_malformed_edge_key(nodes, edges, fmt):
     scores = CentralityScores({node: 0.0 for node in nodes}, {node: 0 for node in nodes})
     with pytest.raises(ConsistencyError, match=r"edge \('(a|b)', '(a|b)'\)"):
         export_graph(graph, partition, scores, fmt)
+
+
+@pytest.mark.parametrize(
+    "key", ["ab", ("a", "b", "c"), ("a",), 5], ids=["string", "triple", "single", "int"]
+)
+@pytest.mark.parametrize(
+    "algorithm",
+    [
+        louvain_communities,
+        betweenness,
+        lambda graph: modularity(graph, dict.fromkeys(graph.nodes, 0)),
+        CoWordGraph.adjacency,
+        lambda graph: export_graph(graph, *blank_scores(graph.nodes), "gexf"),
+        lambda graph: export_graph(graph, *blank_scores(graph.nodes), "graphml"),
+    ],
+    ids=["louvain_communities", "betweenness", "modularity", "adjacency", "gexf", "graphml"],
+)
+def test_edge_key_that_is_not_a_pair_is_consistency_error(key, algorithm):
+    # "ab" once unpacked as the edge ("a", "b"); the others raised from unpacking.
+    graph = CoWordGraph(node_frequency={"a": 1, "b": 1, "c": 1}, edges={("a", "b"): 1, key: 1})
+    with pytest.raises(ConsistencyError, match=f"^edge {re.escape(repr(key))} is not"):
+        algorithm(graph)
+
+
+def blank_scores(nodes) -> tuple[CommunityPartition, CentralityScores]:
+    """A partition and scores that put every node of ``nodes`` at zero."""
+    return (
+        CommunityPartition(dict.fromkeys(nodes, 0), 0.0),
+        CentralityScores(dict.fromkeys(nodes, 0.0), dict.fromkeys(nodes, 0)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1425,6 +1523,51 @@ def test_export_bytes_equal_elementtree_oracle_on_corpora(data_dir):
     for bundle in bundles:
         for fmt in ("gexf", "graphml"):
             assert export_graph(*bundle, fmt) == elementtree_export_graph(*bundle, fmt)
+
+
+def dense_titles(graph: CoWordGraph) -> list[str]:
+    """Titles whose co-word graph at min_title_frequency 1 has the edges and
+    nodes of ``graph``: one title per edge, and one per isolated node."""
+    linked = set(itertools.chain.from_iterable(graph.edges))
+    return [" ".join(key) for key in graph.edges] + sorted(graph.nodes - linked)
+
+
+@pytest.mark.parametrize("source", ["corpus_process.csv", "corpus_leadership.csv", "dense"])
+def test_analyze_network_equals_the_public_functions(source, data_dir):
+    if source == "dense":
+        dense = dense_graph(n=120)
+        graph, *shared = analyze_network(dense_titles(dense), AnalysisConfig(min_title_frequency=1))
+        assert graph.nodes == dense.nodes and graph.edges.keys() == dense.edges.keys()
+    else:
+        titles = parse_bibliographic_csv(data_dir / source).titles()
+        graph, *shared = analyze_network(titles, AnalysisConfig())
+    partition, centrality, _ = shared
+    public = louvain_communities(graph), betweenness(graph)
+    assert (partition, centrality) == public
+    # The comparison's artifacts write both formats from one set of rows.
+    render = semnet._export_graph(graph, partition, centrality)
+    for fmt in ("gexf", "graphml"):
+        assert render(fmt) == export_graph(graph, *public, fmt)
+
+
+def test_public_functions_check_the_graph_they_are_handed():
+    titles = ["team process change", "team process", "change firm", "firm team"]
+    graph, partition, centrality, _ = analyze_network(titles, AnalysisConfig(min_title_frequency=1))
+    calls = [
+        louvain_communities,
+        betweenness,
+        lambda graph: modularity(graph, partition.assignment),
+        CoWordGraph.adjacency,
+        lambda graph: export_graph(graph, partition, centrality, "gexf"),
+        lambda graph: export_graph(graph, partition, centrality, "graphml"),
+    ]
+    for call in calls:
+        call(graph)
+    u, v = next(iter(graph.edges))
+    graph.edges[v, u] = 1
+    for call in calls:
+        with pytest.raises(ConsistencyError, match=f"^edge {re.escape(repr((v, u)))} is not"):
+            call(graph)
 
 
 # ---------------------------------------------------------------------------
