@@ -45,14 +45,13 @@ from .semnet import (
     CoWordGraph,
     GraphPolicy,
     XML_TEXT_ESCAPES,
-    _betweenness,
-    _build_coword_graph,
-    _csr,
     _export_graph,
-    _louvain,
-    _xml_text_fault,
+    betweenness,
+    build_coword_graph,
     cluster_summary,
     load_stopwords,
+    louvain_communities,
+    xml_text_fault,
 )
 from .stats import (
     QUARTILE_METHOD,
@@ -102,7 +101,7 @@ class CorpusConfig:
     author_total: int | None = None
 
     def __post_init__(self):
-        if fault := _xml_text_fault(self.label):
+        if fault := xml_text_fault(self.label):
             raise ConfigError(f"corpus label {self.label!r} {fault}")
         for key in ("seed", "author_total"):
             value = getattr(self, key)
@@ -369,7 +368,7 @@ def analyze_network(
     ``analysis``'s graph settings, its seeded communities, betweenness and
     degree scores, and the cluster summary.  ``titles`` is as for
     ``build_coword_graph``: given record ids, an over-cap title is named by
-    its id.  Louvain and betweenness share the build's own edge ids and one CSR."""
+    its id.  Louvain and betweenness share the graph's one CSR."""
     policy = GraphPolicy(
         min_title_frequency=analysis.min_title_frequency,
         token_policy=analysis.token_policy,
@@ -377,10 +376,9 @@ def analyze_network(
             load_stopwords(analysis.stopwords_path) if analysis.stopwords_path else None
         ),
     )
-    graph, ends = _build_coword_graph(titles, policy)
-    csr = _csr(graph, ends)
-    partition = _louvain(graph, ends, csr, analysis.louvain_resolution, analysis.network_seed)
-    centrality = _betweenness(*csr[:3])
+    graph = build_coword_graph(titles, policy)
+    partition = louvain_communities(graph, analysis.louvain_resolution, analysis.network_seed)
+    centrality = betweenness(graph)
     return graph, partition, centrality, cluster_summary(graph, partition, centrality)
 
 
@@ -565,9 +563,14 @@ def _write_artifacts(report: ComparisonReport, config: RunConfig) -> None:
                     )
                 )
 
-        # The bundle is whatever the temporary directory holds.
-        for path in tmp_dir.iterdir():
-            os.replace(path, out_dir / path.name)
+        # The bundle is whatever the temporary directory holds; every target
+        # is checked before the first move, so a blocked one moves nothing.
+        names = [path.name for path in tmp_dir.iterdir()]
+        for target in map(out_dir.joinpath, names):
+            if target.exists() and not target.is_file():
+                raise ConfigError(f"{target}: exists and is not a regular file")
+        for name in names:
+            os.replace(tmp_dir / name, out_dir / name)
     finally:
         shutil.rmtree(tmp_dir, ignore_errors=True)
 
@@ -592,7 +595,7 @@ def emit_density_svg(
     Deterministic byte output for identical inputs.  Raises DomainError for
     a bad series, and for a title or label that cannot be written as XML."""
     for text in (title, *labels):
-        if fault := _xml_text_fault(text):
+        if fault := xml_text_fault(text):
             raise DomainError(f"SVG text {text!r} {fault}")
     for series in (series_a, series_b):
         if len(series.grid) == 0:

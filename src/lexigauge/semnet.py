@@ -5,8 +5,8 @@ least one title, weighted by the number of such titles.  Communities come
 from greedy modularity optimization (local moves + aggregation, seeded node
 order); mediation is measured with unweighted shortest-path betweenness.
 
-Both algorithms run on one sorted-name CSR adjacency, built by ``_csr``;
-``report.analyze_network`` builds one, from the build's own edge ids.
+A ``CoWordGraph`` checks its edge keys once, when it is built, and cannot
+change after; both algorithms run on its one sorted-name CSR adjacency.
 Edge weights are integer title counts, so every strength, aggregated weight
 and half-weight self-loop is an exact float, whatever the summation order;
 so is each node's kept weight into a neighboring community, which Louvain
@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from collections.abc import Mapping
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from itertools import chain, repeat
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -76,21 +77,44 @@ class GraphPolicy:
     stopwords: frozenset[str] | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoWordGraph:
-    """Undirected weighted co-word graph.
+    """Undirected weighted co-word graph, read-only once built.
 
     node_frequency: token -> number of titles containing it.
     edges: (u, v) -> number of titles where both occur, one key per pair,
-    with u < v and both nodes (as ``build_coword_graph`` emits them);
-    ``louvain_communities``, ``betweenness``, ``modularity``, ``adjacency``
-    and ``export_graph`` raise the same ConsistencyError on any other key.
-    Weights are positive whole numbers; ``louvain_communities`` raises
-    DomainError on any other.
+    with u < v and both nodes (as ``build_coword_graph`` emits them); any
+    other key raises ConsistencyError, naming it, when the graph is built.
+    Both are copied and held as read-only mappings, in the caller's key
+    order.  Weights are stored as given; ``louvain_communities`` raises
+    DomainError on one that is not a positive whole number.
     """
 
-    node_frequency: dict[str, int]
-    edges: dict[tuple[str, str], int]
+    node_frequency: Mapping[str, int]
+    edges: Mapping[tuple[str, str], int]
+    # Sorted node names, and each edge key's ids in them, in edges order.
+    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _heads: np.ndarray = field(init=False, repr=False, compare=False)
+    _tails: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        node_frequency = MappingProxyType(dict(self.node_frequency))
+        edges = MappingProxyType(dict(self.edges))
+        names = tuple(sorted(node_frequency))
+        index = dict(zip(names, range(len(names))))
+        keys = list(edges)
+        # Any other key reads as the self-loop (key, key), which the check rejects.
+        pairs = chain.from_iterable(k if isinstance(k, tuple) and len(k) == 2 else (k, k) for k in keys)
+        heads, tails = np.fromiter(map(index.get, pairs, repeat(-1)), np.intp).reshape(-1, 2).T
+        # Ids follow name order, so u < v holds exactly when -1 < head < tail.
+        bad = np.flatnonzero((heads < 0) | (heads >= tails))
+        if bad.size:
+            edge = keys[bad[0]]
+            raise ConsistencyError(f"edge {edge!r} is not (u, v) with u < v, both graph nodes")
+        # Frozen: the fields are set past __setattr__, as cached_property sets _csr.
+        self.__dict__.update(
+            node_frequency=node_frequency, edges=edges, _names=names, _heads=heads, _tails=tails
+        )
 
     @property
     def nodes(self) -> set[str]:
@@ -102,13 +126,22 @@ class CoWordGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> dict[str, dict[str, int]]:
-        _edge_ends(self)
-        adj: dict[str, dict[str, int]] = {node: {} for node in self.node_frequency}
-        for (u, v), w in self.edges.items():
-            adj[u][v] = w
-            adj[v][u] = w
-        return adj
+    @cached_property
+    def _csr(self):
+        """``(names, indptr, indices, weights)``: node ``i`` is ``names[i]`` (sorted)
+        and CSR row ``i`` lists its neighbors in ascending order, with float edge
+        weights alongside.  Raises DomainError without nodes."""
+        if not self.node_frequency:
+            raise DomainError("the co-word graph has no nodes")
+        names, heads, tails = self._names, self._heads, self._tails
+        n, m = len(names), len(self.edges)
+        weights = np.fromiter(self.edges.values(), float, m)
+        # Both directions of every edge as row * n + column, in ascending order.
+        codes = np.concatenate([heads * n + tails, tails * n + heads])
+        order = np.argsort(codes)
+        codes = codes[order]
+        indptr = np.searchsorted(codes, np.arange(n + 1) * n)
+        return names, indptr, codes % n, np.concatenate([weights, weights])[order]
 
 
 @dataclass(frozen=True)
@@ -145,12 +178,6 @@ def build_coword_graph(titles, policy: GraphPolicy = GraphPolicy()) -> CoWordGra
     raises DomainError naming its record id, or else its position counted
     from 1.
     """
-    return _build_coword_graph(titles, policy)[0]
-
-
-def _build_coword_graph(titles, policy: GraphPolicy):
-    """``build_coword_graph``'s graph and its ``_edge_ends``, valid by construction:
-    a title's pair of term ids ``a < b`` in name order is the code ``a * n + b``."""
     ids = list(titles) if isinstance(titles, Mapping) else None
     if ids is not None:
         titles = titles.values()
@@ -182,44 +209,7 @@ def _build_coword_graph(titles, policy: GraphPolicy):
     heads, tails = np.divmod(codes, max(len(names), 1))
     named = np.array(names, object)
     edges = dict(zip(zip(named[heads].tolist(), named[tails].tolist()), counts.tolist()))
-    return CoWordGraph({t: node_frequency[t] for t in names}, edges), (names, heads, tails)
-
-
-def _edge_ends(graph: CoWordGraph):
-    """``(names, heads, tails)``: the sorted node names, and for each edge key
-    ``(u, v)`` in ``graph.edges`` order the ids of ``u`` and ``v`` in ``names``.
-    Raises ConsistencyError on an edge key that is not a 2-tuple ``(u, v)``
-    with ``u < v``, both nodes."""
-    names = sorted(graph.node_frequency)
-    index = {u: i for i, u in enumerate(names)}
-    keys = list(graph.edges)
-    # Any other key reads as the self-loop (key, key), which the check rejects.
-    pairs = chain.from_iterable(k if isinstance(k, tuple) and len(k) == 2 else (k, k) for k in keys)
-    heads, tails = np.fromiter(map(index.get, pairs, repeat(-1)), np.intp).reshape(-1, 2).T
-    # Ids follow name order, so u < v holds exactly when -1 < head < tail.
-    bad = np.flatnonzero((heads < 0) | (heads >= tails))
-    if bad.size:
-        edge = keys[bad[0]]
-        raise ConsistencyError(f"edge {edge!r} is not (u, v) with u < v, both graph nodes")
-    return names, heads, tails
-
-
-def _csr(graph: CoWordGraph, ends=None):
-    """``(names, indptr, indices, weights)``: node ``i`` is ``names[i]`` (sorted)
-    and CSR row ``i`` lists its neighbors in ascending order, with float edge
-    weights alongside; ``ends``, if given, are the graph's ``_edge_ends``.
-    Raises DomainError without nodes, and ConsistencyError as ``_edge_ends`` does."""
-    if not graph.node_frequency:
-        raise DomainError("the co-word graph has no nodes")
-    names, heads, tails = ends or _edge_ends(graph)
-    n, m = len(names), len(graph.edges)
-    weights = np.fromiter(graph.edges.values(), float, m)
-    # Both directions of every edge as row * n + column, in ascending order.
-    codes = np.concatenate([heads * n + tails, tails * n + heads])
-    order = np.argsort(codes)
-    codes = codes[order]
-    indptr = np.searchsorted(codes, np.arange(n + 1) * n)
-    return names, indptr, codes % n, np.concatenate([weights, weights])[order]
+    return CoWordGraph({t: node_frequency[t] for t in names}, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -236,22 +226,21 @@ def modularity(
     An edgeless graph has Q = 0 by convention.  Weights are summed in edge
     order and communities in order of first sight, as a loop over
     ``graph.edges`` would, so Q is that loop's float for any weights.
-    Raises ConsistencyError on an unassigned node, and as ``_edge_ends`` does.
+    Raises ConsistencyError on an unassigned node.
     """
     missing = graph.nodes - set(assignment)
     if missing:
         raise ConsistencyError(f"assignment misses nodes: {sorted(missing)[:5]}")
-    names, heads, tails = _edge_ends(graph)
-    _, community = np.unique(np.array([assignment[u] for u in names], object), return_inverse=True)
-    return _modularity(graph, heads, tails, community, resolution)
+    labels = np.array([assignment[u] for u in graph._names], object)
+    return _modularity(graph, np.unique(labels, return_inverse=True)[1], resolution)
 
 
-def _modularity(graph: CoWordGraph, heads, tails, community, resolution: float) -> float:
+def _modularity(graph: CoWordGraph, community, resolution: float) -> float:
     """``modularity`` with node ``i`` in name order in community ``community[i]``."""
     m = float(sum(graph.edges.values()))
     if m == 0:
         return 0.0
-    ends = community[np.column_stack([heads, tails]).ravel()]
+    ends = community[np.column_stack([graph._heads, graph._tails]).ravel()]
     weights = np.fromiter(graph.edges.values(), float, len(graph.edges))
     same = ends[0::2] == ends[1::2]
     strength = np.bincount(ends, np.repeat(weights, 2)).tolist()
@@ -277,8 +266,8 @@ def louvain_communities(
     Louvain to Leiden").  Deterministic for a fixed (graph, seed).  The
     reported modularity is recomputed on the original graph at resolution 1.
 
-    Like ``betweenness``, it runs on the sorted-name CSR from ``_csr``;
-    integer edge weights keep every gain exact, whatever the summation order.
+    Like ``betweenness``, it runs on the graph's sorted-name CSR; integer
+    edge weights keep every gain exact, whatever the summation order.
     Each node's weight into each neighboring community is kept up to date
     as nodes move, not summed again per visit; being exact, an entry reads
     exactly 0.0 when its last neighbor leaves and is deleted, so the
@@ -289,13 +278,7 @@ def louvain_communities(
     Community ids in the result are canonical: numbered by decreasing
     community size, ties by lexicographically smallest member.
     """
-    ends = _edge_ends(graph)
-    return _louvain(graph, ends, _csr(graph, ends), resolution, seed)
-
-
-def _louvain(graph: CoWordGraph, ends, csr, resolution: float, seed: int) -> CommunityPartition:
-    """``louvain_communities`` on the graph's ``_edge_ends`` and ``_csr``."""
-    names, indptr, indices, weights = csr
+    names, indptr, indices, weights = csr = graph._csr
     # Each weight sits in both of its ends' rows; the first fault in CSR
     # order is in the smaller end's row, so (row, column) is its edge key.
     whole = np.isfinite(weights) & (weights > 0) & (np.floor(weights) == weights)
@@ -320,7 +303,7 @@ def _louvain(graph: CoWordGraph, ends, csr, resolution: float, seed: int) -> Com
     # Canonical ids: by decreasing size, ties by smallest member (root) name.
     smallest, inverse, size = np.unique(roots, return_inverse=True, return_counts=True)
     community = np.argsort(np.lexsort((smallest, -size)))[inverse]
-    q = _modularity(graph, *ends[1:], community, 1.0)
+    q = _modularity(graph, community, 1.0)
     return CommunityPartition(assignment=dict(zip(names, community.tolist())), modularity_q=q)
 
 
@@ -414,7 +397,7 @@ def betweenness(graph: CoWordGraph) -> CentralityScores:
     """Unweighted shortest-path betweenness, each unordered node pair
     counted once; degrees reported alongside.
 
-    Brandes' algorithm on the ``_csr`` adjacency, a batch of sources at a
+    Brandes' algorithm on the graph's CSR adjacency, a batch of sources at a
     time.  A source's BFS stops once it has reached every node of its
     connected component, and its own dependency is never accumulated: the
     levels skipped hold no predecessor edge.  The backward pass takes each
@@ -426,11 +409,7 @@ def betweenness(graph: CoWordGraph) -> CentralityScores:
     order of the single-source queue/stack form, which visits neighbors in
     ascending name order, so the scores are bit-identical to it.
     """
-    return _betweenness(*_csr(graph)[:3])
-
-
-def _betweenness(names, indptr, indices) -> CentralityScores:
-    """``betweenness`` on the graph's ``_csr``."""
+    names, indptr, indices, _ = graph._csr
     n = len(names)
     component_size = _component_sizes(indptr, indices)
     scores = np.zeros(n)
@@ -675,7 +654,7 @@ XML_ATTRIB_ESCAPES = XML_TEXT_ESCAPES | str.maketrans(
 _NOT_XML = frozenset([*map(chr, range(32)), "\ufffe", "\uffff"]) - set("\t\n\r")
 
 
-def _xml_text_fault(text: str) -> str | None:
+def xml_text_fault(text: str) -> str | None:
     """Why ``text`` cannot be written in an XML document (a node name, or
     SVG text), or None."""
     try:
@@ -711,11 +690,11 @@ def export_graph(
 
 def _export_graph(graph, partition, scores):
     """The function that renders ``export_graph``'s bytes in a given format,
-    from rows checked and escaped once for every format."""
+    from rows escaped once for every format."""
     _check_same_nodes(graph, partition, scores)
-    names, heads, tails = _edge_ends(graph)
+    names = graph._names
     for node in names:
-        if fault := _xml_text_fault(node):
+        if fault := xml_text_fault(node):
             raise DomainError(f"graph node {node!r} {fault}")
     escaped = [node.translate(XML_ATTRIB_ESCAPES) for node in names]
     # Each node's escaped name, then its values in _NODE_ATTRIBUTES order.
@@ -725,8 +704,8 @@ def _export_graph(graph, partition, scores):
         for u, name in zip(names, escaped)
     ]
     # Edges in key order, as sorted(graph.edges) would list them: ids follow name order.
-    order = np.lexsort((tails, heads)).tolist()
-    heads, tails, weights = heads.tolist(), tails.tolist(), list(graph.edges.values())
+    order = np.lexsort((graph._tails, graph._heads)).tolist()
+    heads, tails, weights = graph._heads.tolist(), graph._tails.tolist(), list(graph.edges.values())
     edges = [(escaped[heads[i]], escaped[tails[i]], weights[i]) for i in order]
     head = "<?xml version='1.0' encoding='utf-8'?>"
     writers = {"gexf": _gexf_lines, "graphml": _graphml_lines}

@@ -26,7 +26,6 @@ __all__ = [
     "z_from_effect_size",
     "effect_size_from_z",
     "p_two_sided_from_z",
-    "z_from_p_two_sided",
     "ndtr",
     "ndtri",
 ]
@@ -276,7 +275,7 @@ def exact_rank_sum_p(x, y) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Effect-size conversions (r <-> z <-> two-sided p)
+# Effect-size conversions (r <-> z -> two-sided p)
 # ---------------------------------------------------------------------------
 
 
@@ -291,12 +290,6 @@ def effect_size_from_z(z: float, n_total: int) -> float:
 
 def p_two_sided_from_z(z: float) -> float:
     return min(1.0, 2.0 * ndtr(-abs(z)))
-
-
-def z_from_p_two_sided(p: float) -> float:
-    if not 0.0 < p <= 1.0:
-        raise DomainError("two-sided p must be in (0, 1]")
-    return -ndtri(p / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,10 @@ def _graph(edges, extra_nodes=()):
 
 def _oracle_betweenness(graph):
     nodes = sorted(graph.node_frequency)
-    adjacency = graph.adjacency()
+    adjacency = {u: [] for u in nodes}
+    for u, v in graph.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
     scores = {u: 0.0 for u in nodes}
     for s, t in itertools.combinations(nodes, 2):
         dist = {s: 0}

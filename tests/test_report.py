@@ -371,6 +371,35 @@ def test_self_audit_drift_raises_and_leaves_no_artifact(data_dir, tmp_path, monk
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_a_blocked_artifact_leaves_the_output_directory_as_it_was(data_dir, tmp_path, capsys):
+    formats = "json,csv,svg,gexf,graphml"
+    run_compare(make_config(data_dir, tmp_path / "fresh", formats=tuple(formats.split(","))))
+    names = sorted(path.name for path in (tmp_path / "fresh").iterdir())
+    assert len(names) == 16
+
+    def snapshot(out):
+        return {str(p.relative_to(out)): p.is_file() and p.read_bytes() for p in out.rglob("*")}
+
+    for position, name in enumerate(names):
+        out = tmp_path / f"out{position}"
+        out.mkdir()
+        if name != "report.json":
+            (out / "report.json").write_bytes(b"old report\n")
+        (out / name).mkdir()
+        (out / name / "kept.txt").write_bytes(b"kept\n")
+        before = snapshot(out)
+        code = cli.main(
+            ["compare", "--corpus-a", str(data_dir / "corpus_process.csv"), "--label-a",
+             "Process Review", "--corpus-b", str(data_dir / "corpus_leadership.csv"),
+             "--label-b", "Leadership Studies", "--out", str(out), "--formats", formats]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {out / name}: exists and is not a regular file\n"
+        )
+        assert snapshot(out) == before
+
+
 def test_metric_table_is_rendered_once_per_corpus(data_dir, tmp_path):
     with mock.patch("lexigauge.report.write_metrics_csv", wraps=write_metrics_csv) as spy:
         run_compare(make_config(data_dir, tmp_path / "out", formats=("json", "csv")))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 import string
@@ -46,6 +47,16 @@ def graph_from_edges(edges: dict, extra_nodes=()) -> CoWordGraph:
         node_frequency=dict(freq),
         edges={tuple(sorted(k)): w for k, w in edges.items()},
     )
+
+
+def neighbor_weights(graph: CoWordGraph) -> dict[str, dict[str, int]]:
+    """Each node's neighbors with their edge weights, in node and then edge
+    order: the dict-of-dicts view the oracles walk."""
+    adjacency = {node: {} for node in graph.node_frequency}
+    for (u, v), w in graph.edges.items():
+        adjacency[u][v] = w
+        adjacency[v][u] = w
+    return adjacency
 
 
 TRIANGLES = graph_from_edges(
@@ -684,14 +695,13 @@ def test_louvain_rejects_a_weight_that_is_not_a_positive_whole_number(weight):
         louvain_communities,
         betweenness,
         lambda graph: modularity(graph, dict.fromkeys(graph.nodes, 0)),
-        CoWordGraph.adjacency,
     ],
-    ids=["louvain_communities", "betweenness", "modularity", "adjacency"],
+    ids=["louvain_communities", "betweenness", "modularity"],
 )
 def test_malformed_edge_key_is_consistency_error(nodes, edges, algorithm):
-    graph = CoWordGraph(node_frequency={node: 1 for node in nodes}, edges=edges)
+    # The graph is checked when it is built, so no algorithm ever sees it.
     with pytest.raises(ConsistencyError, match=r"edge \('(a|b)', '(a|b)'\)"):
-        algorithm(graph)
+        algorithm(CoWordGraph(node_frequency={node: 1 for node in nodes}, edges=edges))
 
 
 @pytest.mark.parametrize(
@@ -706,10 +716,10 @@ def test_malformed_edge_key_is_consistency_error(nodes, edges, algorithm):
 )
 @pytest.mark.parametrize("fmt", ["gexf", "graphml"])
 def test_export_rejects_malformed_edge_key(nodes, edges, fmt):
-    graph = CoWordGraph(node_frequency={node: 1 for node in nodes}, edges=edges)
     partition = CommunityPartition({node: 0 for node in nodes}, 0.0)
     scores = CentralityScores({node: 0.0 for node in nodes}, {node: 0 for node in nodes})
     with pytest.raises(ConsistencyError, match=r"edge \('(a|b)', '(a|b)'\)"):
+        graph = CoWordGraph(node_frequency={node: 1 for node in nodes}, edges=edges)
         export_graph(graph, partition, scores, fmt)
 
 
@@ -722,17 +732,112 @@ def test_export_rejects_malformed_edge_key(nodes, edges, fmt):
         louvain_communities,
         betweenness,
         lambda graph: modularity(graph, dict.fromkeys(graph.nodes, 0)),
-        CoWordGraph.adjacency,
         lambda graph: export_graph(graph, *blank_scores(graph.nodes), "gexf"),
         lambda graph: export_graph(graph, *blank_scores(graph.nodes), "graphml"),
     ],
-    ids=["louvain_communities", "betweenness", "modularity", "adjacency", "gexf", "graphml"],
+    ids=["louvain_communities", "betweenness", "modularity", "gexf", "graphml"],
 )
 def test_edge_key_that_is_not_a_pair_is_consistency_error(key, algorithm):
     # "ab" once unpacked as the edge ("a", "b"); the others raised from unpacking.
-    graph = CoWordGraph(node_frequency={"a": 1, "b": 1, "c": 1}, edges={("a", "b"): 1, key: 1})
+    nodes, edges = {"a": 1, "b": 1, "c": 1}, {("a", "b"): 1, key: 1}
     with pytest.raises(ConsistencyError, match=f"^edge {re.escape(repr(key))} is not"):
-        algorithm(graph)
+        algorithm(CoWordGraph(node_frequency=nodes, edges=edges))
+
+
+def edge_ends(graph_nodes, edges):
+    """The edge-key rule a ``CoWordGraph`` applies when it is built, as a
+    function of its own, kept as the oracle of that check: the sorted node
+    names and each key's ids in them, or the ConsistencyError that names
+    the first key that is not ``(u, v)`` with ``u < v``, both nodes."""
+    names = sorted(graph_nodes)
+    index = {u: i for i, u in enumerate(names)}
+    keys = list(edges)
+    # Any other key reads as the self-loop (key, key), which the check rejects.
+    pairs = itertools.chain.from_iterable(
+        k if isinstance(k, tuple) and len(k) == 2 else (k, k) for k in keys
+    )
+    ids = np.fromiter(map(index.get, pairs, itertools.repeat(-1)), np.intp)
+    heads, tails = ids.reshape(-1, 2).T
+    bad = np.flatnonzero((heads < 0) | (heads >= tails))
+    if bad.size:
+        edge = keys[bad[0]]
+        raise ConsistencyError(f"edge {edge!r} is not (u, v) with u < v, both graph nodes")
+    return names, heads, tails
+
+
+_KEY_PARTS = st.sampled_from(["a", "b", "c", "d", "z", "", 1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    nodes=st.lists(st.sampled_from("abcd"), unique=True),
+    keys=st.lists(
+        st.one_of(
+            st.tuples(_KEY_PARTS, _KEY_PARTS),  # pairs, reversed pairs, self-loops, non-nodes
+            st.tuples(_KEY_PARTS, _KEY_PARTS, _KEY_PARTS),
+            st.tuples(_KEY_PARTS),
+            st.tuples(),
+            _KEY_PARTS,
+            st.sampled_from(["ab", "ba", None, 2.5, frozenset("ab")]),
+        ),
+        unique=True,
+        max_size=8,
+    ),
+)
+@example(nodes=["a", "b"], keys=[("a", "b")])
+@example(nodes=["a", "b"], keys=["ab"])
+@example(nodes=["a", "b"], keys=[("a", "b"), ("b", "a")])
+@example(nodes=[], keys=[])
+def test_construction_checks_edge_keys_as_edge_ends_does(nodes, keys):
+    edges = dict.fromkeys(keys, 1)
+    try:
+        names, heads, tails = edge_ends(nodes, edges)
+    except ConsistencyError as error:
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(str(error))}$"):
+            CoWordGraph(node_frequency=dict.fromkeys(nodes, 1), edges=edges)
+        return
+    graph = CoWordGraph(node_frequency=dict.fromkeys(nodes, 1), edges=edges)
+    assert list(graph._names) == names
+    assert graph._heads.tolist() == heads.tolist()
+    assert graph._tails.tolist() == tails.tolist()
+
+
+def test_a_built_graph_cannot_be_changed():
+    titles = ["team process change", "team process", "change firm", "firm team"]
+    graph, partition, centrality, _ = analyze_network(titles, AnalysisConfig(min_title_frequency=1))
+    calls = [
+        louvain_communities,
+        betweenness,
+        lambda graph: modularity(graph, partition.assignment),
+        lambda graph: export_graph(graph, partition, centrality, "gexf"),
+        lambda graph: export_graph(graph, partition, centrality, "graphml"),
+    ]
+    before = [call(graph) for call in calls]
+    u, v = next(iter(graph.edges))
+    with pytest.raises(TypeError):
+        graph.edges[v, u] = 1
+    with pytest.raises(TypeError):
+        graph.node_frequency["outsider"] = 1
+    with pytest.raises(TypeError):
+        del graph.edges[u, v]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        graph.edges = {(v, u): 1}
+    assert [call(graph) for call in calls] == before
+
+
+def test_changing_the_dicts_a_graph_was_built_from_changes_nothing():
+    node_frequency = {"b": 2, "a": 1, "c": 1}
+    edges = {("a", "b"): 3, ("b", "c"): 1}
+    graph = CoWordGraph(node_frequency=node_frequency, edges=edges)
+    before = louvain_communities(graph), betweenness(graph)
+    node_frequency["outsider"] = 1
+    del node_frequency["c"]
+    edges[("c", "b")] = 5
+    edges[("a", "b")] = 7
+    assert list(graph.node_frequency.items()) == [("b", 2), ("a", 1), ("c", 1)]
+    assert list(graph.edges.items()) == [(("a", "b"), 3), (("b", "c"), 1)]
+    assert (louvain_communities(graph), betweenness(graph)) == before
+    assert graph == CoWordGraph({"b": 2, "a": 1, "c": 1}, {("a", "b"): 3, ("b", "c"): 1})
 
 
 def blank_scores(nodes) -> tuple[CommunityPartition, CentralityScores]:
@@ -752,7 +857,7 @@ def brute_force_betweenness(graph: CoWordGraph) -> dict:
     """Direct from the definition: enumerate every shortest path of every
     unordered pair via BFS-layer DFS, crediting interior nodes."""
     nodes = sorted(graph.node_frequency)
-    adjacency = graph.adjacency()
+    adjacency = neighbor_weights(graph)
     scores = {u: 0.0 for u in nodes}
     for s, t in itertools.combinations(nodes, 2):
         dist = {s: 0}
@@ -841,7 +946,7 @@ def dict_brandes_dependencies(graph: CoWordGraph, source: str, neighbors=None) -
     sorted neighbor list, is derived from ``graph`` when not given."""
     nodes = sorted(graph.node_frequency)
     if neighbors is None:
-        neighbors = {u: sorted(v) for u, v in graph.adjacency().items()}
+        neighbors = {u: sorted(v) for u, v in neighbor_weights(graph).items()}
     stack = []
     predecessors = {u: [] for u in nodes}
     sigma = {u: 0.0 for u in nodes}
@@ -871,7 +976,7 @@ def dict_brandes_betweenness(graph: CoWordGraph) -> dict:
     """Betweenness summed from ``dict_brandes_dependencies``, one source at
     a time in ascending name order, a source's own dependency left out."""
     nodes = sorted(graph.node_frequency)
-    adjacency = graph.adjacency()
+    adjacency = neighbor_weights(graph)
     neighbors = {u: sorted(adjacency[u]) for u in nodes}
     scores = {u: 0.0 for u in nodes}
     for source in nodes:
@@ -931,7 +1036,7 @@ def test_betweenness_bit_identical_to_dict_brandes(graph, cap):
 @example(graph=DISJOINT_PAIRS)
 def test_component_roots_are_the_smallest_node_of_each_networkx_component(graph):
     nx = pytest.importorskip("networkx")
-    names, indptr, indices, _ = semnet._csr(graph)
+    names, indptr, indices, _ = graph._csr
     index = {u: i for i, u in enumerate(names)}
     root_of = {
         u: min(map(index.__getitem__, c))
@@ -949,7 +1054,7 @@ def test_component_roots_are_the_smallest_node_of_each_networkx_component(graph)
 @example(graph=DISJOINT_PAIRS)
 def test_component_sizes_equal_networkx_connected_components(graph):
     nx = pytest.importorskip("networkx")
-    names, indptr, indices, _ = semnet._csr(graph)
+    names, indptr, indices, _ = graph._csr
     size_of = {u: len(c) for c in nx.connected_components(networkx_graph(graph)) for u in c}
     assert semnet._component_sizes(indptr, indices).tolist() == [size_of[u] for u in names]
 
@@ -982,7 +1087,7 @@ def push_only_edge_scans(graph: CoWordGraph) -> int:
     """The edges a BFS that only pushes scans, summed over every source:
     each level's frontier expands its whole rows while nodes of the
     source's component remain unreached."""
-    adjacency = graph.adjacency()
+    adjacency = neighbor_weights(graph)
     scans = 0
     for source in adjacency:
         levels, seen = [{source}], {source}
@@ -1067,7 +1172,7 @@ def test_betweenness_bit_identical_with_keys_wider_than_16_bits():
     wide key, and the scores must match the oracle at both extremes."""
     graph, most_paths = layered_graph([16] * 20, seed=5)
     assert most_paths > 2**53
-    names, indptr, indices, _ = semnet._csr(graph)
+    names, indptr, indices, _ = graph._csr
     assert predecessor_edges_per_level(indptr, indices).max() > 1 << 16
     n = len(names)
     sizes = semnet._component_sizes(indptr, indices)
@@ -1093,7 +1198,7 @@ def test_dependency_rows_bit_identical_to_dict_brandes(graph):
     The funnel of thirty layers of eight that end in two pulls levels whose
     path counts pass 2**53, where the order of the pulled edges decides
     the float sums."""
-    names, indptr, indices, _ = semnet._csr(graph)
+    names, indptr, indices, _ = graph._csr
     n = len(names)
     sizes = semnet._component_sizes(indptr, indices)
     oracle = [dict_brandes_dependencies(graph, source) for source in names]
@@ -1548,26 +1653,6 @@ def test_analyze_network_equals_the_public_functions(source, data_dir):
     render = semnet._export_graph(graph, partition, centrality)
     for fmt in ("gexf", "graphml"):
         assert render(fmt) == export_graph(graph, *public, fmt)
-
-
-def test_public_functions_check_the_graph_they_are_handed():
-    titles = ["team process change", "team process", "change firm", "firm team"]
-    graph, partition, centrality, _ = analyze_network(titles, AnalysisConfig(min_title_frequency=1))
-    calls = [
-        louvain_communities,
-        betweenness,
-        lambda graph: modularity(graph, partition.assignment),
-        CoWordGraph.adjacency,
-        lambda graph: export_graph(graph, partition, centrality, "gexf"),
-        lambda graph: export_graph(graph, partition, centrality, "graphml"),
-    ]
-    for call in calls:
-        call(graph)
-    u, v = next(iter(graph.edges))
-    graph.edges[v, u] = 1
-    for call in calls:
-        with pytest.raises(ConsistencyError, match=f"^edge {re.escape(repr((v, u)))} is not"):
-            call(graph)
 
 
 # ---------------------------------------------------------------------------
