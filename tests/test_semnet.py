@@ -695,8 +695,9 @@ def test_louvain_rejects_a_weight_that_is_not_a_positive_whole_number(weight):
         louvain_communities,
         betweenness,
         lambda graph: modularity(graph, dict.fromkeys(graph.nodes, 0)),
+        lambda graph: graph,
     ],
-    ids=["louvain_communities", "betweenness", "modularity"],
+    ids=["louvain_communities", "betweenness", "modularity", "construction"],
 )
 def test_malformed_edge_key_is_consistency_error(nodes, edges, algorithm):
     # The graph is checked when it is built, so no algorithm ever sees it.
@@ -734,8 +735,9 @@ def test_export_rejects_malformed_edge_key(nodes, edges, fmt):
         lambda graph: modularity(graph, dict.fromkeys(graph.nodes, 0)),
         lambda graph: export_graph(graph, *blank_scores(graph.nodes), "gexf"),
         lambda graph: export_graph(graph, *blank_scores(graph.nodes), "graphml"),
+        lambda graph: graph,
     ],
-    ids=["louvain_communities", "betweenness", "modularity", "gexf", "graphml"],
+    ids=["louvain_communities", "betweenness", "modularity", "gexf", "graphml", "construction"],
 )
 def test_edge_key_that_is_not_a_pair_is_consistency_error(key, algorithm):
     # "ab" once unpacked as the edge ("a", "b"); the others raised from unpacking.
@@ -838,6 +840,38 @@ def test_changing_the_dicts_a_graph_was_built_from_changes_nothing():
     assert list(graph.edges.items()) == [(("a", "b"), 3), (("b", "c"), 1)]
     assert (louvain_communities(graph), betweenness(graph)) == before
     assert graph == CoWordGraph({"b": 2, "a": 1, "c": 1}, {("a", "b"): 3, ("b", "c"): 1})
+
+
+def test_replace_checks_the_fields_it_is_given():
+    graph = CoWordGraph({"b": 2, "a": 1, "c": 1}, {("a", "b"): 3, ("b", "c"): 1})
+    with pytest.raises(ConsistencyError, match=r"^edge \('c', 'b'\) is not"):
+        dataclasses.replace(graph, edges={("a", "b"): 3, ("c", "b"): 1})
+    with pytest.raises(ConsistencyError, match=r"^edge \('b', 'c'\) is not"):
+        dataclasses.replace(graph, node_frequency={"a": 1, "b": 2})
+    smaller = dataclasses.replace(graph, edges={("b", "c"): 1})
+    assert smaller == CoWordGraph({"b": 2, "a": 1, "c": 1}, {("b", "c"): 1})
+    assert (smaller._heads.tolist(), smaller._tails.tolist()) == ([1], [2])
+
+
+def test_csr_is_built_on_first_use_and_shared_by_louvain_and_betweenness():
+    graph = graph_from_edges({("a", "b"): 2, ("b", "c"): 1, ("c", "d"): 1, ("a", "c"): 1})
+    assert "_csr" not in vars(graph)
+    louvain_communities(graph)
+    csr = vars(graph)["_csr"]
+    betweenness(graph)
+    assert graph._csr is csr
+    names, indptr, indices, weights = csr
+    assert names == ("a", "b", "c", "d")
+    rows = {
+        names[i]: {names[j]: w for j, w in zip(indices[lo:hi], weights[lo:hi])}
+        for i, (lo, hi) in enumerate(zip(indptr[:-1], indptr[1:]))
+    }
+    assert rows == {
+        u: {v: float(w) for v, w in sorted(row.items())}
+        for u, row in neighbor_weights(graph).items()
+    }
+    for row in rows.values():
+        assert list(row) == sorted(row)
 
 
 def blank_scores(nodes) -> tuple[CommunityPartition, CentralityScores]:
