@@ -77,8 +77,6 @@ from .textproc import (
     TokenStream,
     count_syllables,
     frequency_spectrum,
-    load_abbreviations,
-    load_token_policy,
     split_sentences,
     tokenize,
 )

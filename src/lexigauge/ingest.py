@@ -287,7 +287,8 @@ class _Table:
         with a negative count raises."""
         if min(self.citations, default=0) < 0 or min(self.author_counts, default=0) < 0:
             pairs = zip(self.citations, self.author_counts)
-            self._records([next(row for row, pair in enumerate(pairs) if min(pair) < 0)])
+            row = next(row for row, pair in enumerate(pairs) if min(pair) < 0)
+            BibRecord(*(column[row] for column in self.columns))  # no abstract is re-read
 
 
 def _read_table(
@@ -313,12 +314,13 @@ def _read_table(
     fields: list[str] = []
     picked: list = []  # the mapped cells of each row that is not blank
     located = None  # for a table of spans: (line, start, stop) of each picked row
+    end = [0]  # bytes read, counted only when ``counted``
     fault = None
     try:
         with open_text(source, encoding="utf-8-sig") as stream:
             if counted:
                 # The text layer drops a leading BOM, 3 bytes of the file.
-                end = [3 if stream.buffer.peek(3).startswith(codecs.BOM_UTF8) else 0]
+                end[0] = 3 if stream.buffer.peek(3).startswith(codecs.BOM_UTF8) else 0
                 stream = _utf8_counted(stream, end)
             rows = read_csv_rows(stream)
             _, header = next(rows, (None, None))
@@ -343,20 +345,14 @@ def _read_table(
             get = itemgetter(*positions)
             pad = [""] * (max(positions) + 1)  # a short row's missing cells are ""
             append = picked.append
-            if located is None:
-                for _, row in rows:
-                    if len(row) >= len(pad):
-                        append(get(row))
-                    elif row:
-                        append(get(row + pad))
-            else:
-                # The reader reads no line past a row's last, so ``end[0]``
-                # is the end of the row just read.
-                stop = end[0]
-                for line, row in rows:
-                    start, stop = stop, end[0]
-                    if row:
-                        append(get(row if len(row) >= len(pad) else row + pad))
+            # The reader reads no line past a row's last, so ``end[0]`` is
+            # the end of the row just read.
+            stop = end[0]
+            for line, row in rows:
+                start, stop = stop, end[0]
+                if row:
+                    append(get(row if len(row) >= len(pad) else row + pad))
+                    if located is not None:
                         located.append((line, start, stop))
     except LexigaugeError as exc:
         fault = exc
@@ -432,7 +428,8 @@ def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:
     """Uniform random sample of exactly ``n`` records, without replacement.
 
     Deterministic in (corpus, n, seed); the sample preserves the input
-    ordering of the chosen records and the corpus label.
+    ordering of the chosen records and the corpus label.  Raises DomainError
+    for ``n`` outside 1..len(corpus) or a negative ``seed``.
     """
     chosen = _sample_indices(len(corpus.records), n, seed, corpus.label)
     return Corpus(label=corpus.label, records=tuple(corpus.records[i] for i in chosen))
@@ -444,6 +441,8 @@ def _sample_indices(size: int, n: int, seed: int, label: str) -> list[int]:
         raise DomainError(f"sample size must be positive, got {n}")
     if n > size:
         raise DomainError(f"corpus {label!r}: sample size {n} exceeds its {size} records")
+    if seed < 0:
+        raise DomainError(f"sampling seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     return np.sort(rng.choice(size, size=n, replace=False)).tolist()
 

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import shutil
+import sys
 import tempfile
 from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime, timezone
@@ -45,6 +46,7 @@ from .semnet import (
     CoWordGraph,
     GraphPolicy,
     XML_TEXT_ESCAPES,
+    _check_resolution,
     _export_graph,
     betweenness,
     build_coword_graph,
@@ -124,14 +126,7 @@ class AnalysisConfig:
         if self.network_seed < 0:
             raise ConfigError(f"'network_seed' must be non-negative, got {self.network_seed}")
         _check_kde_grid(self.kde_grid_points, "'kde_grid_points'", ConfigError)
-        try:
-            valid = math.isfinite(self.louvain_resolution) and self.louvain_resolution >= 0
-        except OverflowError:  # an integer past the float range
-            valid = False
-        if not valid:
-            raise ConfigError(
-                f"'louvain_resolution' must be finite and >= 0, got {self.louvain_resolution!r}"
-            )
+        _check_resolution(self.louvain_resolution, "'louvain_resolution'", ConfigError)
 
 
 @dataclass(frozen=True)
@@ -609,9 +604,8 @@ def emit_density_svg(
 
     x_min = min(series_a.grid[0], series_b.grid[0])
     x_max = max(series_a.grid[-1], series_b.grid[-1])
-    y_max_raw = max(max(series_a.density), max(series_b.density))
-    y_max = _nice_ceil(y_max_raw)
-    if x_max == x_min or y_max <= 0:
+    y_max = _nice_ceil(max(max(series_a.density), max(series_b.density)))
+    if x_max == x_min:
         raise DomainError("degenerate plot ranges")
 
     plot_w = _SVG_W - _MARGIN_L - _MARGIN_R
@@ -687,9 +681,13 @@ def emit_density_svg(
 
 
 def _nice_ceil(value: float) -> float:
-    """Round up to two significant figures (upper bound for the y-axis)."""
+    """Round up to two significant figures (upper bound for the y-axis);
+    1.0 for a value <= 0.  A positive value below the smallest normal float
+    raises DomainError: its rounding step, 10**(exponent - 1), is 0.0."""
     if value <= 0:
         return 1.0
+    if value < sys.float_info.min:
+        raise DomainError(f"density peak {value!r} is below the smallest normal float")
     exponent = math.floor(math.log10(value))
     scale = 10.0 ** (exponent - 1)
     return math.ceil(value / scale) * scale

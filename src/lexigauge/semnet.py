@@ -19,6 +19,7 @@ queue's order, so every betweenness sum runs as in the single-source form.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .textproc import DEFAULT_TOKEN_POLICY, TokenPolicy, _word_list_entries, tokenize
+from .textproc import DEFAULT_TOKEN_POLICY, TokenPolicy, read_config_text, tokenize
 
 __all__ = [
     "GraphPolicy",
@@ -53,9 +54,10 @@ _STOPWORDS_PATH = Path(__file__).parent / "data" / "stopwords_en.txt"
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Load a stopword list: one lowercase token per line, ``#`` comments
-    and blank lines ignored."""
-    return frozenset(entry for _, entry in _word_list_entries(path))
+    """Load a stopword list: one token per line, lowercased, ``#`` comments
+    and blank lines ignored; invalid UTF-8 raises ConfigError naming the file."""
+    lines = (line.strip().lower() for line in read_config_text(path).splitlines())
+    return frozenset(line for line in lines if line and not line.startswith("#"))
 
 
 @cache
@@ -251,6 +253,12 @@ def _modularity(graph: CoWordGraph, community, resolution: float) -> float:
     return q
 
 
+def _check_resolution(resolution: float, name: str, error: type[Exception]) -> None:
+    """Raise ``error`` naming ``name`` unless ``resolution`` is finite and >= 0."""
+    if not 0 <= resolution <= sys.float_info.max:  # False for nan
+        raise error(f"{name} must be finite and >= 0, got {resolution!r}")
+
+
 def louvain_communities(
     graph: CoWordGraph, resolution: float = 1.0, seed: int = 0
 ) -> CommunityPartition:
@@ -273,11 +281,15 @@ def louvain_communities(
     exactly 0.0 when its last neighbor leaves and is deleted, so the
     candidates stay the neighbors' communities plus the node's own.  A
     weight that is not a positive whole number raises DomainError naming
-    the first such edge key in name order.
+    the first such edge key in name order.  A resolution that is not finite
+    and >= 0, or a negative seed, raises DomainError too.
 
     Community ids in the result are canonical: numbered by decreasing
     community size, ties by lexicographically smallest member.
     """
+    _check_resolution(resolution, "resolution", DomainError)
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     names, indptr, indices, weights = csr = graph._csr
     # Each weight sits in both of its ends' rows; the first fault in CSR
     # order is in the smaller end's row, so (row, column) is its edge key.

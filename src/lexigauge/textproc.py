@@ -29,8 +29,6 @@ __all__ = [
     "count_sentences",
     "count_syllables",
     "frequency_spectrum",
-    "load_token_policy",
-    "load_abbreviations",
 ]
 
 # Version tag for the segmentation rule set; recorded in report provenance
@@ -427,7 +425,7 @@ def frequency_spectrum(tokens) -> FrequencySpectrum:
 
 
 # ---------------------------------------------------------------------------
-# Plain-text policy loaders
+# Configuration text
 # ---------------------------------------------------------------------------
 
 
@@ -446,53 +444,3 @@ def decode_config_text(data: bytes | str, name) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{name}: not valid UTF-8 at byte {exc.start} ({exc.reason})") from exc
-
-
-def _word_list_entries(path: str | Path) -> list[tuple[int, str]]:
-    """``(line number, entry)`` for each stripped, lowercased entry; ``#``
-    comments and blank lines ignored."""
-    entries = []
-    for lineno, line in enumerate(read_config_text(path).splitlines(), 1):
-        line = line.strip().lower()
-        if line and not line.startswith("#"):
-            entries.append((lineno, line))
-    return entries
-
-
-def load_abbreviations(path: str | Path) -> frozenset[str]:
-    """Load a sentence-abbreviation list: one entry per line, ``#`` comments
-    and blank lines ignored; entries lowercased.  Abbreviations are tested
-    only where a sentence could end, so an entry that does not end in
-    ``.``, ``!`` or ``?`` raises ConfigError."""
-    entries = _word_list_entries(path)
-    for lineno, entry in entries:
-        if not _is_abbreviation(entry):  # entries are non-empty and lowercased
-            raise ConfigError(
-                f"{path}:{lineno}: abbreviation {entry!r} does not end in '.', '!' or '?'"
-            )
-    return frozenset(entry for _, entry in entries)
-
-
-_BOOL_VALUES = {"true": True, "yes": True, "1": True,
-                "false": False, "no": False, "0": False}
-
-
-def load_token_policy(path: str | Path) -> TokenPolicy:
-    """Load a TokenPolicy from a plain-text file: one ``flag = value`` entry
-    per line (flags: keep_numbers, bind_hyphens, bind_apostrophes)."""
-    values = {}
-    for lineno, line in enumerate(read_config_text(path).splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'flag = value', got {line!r}")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        raw = raw.strip().lower()
-        if key not in TokenPolicy.__dataclass_fields__:
-            raise ConfigError(f"{path}:{lineno}: unknown token policy flag {key!r}")
-        if raw not in _BOOL_VALUES:
-            raise ConfigError(f"{path}:{lineno}: expected a boolean, got {raw!r}")
-        values[key] = _BOOL_VALUES[raw]
-    return TokenPolicy(**values)

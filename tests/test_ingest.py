@@ -5,12 +5,13 @@ import json
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexigauge import cli
+from lexigauge import cli, ingest
 from lexigauge.errors import ConfigError, CsvParseError, DomainError, LexigaugeError
 from lexigauge.ingest import (
     DEFAULT_COLUMN_MAP,
@@ -203,6 +204,11 @@ def test_parse_missing_mapped_column_is_config_error():
 def test_parse_column_map_must_name_title():
     with pytest.raises(ConfigError):
         parse_bibliographic_csv(io.StringIO("A\nx\n"), column_map={"abstract": "A"})
+
+
+def test_parse_unsupported_source_is_config_error():
+    with pytest.raises(ConfigError, match=r"^unsupported CSV source: int$"):
+        parse_bibliographic_csv(42)
 
 
 def test_an_unknown_column_map_field_is_a_config_error(data_dir, tmp_path, capsys):
@@ -466,6 +472,14 @@ def test_sampling_a_file_changed_after_its_read_is_an_input_error(tmp_path, rewr
         table.sample(2, seed=1)
 
 
+def test_a_negative_count_in_a_sampled_file_raises_without_a_re_read(tmp_path, monkeypatch):
+    path = tmp_path / "export.csv"
+    path.write_bytes(b"Title,Abstract,Cited by\nOne,First.,2\nTwo,Second.,-3\n")
+    monkeypatch.setattr(ingest, "_reread_abstracts", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(DomainError, match=r"^record 'row2': negative citation count$"):
+        _read_table(path, label="c", sampled=True)
+
+
 def test_a_sampled_table_builds_no_full_corpus(tmp_path):
     path = tmp_path / "export.csv"
     path.write_bytes(b"Title,Abstract\nOne,First.\n")
@@ -577,6 +591,12 @@ def test_sample_too_large_raises_naming_corpus():
 def test_sample_nonpositive_raises():
     with pytest.raises(DomainError):
         sample_corpus(_corpus(5), 0, seed=0)
+
+
+def test_sample_negative_seed_raises():
+    # numpy's seed sequence would raise a bare ValueError.
+    with pytest.raises(DomainError, match=r"^sampling seed must be non-negative, got -1$"):
+        sample_corpus(_corpus(5), 2, seed=-1)
 
 
 def test_sample_uniformity_monte_carlo():

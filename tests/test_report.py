@@ -486,6 +486,33 @@ def test_svg_rejects_empty_series():
         emit_density_svg(a, empty, labels=("x", "y"))
 
 
+@pytest.mark.parametrize(
+    "grid, density", [((0.0, float("inf")), (0.1, 0.2)), ((0.0, 1.0), (0.1, float("nan")))]
+)
+def test_svg_rejects_a_non_finite_value(grid, density):
+    a, _ = _two_series()
+    with pytest.raises(DomainError, match="^density series contains non-finite values$"):
+        emit_density_svg(a, DensitySeries(grid, density, 1.0), labels=("x", "y"))
+
+
+def test_svg_of_all_zero_densities_has_a_y_axis_up_to_one():
+    flat = DensitySeries((0.0, 1.0), (0.0, 0.0), 1.0)
+    svg = emit_density_svg(flat, flat, labels=("x", "y")).decode()
+    ticks = re.findall(r'text-anchor="end" font-family="sans-serif" font-size="11">([^<]*)<', svg)
+    assert ticks == ["0", "0.25", "0.5", "0.75", "1"]
+
+
+def test_svg_rejects_a_peak_below_the_smallest_normal_float():
+    # The y-axis rounding step, 10**(exponent - 1), would be 0.0.
+    flat = DensitySeries((0.0, 1.0), (0.0, 0.0), 1.0)
+    tiny = DensitySeries((0.0, 1.0), (5e-324, 5e-324), 1.0)
+    message = r"^density peak 5e-324 is below the smallest normal float$"
+    with pytest.raises(DomainError, match=message):
+        emit_density_svg(tiny, flat, ("a", "b"))
+    smallest = DensitySeries((0.0, 1.0), (sys.float_info.min, 0.0), 1.0)
+    assert emit_density_svg(smallest, flat, ("a", "b")).count(b"<path ") == 2
+
+
 def test_svg_escapes_labels():
     a, b = _two_series()
     svg = emit_density_svg(a, b, labels=("a<b", "c&d")).decode()

@@ -435,6 +435,11 @@ def test_modularity_formula_on_hand_cases():
     assert modularity(edge, {"a": 0, "b": 1}) == pytest.approx(-0.5, abs=1e-12)
 
 
+def test_modularity_rejects_an_unassigned_node():
+    with pytest.raises(ConsistencyError, match=r"^assignment misses nodes: \['d', 'f'\]$"):
+        modularity(TRIANGLES, dict.fromkeys("abce", 0))
+
+
 def dict_louvain_communities(
     graph: CoWordGraph, resolution: float = 1.0, seed: int = 0
 ) -> CommunityPartition:
@@ -677,6 +682,29 @@ def test_louvain_rejects_a_weight_that_is_not_a_positive_whole_number(weight):
         louvain_communities(graph)
     whole = graph_from_edges({("a", "b"): 2, ("b", "c"): 2.0})
     assert louvain_communities(whole).assignment == {"a": 0, "b": 0, "c": 0}
+
+
+@pytest.mark.parametrize(
+    "resolution",
+    [float("nan"), float("inf"), float("-inf"), -0.5, 10**400],
+    ids=["nan", "inf", "-inf", "negative", "past-the-float-range"],
+)
+def test_louvain_rejects_a_resolution_the_config_rejects(resolution):
+    # Louvain would run on each: nan and inf leave every node of the path
+    # alone, and a negative resolution merges it into one community.
+    path = graph_from_edges({("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1})
+    rule = f"must be finite and >= 0, got {re.escape(repr(resolution))}$"
+    with pytest.raises(DomainError, match=f"^resolution {rule}"):
+        louvain_communities(path, resolution)
+    with pytest.raises(ConfigError, match=f"^'louvain_resolution' {rule}"):
+        AnalysisConfig(louvain_resolution=resolution)
+    assert louvain_communities(path, 0).community_count() == 1
+
+
+def test_louvain_rejects_a_negative_seed():
+    # numpy's seed sequence would raise a bare ValueError.
+    with pytest.raises(DomainError, match=r"^seed must be non-negative, got -1$"):
+        louvain_communities(TRIANGLES, seed=-1)
 
 
 @pytest.mark.parametrize(
@@ -1703,7 +1731,7 @@ def test_default_stopwords_lowercase_function_words():
 
 def test_load_stopwords_override(tmp_path):
     path = tmp_path / "stops.txt"
-    path.write_text("# mine\nAlpha\nbeta\n\n")
+    path.write_text("# mine\nAlpha\n  beta\t\n\n  # indented note\n")
     assert load_stopwords(path) == frozenset({"alpha", "beta"})
 
 

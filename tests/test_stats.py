@@ -295,6 +295,12 @@ def test_exact_hand_enumerations():
     assert exact_rank_sum_p([1, 2, 3], [4, 5, 6]) == pytest.approx(0.1)
 
 
+def test_exact_empty_sample_raises():
+    for x, y in (([], [1.0]), ([1.0], [])):
+        with pytest.raises(DomainError, match=r"^both samples must be non-empty$"):
+            exact_rank_sum_p(x, y)
+
+
 def test_exact_too_large_raises():
     with pytest.raises(DomainError):
         exact_rank_sum_p(list(range(11)), list(range(100, 110)))
@@ -492,6 +498,11 @@ def test_kde_symmetric_input_gives_symmetric_density():
     assert np.allclose(density, density[::-1], atol=1e-9)
     grid = np.asarray(series.grid)
     assert np.allclose(grid, -grid[::-1], atol=1e-9)
+
+
+def test_kde_empty_sample_raises():
+    with pytest.raises(DomainError, match=r"^cannot estimate a density from an empty sample$"):
+        kde([])
 
 
 def test_kde_zero_variance_raises():

@@ -16,8 +16,6 @@ from lexigauge.textproc import (
     count_sentences,
     count_syllables,
     frequency_spectrum,
-    load_abbreviations,
-    load_token_policy,
     split_sentences,
     tokenize,
 )
@@ -536,22 +534,8 @@ def test_spectrum_invariants_against_naive_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Plain-text loaders
+# Abbreviation sets
 # ---------------------------------------------------------------------------
-
-
-def test_load_abbreviations(tmp_path):
-    path = tmp_path / "abbr.txt"
-    path.write_text("# comment\nProc.\nfig.\n\net al.\n")
-    assert load_abbreviations(path) == frozenset({"proc.", "fig.", "et al."})
-
-
-def test_load_abbreviations_rejects_an_entry_that_cannot_end_a_sentence(tmp_path):
-    # Abbreviations are tested only at a '.', '!' or '?', so "dr" could never match.
-    path = tmp_path / "abbr.txt"
-    path.write_text("# titles\nProf.\n\ndr\n")
-    with pytest.raises(ConfigError, match=r"abbr\.txt:4: abbreviation 'dr' does not end in"):
-        load_abbreviations(path)
 
 
 @pytest.mark.parametrize("entry", ["", "thing", "E.G.", "Proc."])
@@ -570,35 +554,6 @@ def test_a_programmatic_abbreviation_set_names_its_smallest_bad_entry():
     with pytest.raises(ConfigError, match=r"^abbreviation 'b' is not"):
         split_sentences("One. Two.", frozenset({"zz", "e.g.", "b", "nO.", "ok?"}))
     assert split_sentences("See fig. Two.", frozenset({"fig.", "wow!", "eh?"})) == ["See fig. Two."]
-
-
-def test_load_token_policy(tmp_path):
-    path = tmp_path / "policy.txt"
-    path.write_text("keep_numbers = false\nbind_hyphens=true\n# note\n")
-    policy = load_token_policy(path)
-    assert policy == TokenPolicy(keep_numbers=False, bind_hyphens=True, bind_apostrophes=True)
-
-
-def test_load_token_policy_rejects_unknown_flag(tmp_path):
-    path = tmp_path / "policy.txt"
-    path.write_text("made_up = true\n")
-    with pytest.raises(ConfigError):
-        load_token_policy(path)
-
-
-def test_load_token_policy_rejects_bad_value(tmp_path):
-    path = tmp_path / "policy.txt"
-    path.write_text("keep_numbers = maybe\n")
-    with pytest.raises(ConfigError):
-        load_token_policy(path)
-
-
-@pytest.mark.parametrize("loader", [load_token_policy, load_abbreviations])
-def test_invalid_utf8_config_file_is_config_error(tmp_path, loader):
-    path = tmp_path / "latin1.txt"
-    path.write_bytes(b"keep_numbers = true\n# caf\xe9\n")
-    with pytest.raises(ConfigError, match="latin1.txt: not valid UTF-8 at byte 25"):
-        loader(path)
 
 
 def test_default_abbreviations_contain_spec_entries():
