@@ -139,9 +139,10 @@ def _cmd_compare(args) -> int:
     if args.out:
         output = replace(output, directory=args.out)
     if args.formats:
-        output = replace(
-            output, formats=tuple(f.strip() for f in args.formats.split(",") if f.strip())
-        )
+        formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
+        if not formats:
+            raise LexigaugeError(f"argument --formats: {args.formats!r} names no format")
+        output = replace(output, formats=formats)
 
     run = RunConfig(corpora=corpora, analysis=analysis, output=output)
     report = run_compare(run)

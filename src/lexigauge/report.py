@@ -588,7 +588,8 @@ def emit_density_svg(
     """Render two density series as one self-contained SVG: two labeled
     curves (the only ``path`` elements), ticked axes, no external assets.
     Deterministic byte output for identical inputs.  Raises DomainError for
-    a bad series, and for a title or label that cannot be written as XML."""
+    a bad series, for a degenerate plot frame, and for a title or label
+    that cannot be written as XML."""
     for text in (title, *labels):
         if fault := xml_text_fault(text):
             raise DomainError(f"SVG text {text!r} {fault}")
@@ -603,66 +604,61 @@ def emit_density_svg(
             raise DomainError("density series contains non-finite values")
 
     x_min = min(series_a.grid[0], series_b.grid[0])
-    x_max = max(series_a.grid[-1], series_b.grid[-1])
+    x_span = max(series_a.grid[-1], series_b.grid[-1]) - x_min or math.nan
     y_max = _nice_ceil(max(max(series_a.density), max(series_b.density)))
-    if x_max == x_min:
-        raise DomainError("degenerate plot ranges")
-
     plot_w = _SVG_W - _MARGIN_L - _MARGIN_R
     plot_h = _SVG_H - _MARGIN_T - _MARGIN_B
 
     def sx(x: float) -> float:
-        return _MARGIN_L + (x - x_min) / (x_max - x_min) * plot_w
+        return _MARGIN_L + (x - x_min) / x_span * plot_w
 
     def sy(y: float) -> float:
         return _MARGIN_T + plot_h - y / y_max * plot_h
+
+    # The plot frame: a non-zero, finite x span (zero is NaN above; a descending
+    # grid draws a reversed axis), a finite y-axis top and finite curve
+    # positions, which a point far outside the frame can overflow.
+    curves = [[(sx(x), sy(d)) for x, d in zip(s.grid, s.density)] for s in (series_a, series_b)]
+    positions = [v for curve in curves for point in curve for v in point]
+    if not all(map(math.isfinite, (x_span, y_max, *positions))):
+        raise DomainError("degenerate plot ranges")
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
     ]
+
+    def add_text(x, y, size, body: str, anchor=' text-anchor="middle"', transform="") -> None:
+        parts.append(
+            f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" font-size="{size}"'
+            f"{transform}>{body.translate(XML_TEXT_ESCAPES)}</text>"
+        )
+
+    def add_line(x1, y1, x2, y2) -> None:
+        parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black"/>')
+
     if title:
-        parts.append(
-            f'<text x="{_SVG_W / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title.translate(XML_TEXT_ESCAPES)}</text>'
-        )
-
+        add_text(f"{_SVG_W / 2:.1f}", 24, 16, title)
     x0, y0 = _MARGIN_L, _MARGIN_T + plot_h
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0 + plot_w}" y2="{y0}" stroke="black"/>'
-    )
-    parts.append(f'<line x1="{x0}" y1="{_MARGIN_T}" x2="{x0}" y2="{y0}" stroke="black"/>')
-
+    add_line(x0, y0, x0 + plot_w, y0)
+    add_line(x0, _MARGIN_T, x0, y0)
     for i in range(5):
-        xt = x_min + (x_max - x_min) * i / 4
-        px = sx(xt)
-        parts.append(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" stroke="black"/>')
-        parts.append(
-            f'<text x="{px:.2f}" y="{y0 + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{xt:.4g}</text>'
-        )
-        yt = y_max * i / 4
+        # Each step is a share of the span, so the last tick cannot overflow.
+        xt = x_min + x_span * (i / 4)
+        px = f"{sx(xt):.2f}"
+        add_line(px, y0, px, y0 + 5)
+        add_text(px, y0 + 20, 11, f"{xt:.4g}")
+        yt = y_max * (i / 4)
         py = sy(yt)
-        parts.append(f'<line x1="{x0 - 5}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="black"/>')
-        parts.append(
-            f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{yt:.4g}</text>'
-        )
-    parts.append(
-        f'<text x="{x0 + plot_w / 2:.1f}" y="{_SVG_H - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">value</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.1f})">density</text>'
-    )
+        add_line(x0 - 5, f"{py:.2f}", x0, f"{py:.2f}")
+        add_text(x0 - 8, f"{py + 4:.2f}", 11, f"{yt:.4g}", anchor=' text-anchor="end"')
+    add_text(f"{x0 + plot_w / 2:.1f}", _SVG_H - 14, 12, "value")
+    y_mid = f"{_MARGIN_T + plot_h / 2:.1f}"
+    add_text(18, y_mid, 12, "density", transform=f' transform="rotate(-90 18 {y_mid})"')
 
-    for series, color in zip((series_a, series_b), _SVG_COLORS):
-        points = " L".join(
-            f"{sx(x):.2f},{sy(d):.2f}" for x, d in zip(series.grid, series.density)
-        )
+    for curve, color in zip(curves, _SVG_COLORS):
+        points = " L".join(f"{x:.2f},{y:.2f}" for x, y in curve)
         parts.append(f'<path d="M{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
 
     legend_x = x0 + plot_w - 160
@@ -671,10 +667,7 @@ def emit_density_svg(
         parts.append(
             f'<rect x="{legend_x}" y="{ly - 9}" width="12" height="12" fill="{color}"/>'
         )
-        parts.append(
-            f'<text x="{legend_x + 18}" y="{ly + 2}" font-family="sans-serif" '
-            f'font-size="12">{label.translate(XML_TEXT_ESCAPES)}</text>'
-        )
+        add_text(legend_x + 18, ly + 2, 12, label, anchor="")
 
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")

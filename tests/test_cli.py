@@ -239,6 +239,16 @@ def test_a_usage_error_exits_1_with_one_line(argv, message):
     assert _run(argv) == (1, f"error: {message}\n")
 
 
+@pytest.mark.parametrize("formats", [" ", ",", " , "])
+def test_a_formats_value_naming_no_format_is_a_usage_error(data_dir, tmp_path, formats):
+    out = tmp_path / "out"
+    argv = ["compare", "--corpus-a", str(data_dir / "corpus_process.csv"),
+            "--corpus-b", str(data_dir / "corpus_leadership.csv"),
+            "--out", str(out), "--formats", formats]
+    assert _run(argv) == (1, f"error: argument --formats: {formats!r} names no format\n")
+    assert not out.exists()
+
+
 def test_help_still_exits_0():
     with pytest.raises(SystemExit) as leaving, contextlib.redirect_stdout(io.StringIO()):
         cli.main(["compare", "--help"])

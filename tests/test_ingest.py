@@ -683,6 +683,23 @@ def test_an_author_total_past_float_range_is_a_domain_error():
     assert summary.authors_per_document == 1e300
 
 
+@pytest.mark.parametrize("total", [-7, True, False])
+def test_an_author_total_the_manifest_refuses_is_a_domain_error(total):
+    # Both the corpus summary and the pipeline's table summary refuse it.
+    corpus = _corpus(3)
+    message = rf"^author total must be a non-negative count, got {total!r}$"
+    with pytest.raises(DomainError, match=message):
+        bibliometric_descriptives(corpus, distinct_author_total=total)
+    table = _read_table(b"Title\na\nb\nc\n", label="c")
+    with pytest.raises(DomainError, match=message):
+        table.summary(distinct_author_total=total)
+
+
+def test_a_corpus_iterates_over_its_records():
+    corpus = _corpus(3)
+    assert list(corpus) == list(corpus.records)
+
+
 def test_empty_corpus_raises():
     with pytest.raises(DomainError):
         bibliometric_descriptives(Corpus(label="empty", records=()))

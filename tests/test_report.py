@@ -14,7 +14,7 @@ from unittest import mock
 from xml.etree import ElementTree as ET
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexigauge import cli
@@ -555,6 +555,62 @@ def test_svg_escapes_labels_and_title_as_before(labels, title):
         assert f'font-size="12">{_cdata_escape(label)}</text>' in svg
 
 
+_UNIT = DensitySeries((0.0, 1.0), (0.0, 1.0), 1.0)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # A zero-width x range.
+        (DensitySeries((2.0, 2.0), (0.1, 0.2), 1.0), DensitySeries((2.0,), (0.3,), 1.0)),
+        # An x span past the float range.
+        (DensitySeries((-1e308, 1e308), (0.0, 1.0), 1.0), _UNIT),
+        # A density peak whose y-axis top rounds past the float range.
+        (DensitySeries((0.0, 1.0), (0.0, 1.75e308), 1.0), _UNIT),
+        # A curve point so far outside the frame that its position overflows.
+        (_UNIT, DensitySeries((1.0, 0.0), (-1e308, 0.0), 1.0)),
+    ],
+    ids=["zero-width", "x-span-overflow", "y-axis-overflow", "point-overflow"],
+)
+def test_svg_rejects_a_degenerate_plot_frame(a, b):
+    with pytest.raises(DomainError, match=r"^degenerate plot ranges$"):
+        emit_density_svg(a, b, labels=("x", "y"))
+
+
+def test_svg_of_a_descending_grid_draws_a_reversed_x_axis():
+    falling = DensitySeries((4.0, 0.0), (0.5, 0.25), 1.0)
+    svg = emit_density_svg(falling, falling, labels=("x", "y")).decode()
+    ticks = re.findall(r'"middle" font-family="sans-serif" font-size="11">([^<]*)<', svg)
+    assert ticks == ["4", "3", "2", "1", "0"]
+
+
+_PLOT_VALUE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _series_pairs(draw):
+    size = draw(st.integers(1, 5))
+    values = st.lists(_PLOT_VALUE, min_size=size, max_size=size).map(tuple)
+    return tuple(DensitySeries(draw(values), draw(values), 1.0) for _ in range(2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_series_pairs())
+@example((DensitySeries((-1e308, 1e308), (0.0, 1.0), 1.0),) * 2)
+@example((DensitySeries((0.0, 1.0), (0.0, 1.75e308), 1.0),) * 2)
+@example((DensitySeries((0.0, 1e308), (0.0, 1e308), 1.0),) * 2)
+@example((DensitySeries((5e-324, 1e-323), (0.0, 2.2250738585072014e-308), 1.0),) * 2)
+def test_svg_writes_finite_numbers_or_raises(pair):
+    # Every attribute value and text node: a position or tick that left the
+    # float range would be written as nan or inf.
+    try:
+        svg = emit_density_svg(*pair, labels=("a", "b"), title="t").decode()
+    except DomainError:
+        return
+    written = re.findall(r'"([^"]*)"|>([^<]+)<', svg)
+    assert not [value for value in map("".join, written) if re.search("nan|inf", value)]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -823,6 +879,17 @@ def test_manifest_rejects_negative_author_total():
     with pytest.raises(ConfigError, match="corpus 'A': 'author_total' must be non-negative"):
         load_run_config(_manifest({"author_total": -1}))
     assert load_run_config(_manifest({"author_total": 0})).corpora[0].author_total == 0
+
+
+def test_run_compare_rejects_a_boolean_author_total(data_dir, tmp_path):
+    # CorpusConfig, built from Python, accepts True (an int) where the
+    # manifest reader refuses it; the corpus summary refuses it too.
+    config = make_config(data_dir, tmp_path / "out", formats=("json",))
+    first = replace(config.corpora[0], author_total=True)
+    message = r"^corpus 'Process Review': author total must be a non-negative count, got True$"
+    with pytest.raises(DomainError, match=message):
+        run_compare(replace(config, corpora=(first, config.corpora[1])))
+    assert not (tmp_path / "out").exists()
 
 
 # How argv decodes the byte 0xe9, which is not UTF-8 on its own.
