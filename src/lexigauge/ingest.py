@@ -454,11 +454,11 @@ def bibliometric_descriptives(
 
     The author total defaults to the sum of per-record author counts; pass
     ``distinct_author_total`` when a deduplicated corpus-level figure is
-    known (per-record sums double-count recurring authors).  A negative or
-    boolean total raises DomainError.  Annual growth is the compound annual
-    growth rate of yearly document counts between the first and last
-    observed year, in percent; records without a year are excluded from the
-    growth computation only.
+    known (per-record sums double-count recurring authors).  A total that is
+    negative or not an int (a bool, a float) raises DomainError.  Annual
+    growth is the compound annual growth rate of yearly document counts
+    between the first and last observed year, in percent; records without a
+    year are excluded from the growth computation only.
     """
     records = corpus.records
     return _summary(
@@ -480,7 +480,7 @@ def _summary(
     if doc_count == 0:
         raise DomainError("cannot summarize an empty corpus")
     author_total = sum(author_counts) if distinct_author_total is None else distinct_author_total
-    if isinstance(author_total, bool) or author_total < 0:
+    if type(author_total) is not int or author_total < 0:
         raise DomainError(f"author total must be a non-negative count, got {author_total!r}")
     citations_total = sum(citations)
     try:

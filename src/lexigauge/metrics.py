@@ -18,13 +18,7 @@ from operator import mul
 from .errors import CsvParseError, DomainError, named
 from .ingest import open_text, read_csv_rows, write_csv
 from .textproc import (
-    DEFAULT_ABBREVIATIONS,
-    DEFAULT_TOKEN_POLICY,
-    TokenPolicy,
-    _count_sentences,
-    _syllable_counts,
-    check_abbreviations,
-    tokenize,
+    DEFAULT_TOKEN_POLICY, TokenPolicy, _syllable_counts, count_sentences, tokenize
 )
 
 __all__ = [
@@ -72,11 +66,7 @@ def title_length(title: str, include_spaces: bool = True) -> int:
     return len(normalized.replace(" ", ""))
 
 
-def fkgl(
-    text: str,
-    policy: TokenPolicy = DEFAULT_TOKEN_POLICY,
-    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS,
-) -> float:
+def fkgl(text: str, policy: TokenPolicy = DEFAULT_TOKEN_POLICY) -> float:
     """Flesch-Kincaid grade level of running text.
 
     May be negative for very simple text; raises DomainError when the text
@@ -84,17 +74,15 @@ def fkgl(
     """
     counts = Counter(tokenize(text, policy))
     syllables = dict(zip(counts, _syllable_counts(list(counts))))
-    return _fkgl(text, counts, check_abbreviations(abbreviations), syllables)
+    return _fkgl(text, counts, syllables)
 
 
-def _fkgl(
-    text: str, counts: Counter, abbreviations: frozenset[str], syllables: dict[str, int]
-) -> float:
+def _fkgl(text: str, counts: Counter, syllables: dict[str, int]) -> float:
     # ``counts`` is Counter(tokens of text); ``syllables`` holds each token.
     n_words = counts.total()
     if n_words == 0:
         raise DomainError("cannot compute a grade level for text with no words")
-    n_sentences = max(_count_sentences(text, abbreviations), 1)
+    n_sentences = max(count_sentences(text), 1)
     n_syllables = sum(map(mul, counts.values(), map(syllables.__getitem__, counts)))
     return 0.39 * (n_words / n_sentences) + 11.8 * (n_syllables / n_words) - 15.59
 
@@ -125,11 +113,7 @@ def _yules_k(counts: Counter) -> float:
 _BLOCK_PAIRS = 1 << 14
 
 
-def lexical_records(
-    corpus,
-    policy: TokenPolicy = DEFAULT_TOKEN_POLICY,
-    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS,
-) -> list[LexicalRecord]:
+def lexical_records(corpus, policy: TokenPolicy = DEFAULT_TOKEN_POLICY) -> list[LexicalRecord]:
     """Compute the metric row for every record of a corpus (ingest.Corpus).
 
     Abstract-less documents receive None for fkgl / yules_k; they still get
@@ -140,7 +124,6 @@ def lexical_records(
     syllable table are counted in one array pass.  The table lives only
     for this call; the values equal per-document counting.
     """
-    check_abbreviations(abbreviations)
     syllables: dict[str, int] = {}
     rows: list[LexicalRecord] = []
     block = []
@@ -152,13 +135,13 @@ def lexical_records(
         block.append((record, length, counts))
         pairs += len(counts)
         if pairs >= _BLOCK_PAIRS:
-            rows += _finish_block(block, syllables, abbreviations)
+            rows += _finish_block(block, syllables)
             block, pairs = [], 0
-    rows += _finish_block(block, syllables, abbreviations)
+    rows += _finish_block(block, syllables)
     return rows
 
 
-def _finish_block(block, syllables: dict[str, int], abbreviations) -> list[LexicalRecord]:
+def _finish_block(block, syllables: dict[str, int]) -> list[LexicalRecord]:
     types = chain.from_iterable(counts for _, _, counts in block)
     new = list(dict.fromkeys(filterfalse(syllables.__contains__, types)))
     syllables.update(zip(new, _syllable_counts(new)))
@@ -167,7 +150,7 @@ def _finish_block(block, syllables: dict[str, int], abbreviations) -> list[Lexic
         LexicalRecord(
             doc_id=record.id,
             title_length_chars=length,
-            fkgl=_fkgl(record.abstract, counts, abbreviations, syllables) if counts else None,
+            fkgl=_fkgl(record.abstract, counts, syllables) if counts else None,
             yules_k=_yules_k(counts) if counts else None,
         )
         for record, length, counts in block

@@ -105,9 +105,15 @@ class CorpusConfig:
     def __post_init__(self):
         if fault := xml_text_fault(self.label):
             raise ConfigError(f"corpus label {self.label!r} {fault}")
-        for key in ("seed", "author_total"):
+        for key in ("sample_size", "seed", "author_total"):
             value = getattr(self, key)
-            if value is not None and value < 0:
+            if value is None:
+                continue
+            if not _is_int(value):
+                raise ConfigError(
+                    f"corpus {self.label!r}: {key!r} must be an integer, got {value!r}"
+                )
+            if value < 0 and key != "sample_size":  # RunConfig refuses a sample_size below 1
                 raise ConfigError(
                     f"corpus {self.label!r}: {key!r} must be non-negative, got {value}"
                 )

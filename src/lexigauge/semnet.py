@@ -568,6 +568,9 @@ def _dependencies(sources, indptr, indices, component_size) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_SUMMARIZED_CLUSTERS = 3
+
+
 @dataclass(frozen=True)
 class ClusterInfo:
     community_id: int
@@ -579,8 +582,8 @@ class ClusterInfo:
 
 @dataclass(frozen=True)
 class ClusterSummary:
-    """Top-k clusters by node count, with degree-based labels, plus the
-    graph-wide highest-betweenness token."""
+    """The largest clusters by node count, with degree-based labels, plus
+    the graph-wide highest-betweenness token."""
 
     clusters: tuple[ClusterInfo, ...]
     total_clusters: int
@@ -589,20 +592,13 @@ class ClusterSummary:
 
 
 def cluster_summary(
-    graph: CoWordGraph,
-    partition: CommunityPartition,
-    scores: CentralityScores,
-    k: int = 3,
+    graph: CoWordGraph, partition: CommunityPartition, scores: CentralityScores
 ) -> ClusterSummary:
-    """Summarize the ``k`` most crowded clusters.
+    """Summarize the three most crowded clusters, or all if there are fewer.
 
     Clusters are ranked by node count (ties by smallest community id);
     per-cluster labels are the top-3 nodes by degree (ties lexicographic).
-    If ``k`` exceeds the cluster count, all clusters are returned; a
-    negative ``k`` raises DomainError.
     """
-    if k < 0:
-        raise DomainError(f"cannot summarize {k} clusters; k must be >= 0")
     _check_same_nodes(graph, partition, scores)
     total = graph.node_count()
     members: dict[int, list[str]] = defaultdict(list)
@@ -611,7 +607,7 @@ def cluster_summary(
 
     ranked = sorted(members.items(), key=lambda item: (-len(item[1]), item[0]))
     infos = []
-    for community, nodes in ranked[:k]:
+    for community, nodes in ranked[:_SUMMARIZED_CLUSTERS]:
         by_degree = sorted(nodes, key=lambda t: (-scores.degree[t], t))
         top_bet = min(nodes, key=lambda t: (-scores.betweenness[t], t))
         infos.append(

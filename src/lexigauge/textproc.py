@@ -12,7 +12,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, pairwise
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -141,8 +141,8 @@ def _general_tokens(text: str, bind_hyphens: bool, bind_apostrophes: bool) -> li
 # Sentence splitting
 # ---------------------------------------------------------------------------
 
-# Abbreviations whose trailing period must not end a sentence.  Entries are
-# matched case-insensitively against the text ending at the period.
+# Abbreviations whose trailing period must not end a sentence.  Every entry
+# is lowercase ASCII, which the window test of ``_boundaries`` relies on.
 DEFAULT_ABBREVIATIONS = frozenset(
     {"e.g.", "i.e.", "et al.", "vs.", "cf.", "etc."}
 )
@@ -165,30 +165,32 @@ def _sentence_class(char: str) -> str:
 
 _SENTENCE_CLASSES = "".join(map(_sentence_class, map(chr, range(256)))).encode("latin-1")
 _BOUNDARY = re.compile(rb"\.(?= +A)")
+# An entry that ends the window and follows no word character; the window
+# holds the longest entry and the character before it.
+_ABBREVIATION_END = re.compile(
+    rf"(?<!{_WORD})(?:{'|'.join(map(re.escape, sorted(DEFAULT_ABBREVIATIONS)))})\Z"
+)
+_WINDOW = 1 + max(map(len, DEFAULT_ABBREVIATIONS))
 
 
-def split_sentences(text: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS) -> list[str]:
+def split_sentences(text: str) -> list[str]:
     """Split ``text`` into sentences.
 
     A run of ``.``, ``!`` or ``?`` ends a sentence when followed by
     whitespace and an uppercase letter or digit, or when it ends the text.
-    Periods belonging to ``abbreviations`` never split.  Text containing at
-    least one word character but no terminator is a single sentence; a
-    stretch between boundaries that holds no word character is none.
+    Periods closing an entry of ``DEFAULT_ABBREVIATIONS`` never split.  Text
+    containing at least one word character but no terminator is a single
+    sentence; a stretch between boundaries that holds no word character is
+    none.
     """
-    boundaries = _boundaries(text, check_abbreviations(abbreviations))
-    spans = pairwise([0, *boundaries, len(text)])
+    spans = pairwise([0, *_boundaries(text), len(text)])
     return [text[a:b].strip() for a, b in spans if _HAS_WORD.search(text, a, b)]
 
 
-def count_sentences(text: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS) -> int:
-    """``len(split_sentences(text, abbreviations))``: the same boundary
-    scan, without building the sentence strings."""
-    return _count_sentences(text, check_abbreviations(abbreviations))
-
-
-def _count_sentences(text: str, abbreviations: frozenset[str]) -> int:
-    boundaries = _boundaries(text, abbreviations)
+def count_sentences(text: str) -> int:
+    """``len(split_sentences(text))``: the same boundary scan, without
+    building the sentence strings."""
+    boundaries = _boundaries(text)
     if _latin1(text) is None:  # "Ⓐ" opens a sentence but is no word character
         spans = pairwise([0, *boundaries, len(text)])
         return sum(1 for a, b in spans if _HAS_WORD.search(text, a, b))
@@ -198,36 +200,11 @@ def _count_sentences(text: str, abbreviations: frozenset[str]) -> int:
     return len(boundaries) + bool(_HAS_WORD.search(text, 0, before_first))
 
 
-def _is_abbreviation(entry: str) -> bool:
-    return entry.endswith((".", "!", "?")) and entry == entry.lower()
-
-
-def check_abbreviations(abbreviations: frozenset[str]) -> frozenset[str]:
-    """``abbreviations``, or ConfigError naming an entry that is empty, not lowercase
-    or without a final terminator: it would match every terminator or none."""
-    bad = sorted(entry for entry in abbreviations if not _is_abbreviation(entry))
-    if bad:
-        raise ConfigError(f"abbreviation {bad[0]!r} is not lowercase ending in '.', '!' or '?'")
-    return abbreviations
-
-
-def _boundaries(text: str, abbreviations: frozenset[str]) -> list[int]:
+def _boundaries(text: str) -> list[int]:
     """The end of each terminator run in ``text`` that is followed by
-    whitespace and a character that opens a sentence, and does not close one
-    of ``abbreviations``.  A boundary at the end of the text, or before
-    trailing whitespace, would change no sentence, so none is returned."""
-    # Abbreviations are matched in the text lowercased once.  That equals
-    # text[:end].lower() wherever text[end] is whitespace, final sigma
-    # included ("AB'Σ." -> "ab'ς.", which a window "'Σ." would miss).  One
-    # C-level suffix test per boundary; only a hit pays for the exact
-    # per-abbreviation check of the character before it.
-    lowered = text.lower()
-    suffixes = tuple(abbreviations)
-    # Lowercasing can lengthen a character ("İ" -> "i̇"), never in Latin-1:
-    # map offsets onto it.
-    at = range(len(text) + 1)
-    if len(lowered) != len(text):
-        at = list(accumulate((len(c.lower()) for c in text), initial=0))
+    whitespace and a character that opens a sentence, and does not close an
+    abbreviation.  A boundary at the end of the text, or before trailing
+    whitespace, would change no sentence, so none is returned."""
     data = _latin1(text)
     if data is not None:
         ends = map(re.Match.end, _BOUNDARY.finditer(data.translate(_SENTENCE_CLASSES)))
@@ -237,24 +214,15 @@ def _boundaries(text: str, abbreviations: frozenset[str]) -> list[int]:
             for end in map(re.Match.end, _TERMINATOR.finditer(text))
             if (opener := _OPENER.match(text, end)) and _sentence_class(opener[1]) == "A"
         )
+    # The lowercased window ends in an entry exactly where text[:end].lower()
+    # does.  Lowercasing is per character but for final sigma, whose form
+    # depends on the text before it; an entry is ASCII and both forms of
+    # sigma are alphanumeric, so either form decides the test alike.
     return [
         end
         for end in ends
-        if not (
-            lowered.endswith(suffixes, 0, at[end])
-            and _ends_with_abbreviation(lowered, at[end], abbreviations)
-        )
+        if not _ABBREVIATION_END.search(text[max(end - _WINDOW, 0) : end].lower())
     ]
-
-
-def _ends_with_abbreviation(lowered: str, end: int, abbreviations) -> bool:
-    # Compares in place: slicing ``lowered[:end]`` would copy the text at
-    # every terminator.
-    return any(
-        lowered.endswith(abbr, 0, end)
-        and (end == len(abbr) or not lowered[end - len(abbr) - 1].isalnum())
-        for abbr in abbreviations
-    )
 
 
 # ---------------------------------------------------------------------------

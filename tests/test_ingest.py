@@ -683,7 +683,7 @@ def test_an_author_total_past_float_range_is_a_domain_error():
     assert summary.authors_per_document == 1e300
 
 
-@pytest.mark.parametrize("total", [-7, True, False])
+@pytest.mark.parametrize("total", [-7, True, False, 3.5])
 def test_an_author_total_the_manifest_refuses_is_a_domain_error(total):
     # Both the corpus summary and the pipeline's table summary refuse it.
     corpus = _corpus(3)

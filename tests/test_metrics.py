@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexigauge import cli, textproc
-from lexigauge.errors import ConfigError, CsvParseError, DomainError
+from lexigauge.errors import CsvParseError, DomainError
 from lexigauge.ingest import BibRecord, Corpus
 from lexigauge.metrics import (
     LexicalRecord,
@@ -23,14 +23,15 @@ from lexigauge.metrics import (
     yules_k,
 )
 from lexigauge.textproc import (
-    DEFAULT_ABBREVIATIONS,
     TokenPolicy,
     count_syllables,
     frequency_spectrum,
     split_sentences,
     tokenize,
 )
-from test_textproc import _ABBREVIATION_SETS, _SPLIT_ALPHABET, _TOKEN_ALPHABET, _finditer_tokenize
+from test_textproc import (
+    _ABBREVIATED_TEXT, _SPLIT_ALPHABET, _TOKEN_ALPHABET, _finditer_tokenize
+)
 
 # ---------------------------------------------------------------------------
 # Title length
@@ -252,7 +253,7 @@ def test_lexical_records_counts_syllables_once_per_distinct_token(monkeypatch):
     assert handed == Counter(dict.fromkeys(distinct, 2))
 
 
-def _per_type_lexical_records(corpus, policy, abbreviations):
+def _per_type_lexical_records(corpus, policy):
     """Oracle: lexical_records before its per-token work moved into C-level
     builtins, with per-token ``lower()``, ``len(split_sentences(...))``, a
     per-type ``.get`` loop over one corpus syllable table and a ``c * c``
@@ -264,7 +265,7 @@ def _per_type_lexical_records(corpus, policy, abbreviations):
         grade = diversity = None
         if counts:
             n_words = counts.total()
-            n_sentences = max(len(split_sentences(record.abstract, abbreviations)), 1)
+            n_sentences = max(len(split_sentences(record.abstract)), 1)
             n_syllables = 0
             for token, n in counts.items():
                 per_token = syllables.get(token)
@@ -295,6 +296,7 @@ _ABSTRACT = st.one_of(
     st.text("aAbZ09.!?'-_ \t\n", max_size=60),
     st.text(_SPLIT_ALPHABET, max_size=60),
     st.text(_TOKEN_ALPHABET, max_size=60),
+    _ABBREVIATED_TEXT,
 )
 
 
@@ -302,9 +304,8 @@ _ABSTRACT = st.one_of(
 @given(
     abstracts=st.lists(_ABSTRACT, min_size=1, max_size=6),
     policy=st.sampled_from(_POLICIES),
-    abbreviations=_ABBREVIATION_SETS,
 )
-def test_lexical_records_bit_identical_to_per_type_oracle(abstracts, policy, abbreviations):
+def test_lexical_records_bit_identical_to_per_type_oracle(abstracts, policy):
     corpus = Corpus(
         label="drawn",
         records=tuple(
@@ -312,8 +313,8 @@ def test_lexical_records_bit_identical_to_per_type_oracle(abstracts, policy, abb
             for i, abstract in enumerate(abstracts)
         ),
     )
-    assert _hex_rows(lexical_records(corpus, policy, abbreviations)) == _hex_rows(
-        _per_type_lexical_records(corpus, policy, abbreviations)
+    assert _hex_rows(lexical_records(corpus, policy)) == _hex_rows(
+        _per_type_lexical_records(corpus, policy)
     )
 
 
@@ -331,11 +332,10 @@ def test_lexical_records_bit_identical_to_per_type_oracle_on_examples():
             BibRecord(id=f"d{i}", title="T", abstract=a) for i, a in enumerate(abstracts)
         ),
     )
-    for abbreviations in (DEFAULT_ABBREVIATIONS, frozenset({"i̇.", "σ.", "ς.", "e.g."})):
-        for policy in _POLICIES:
-            assert _hex_rows(lexical_records(corpus, policy, abbreviations)) == _hex_rows(
-                _per_type_lexical_records(corpus, policy, abbreviations)
-            )
+    for policy in _POLICIES:
+        assert _hex_rows(lexical_records(corpus, policy)) == _hex_rows(
+            _per_type_lexical_records(corpus, policy)
+        )
 
 
 def test_lexical_records_bit_identical_to_per_type_oracle_across_blocks():
@@ -364,9 +364,8 @@ def test_lexical_records_bit_identical_to_per_type_oracle_across_blocks():
     )
     pairs = sum(len(set(tokenize(a))) for a in abstracts)
     assert pairs > 3 * metrics._BLOCK_PAIRS
-    policy, abbreviations = TokenPolicy(), DEFAULT_ABBREVIATIONS
-    assert _hex_rows(lexical_records(corpus, policy, abbreviations)) == _hex_rows(
-        _per_type_lexical_records(corpus, policy, abbreviations)
+    assert _hex_rows(lexical_records(corpus)) == _hex_rows(
+        _per_type_lexical_records(corpus, TokenPolicy())
     )
 
 
@@ -540,39 +539,3 @@ def test_reference_abstract_segmentation(data_dir):
     assert len(tokens) == 70
     assert len(tokens) != len(set(tokens.tokens))  # repetition present
     assert math.isfinite(fkgl(abstract))
-
-
-# ---------------------------------------------------------------------------
-# Abbreviation sets
-# ---------------------------------------------------------------------------
-
-_THREE_DOCUMENTS = Corpus(
-    label="three",
-    records=tuple(
-        BibRecord(id=f"d{i}", title=f"Title {i}", abstract="One thing. Two things. Three.")
-        for i in range(3)
-    ),
-)
-
-
-def test_fkgl_and_lexical_records_check_the_abbreviation_set():
-    # At -3.14 the three sentences count; {""} would make them one (-1.84).
-    assert fkgl("One thing. Two things. Three.") == pytest.approx(-3.14, abs=0.005)
-    with pytest.raises(ConfigError, match=r"^abbreviation '' is not lowercase"):
-        fkgl("One thing. Two things. Three.", abbreviations=frozenset({""}))
-    for bad in ("thing", "E.G."):
-        with pytest.raises(ConfigError, match=f"^abbreviation '{bad}' is not lowercase"):
-            lexical_records(_THREE_DOCUMENTS, abbreviations=frozenset({bad}))
-        with pytest.raises(ConfigError):
-            lexical_records(Corpus(label="empty", records=()), abbreviations=frozenset({bad}))
-
-
-def test_lexical_records_checks_the_abbreviation_set_once_per_call(monkeypatch):
-    checked = []
-    rule = textproc._is_abbreviation
-    monkeypatch.setattr(
-        textproc, "_is_abbreviation", lambda entry: checked.append(entry) or rule(entry)
-    )
-    records = lexical_records(_THREE_DOCUMENTS)
-    assert len(records) == 3
-    assert sorted(checked) == sorted(DEFAULT_ABBREVIATIONS)

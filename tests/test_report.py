@@ -881,13 +881,19 @@ def test_manifest_rejects_negative_author_total():
     assert load_run_config(_manifest({"author_total": 0})).corpora[0].author_total == 0
 
 
-def test_run_compare_rejects_a_boolean_author_total(data_dir, tmp_path):
-    # CorpusConfig, built from Python, accepts True (an int) where the
-    # manifest reader refuses it; the corpus summary refuses it too.
+@pytest.mark.parametrize(
+    "key,value",
+    [("sample_size", True), ("seed", True), ("sample_size", 2.0), ("author_total", True),
+     ("author_total", 3.5)],
+)
+def test_run_compare_config_refuses_a_count_that_is_not_an_int(data_dir, tmp_path, key, value):
+    # The manifest reader refuses these; a CorpusConfig built from Python
+    # refuses them too, before numpy or the corpus summary sees them.
     config = make_config(data_dir, tmp_path / "out", formats=("json",))
-    first = replace(config.corpora[0], author_total=True)
-    message = r"^corpus 'Process Review': author total must be a non-negative count, got True$"
-    with pytest.raises(DomainError, match=message):
+    counts = {"sample_size": 2, "seed": 1, key: value}
+    message = rf"^corpus 'Process Review': '{key}' must be an integer, got {value!r}$"
+    with pytest.raises(ConfigError, match=message):
+        first = replace(config.corpora[0], **counts)
         run_compare(replace(config, corpora=(first, config.corpora[1])))
     assert not (tmp_path / "out").exists()
 

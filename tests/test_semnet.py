@@ -1368,15 +1368,8 @@ def test_cluster_summary_shares_5_3_2():
 
 def test_cluster_summary_k_larger_than_cluster_count():
     partition = louvain_communities(TRIANGLES, seed=5)
-    summary = cluster_summary(TRIANGLES, partition, betweenness(TRIANGLES), k=10)
+    summary = cluster_summary(TRIANGLES, partition, betweenness(TRIANGLES))
     assert len(summary.clusters) == 2
-
-
-@pytest.mark.parametrize("k", [-1, -2])
-def test_cluster_summary_rejects_negative_k(k):
-    partition = louvain_communities(TRIANGLES, seed=5)
-    with pytest.raises(DomainError, match=f"cannot summarize {k} clusters"):
-        cluster_summary(TRIANGLES, partition, betweenness(TRIANGLES), k=k)
 
 
 def test_cluster_summary_labels_are_top_degree():
