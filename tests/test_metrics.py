@@ -539,3 +539,18 @@ def test_reference_abstract_segmentation(data_dir):
     assert len(tokens) == 70
     assert len(tokens) != len(set(tokens.tokens))  # repetition present
     assert math.isfinite(fkgl(abstract))
+
+
+# ---------------------------------------------------------------------------
+# Abbreviations
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("abbreviation", ["e.g.", "E.G."])
+def test_fkgl_and_lexical_records_end_no_sentence_at_an_abbreviation(abbreviation):
+    # Seven one-syllable words ("e.g." gives "e" and "g") in two sentences:
+    # 0.39 * 7 / 2 + 11.8 - 15.59.  Three sentences would give -2.88.
+    abstract = f"Both rise, {abbreviation} Two things. Three."
+    corpus = Corpus(label="one", records=(BibRecord(id="d0", title="T", abstract=abstract),))
+    assert fkgl(abstract) == pytest.approx(-2.425, abs=1e-12)
+    assert lexical_records(corpus)[0].fkgl == fkgl(abstract)

@@ -1372,6 +1372,29 @@ def test_cluster_summary_k_larger_than_cluster_count():
     assert len(summary.clusters) == 2
 
 
+def test_cluster_summary_keeps_the_three_most_crowded_of_five_clusters():
+    # Sizes by community id: 2, 4, 3, 4, 1.  The two of size 4 tie and rank
+    # by smallest id; the shares are of all 14 nodes, not of the three kept.
+    sizes = {0: 2, 1: 4, 2: 3, 3: 4, 4: 1}
+    blocks = {cid: [f"n{cid}_{i}" for i in range(size)] for cid, size in sizes.items()}
+    edges = {}
+    for members in blocks.values():
+        for u, v in itertools.combinations(members, 2):
+            edges[(u, v)] = 1
+    graph = graph_from_edges(edges, extra_nodes=blocks[4])
+    assignment = {node: cid for cid, members in blocks.items() for node in members}
+    partition = CommunityPartition(
+        assignment=assignment, modularity_q=modularity(graph, assignment)
+    )
+    summary = cluster_summary(graph, partition, betweenness(graph))
+    assert [(c.community_id, c.size) for c in summary.clusters] == [(1, 4), (3, 4), (2, 3)]
+    assert summary.total_clusters == 5
+    assert summary.total_nodes == 14
+    assert [c.node_share_pct for c in summary.clusters] == [
+        100.0 * 4 / 14, 100.0 * 4 / 14, 100.0 * 3 / 14
+    ]
+
+
 def test_cluster_summary_labels_are_top_degree():
     # star inside a community: hub has highest degree
     edges = {("hub", leaf): 1 for leaf in ["l1", "l2", "l3", "l4"]}

@@ -533,3 +533,14 @@ def test_default_abbreviations_contain_spec_entries():
         assert abbr in DEFAULT_ABBREVIATIONS
     # The window test of _boundaries is exact only for lowercase ASCII entries.
     assert all(abbr.isascii() and abbr == abbr.lower() for abbr in DEFAULT_ABBREVIATIONS)
+
+
+def test_split_sentences_splits_after_a_period_outside_the_fixed_list():
+    # "Proc.", "Natl." and "Acad." are no entries, so a capital after each
+    # opens a sentence; "e.g." and "et al." never end one.
+    assert split_sentences("Proc. Natl. Acad. Next part.") == [
+        "Proc.", "Natl.", "Acad.", "Next part."
+    ]
+    assert split_sentences("Smith et al. Show it, e.g. Two cases.") == [
+        "Smith et al. Show it, e.g. Two cases."
+    ]
