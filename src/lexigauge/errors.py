@@ -39,6 +39,20 @@ class ConsistencyError(LexigaugeError):
     nodes absent from the graph, or a failed post-run self-audit)."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_count(value, name: str, minimum: int = 0, error: type[Exception] = DomainError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an int, not a bool,
+    and at least ``minimum``: 0 for a seed or a total, 1 for a size."""
+    if not _is_int(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = {0: "non-negative", 1: "positive"}.get(minimum, f">= {minimum}")
+        raise error(f"{name} must be {bound}, got {value}")
+
+
 @contextmanager
 def named(subject: str):
     """Put ``subject: `` in front of the message of a LexigaugeError raised in

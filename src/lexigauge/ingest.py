@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError, CsvParseError, DomainError, LexigaugeError
+from .errors import ConfigError, CsvParseError, DomainError, LexigaugeError, check_count
 
 __all__ = [
     "BibRecord",
@@ -429,7 +429,8 @@ def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:
 
     Deterministic in (corpus, n, seed); the sample preserves the input
     ordering of the chosen records and the corpus label.  Raises DomainError
-    for ``n`` outside 1..len(corpus) or a negative ``seed``.
+    for ``n`` outside 1..len(corpus) or a negative ``seed``, and for an ``n``
+    or ``seed`` that is not an int or is a bool (a numpy integer included).
     """
     chosen = _sample_indices(len(corpus.records), n, seed, corpus.label)
     return Corpus(label=corpus.label, records=tuple(corpus.records[i] for i in chosen))
@@ -437,12 +438,10 @@ def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:
 
 def _sample_indices(size: int, n: int, seed: int, label: str) -> list[int]:
     """The sorted positions of a seeded sample of ``n`` of ``size`` rows."""
-    if n <= 0:
-        raise DomainError(f"sample size must be positive, got {n}")
+    check_count(n, "sample size", 1)
     if n > size:
         raise DomainError(f"corpus {label!r}: sample size {n} exceeds its {size} records")
-    if seed < 0:
-        raise DomainError(f"sampling seed must be non-negative, got {seed}")
+    check_count(seed, "sampling seed")
     rng = np.random.Generator(np.random.PCG64(seed))
     return np.sort(rng.choice(size, size=n, replace=False)).tolist()
 
@@ -480,8 +479,7 @@ def _summary(
     if doc_count == 0:
         raise DomainError("cannot summarize an empty corpus")
     author_total = sum(author_counts) if distinct_author_total is None else distinct_author_total
-    if type(author_total) is not int or author_total < 0:
-        raise DomainError(f"author total must be a non-negative count, got {author_total!r}")
+    check_count(author_total, "author total")
     citations_total = sum(citations)
     try:
         authors_per_document = author_total / doc_count

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ConsistencyError, DomainError, named
+from .errors import ConfigError, ConsistencyError, DomainError, _is_int, check_count, named
 from .ingest import (
     SAMPLING_RNG,
     BiblioSummary,
@@ -105,18 +105,11 @@ class CorpusConfig:
     def __post_init__(self):
         if fault := xml_text_fault(self.label):
             raise ConfigError(f"corpus label {self.label!r} {fault}")
-        for key in ("sample_size", "seed", "author_total"):
-            value = getattr(self, key)
-            if value is None:
-                continue
-            if not _is_int(value):
-                raise ConfigError(
-                    f"corpus {self.label!r}: {key!r} must be an integer, got {value!r}"
-                )
-            if value < 0 and key != "sample_size":  # RunConfig refuses a sample_size below 1
-                raise ConfigError(
-                    f"corpus {self.label!r}: {key!r} must be non-negative, got {value}"
-                )
+        for key, minimum in (("sample_size", 1), ("seed", 0), ("author_total", 0)):
+            if (value := getattr(self, key)) is not None:
+                check_count(value, f"corpus {self.label!r}: {key!r}", minimum, ConfigError)
+        if self.sample_size is not None and self.seed is None:
+            raise ConfigError(f"corpus {self.label!r}: a seed is required when sample_size is set")
 
 
 @dataclass(frozen=True)
@@ -129,8 +122,8 @@ class AnalysisConfig:
     token_policy: TokenPolicy = DEFAULT_TOKEN_POLICY
 
     def __post_init__(self):
-        if self.network_seed < 0:
-            raise ConfigError(f"'network_seed' must be non-negative, got {self.network_seed}")
+        check_count(self.network_seed, "'network_seed'", 0, ConfigError)
+        check_count(self.min_title_frequency, "'min_title_frequency'", 1, ConfigError)
         _check_kde_grid(self.kde_grid_points, "'kde_grid_points'", ConfigError)
         _check_resolution(self.louvain_resolution, "'louvain_resolution'", ConfigError)
 
@@ -160,26 +153,11 @@ class RunConfig:
                 f"corpus labels {labels[0]!r} and {labels[1]!r} collide once "
                 "normalized for artifact file names"
             )
-        for corpus in self.corpora:
-            if corpus.sample_size is not None:
-                if corpus.seed is None:
-                    raise ConfigError(
-                        f"corpus {corpus.label!r}: a seed is required when "
-                        "sample_size is set"
-                    )
-                if corpus.sample_size <= 0:
-                    raise ConfigError(
-                        f"corpus {corpus.label!r}: sample_size must be positive"
-                    )
         for fmt in self.output.formats:
             if fmt not in KNOWN_FORMATS:
                 raise ConfigError(
                     f"unknown output format {fmt!r}; known: {', '.join(KNOWN_FORMATS)}"
                 )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _section(cls) -> tuple:

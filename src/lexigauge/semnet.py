@@ -30,7 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, check_count
 from .textproc import DEFAULT_TOKEN_POLICY, TokenPolicy, read_config_text, tokenize
 
 __all__ = [
@@ -178,8 +178,9 @@ def build_coword_graph(titles, policy: GraphPolicy = GraphPolicy()) -> CoWordGra
     permutation of the titles.  ``titles`` is a sequence of titles, or a
     mapping from record id to title.  A title keeping more than 256 tokens
     raises DomainError naming its record id, or else its position counted
-    from 1.
+    from 1, and so does a ``min_title_frequency`` that is not an int >= 1.
     """
+    check_count(policy.min_title_frequency, "min_title_frequency", 1)
     ids = list(titles) if isinstance(titles, Mapping) else None
     if ids is not None:
         titles = titles.values()
@@ -254,8 +255,9 @@ def _modularity(graph: CoWordGraph, community, resolution: float) -> float:
 
 
 def _check_resolution(resolution: float, name: str, error: type[Exception]) -> None:
-    """Raise ``error`` naming ``name`` unless ``resolution`` is finite and >= 0."""
-    if not 0 <= resolution <= sys.float_info.max:  # False for nan
+    """Raise ``error`` naming ``name`` unless ``resolution`` is finite and >= 0,
+    and not a bool."""
+    if isinstance(resolution, bool) or not 0 <= resolution <= sys.float_info.max:  # False for nan
         raise error(f"{name} must be finite and >= 0, got {resolution!r}")
 
 
@@ -281,15 +283,15 @@ def louvain_communities(
     exactly 0.0 when its last neighbor leaves and is deleted, so the
     candidates stay the neighbors' communities plus the node's own.  A
     weight that is not a positive whole number raises DomainError naming
-    the first such edge key in name order.  A resolution that is not finite
-    and >= 0, or a negative seed, raises DomainError too.
+    the first such edge key in name order.  A resolution that is a bool or
+    not finite and >= 0, or a seed that is not an int >= 0 (a bool or a
+    numpy integer included), raises DomainError too.
 
     Community ids in the result are canonical: numbered by decreasing
     community size, ties by lexicographically smallest member.
     """
     _check_resolution(resolution, "resolution", DomainError)
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
+    check_count(seed, "seed")
     names, indptr, indices, weights = csr = graph._csr
     # Each weight sits in both of its ends' rows; the first fault in CSR
     # order is in the smaller end's row, so (row, column) is its edge key.

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError, UnsupportedDataError
+from .errors import DegenerateDataError, DomainError, UnsupportedDataError, check_count
 
 __all__ = [
     "Descriptives",
@@ -433,18 +433,19 @@ _MAX_KDE_GRID_POINTS = 2**16
 
 
 def _check_kde_grid(grid_points: int, name: str, error: type[Exception]) -> None:
-    """Raise ``error`` naming ``name`` unless 16 <= grid_points <= 65,536."""
-    if not 16 <= grid_points <= _MAX_KDE_GRID_POINTS:
-        bound = ">= 16" if grid_points < 16 else f"<= {_MAX_KDE_GRID_POINTS}"
-        raise error(f"{name} must be {bound}, got {grid_points}")
+    """Raise ``error`` naming ``name`` unless ``grid_points`` is an int, not a
+    bool, and 16 <= grid_points <= 65,536."""
+    check_count(grid_points, name, 16, error)
+    if grid_points > _MAX_KDE_GRID_POINTS:
+        raise error(f"{name} must be <= {_MAX_KDE_GRID_POINTS}, got {grid_points}")
 
 
 def kde(values, grid_points: int = 512) -> DensitySeries:
     """Gaussian KDE with Silverman's rule-of-thumb bandwidth
     0.9 * min(sd, IQR/1.34) * n^(-1/5), evaluated on grid_points equally
     spaced points spanning [min - 3h, max + 3h].  Raises DomainError for an
-    empty or non-finite sample, a grid outside 16..65,536 points, or a
-    sample whose grid or densities overflow a float."""
+    empty or non-finite sample, a grid that is not an int from 16 to 65,536
+    points, or a sample whose grid or densities overflow a float."""
     arr = _sample(values)
     if arr.size == 0:
         raise DomainError("cannot estimate a density from an empty sample")

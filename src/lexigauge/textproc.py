@@ -44,11 +44,18 @@ class TokenPolicy:
     bind_hyphens: "top-tier" stays one token instead of two.
     bind_apostrophes: "yule's" stays one token; trailing possessive
         apostrophes never bind ("articles'" -> "articles").
+
+    A flag that is not a bool raises ConfigError naming it.
     """
 
     keep_numbers: bool = True
     bind_hyphens: bool = True
     bind_apostrophes: bool = True
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name!r} must be a boolean, got {value!r}")
 
 
 DEFAULT_TOKEN_POLICY = TokenPolicy()
@@ -91,10 +98,9 @@ def _latin1(text: str) -> bytes | None:
 
 @dataclass(frozen=True)
 class TokenStream:
-    """Lowercased word tokens plus the character count of the source text."""
+    """Lowercased word tokens."""
 
     tokens: tuple[str, ...]
-    source_char_count: int
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -118,7 +124,7 @@ def tokenize(text: str, policy: TokenPolicy = DEFAULT_TOKEN_POLICY) -> TokenStre
     tokens = _general_tokens(text, *flags) if data is None else _latin1_tokens(data, *flags)
     if not policy.keep_numbers:
         tokens = [t for t in tokens if any(c.isalpha() for c in t)]
-    return TokenStream(tokens=tuple(tokens), source_char_count=len(text))
+    return TokenStream(tuple(tokens))
 
 
 def _latin1_tokens(data: bytes, bind_hyphens: bool, bind_apostrophes: bool) -> list[str]:

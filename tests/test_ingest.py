@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -599,6 +600,18 @@ def test_sample_negative_seed_raises():
         sample_corpus(_corpus(5), 2, seed=-1)
 
 
+@pytest.mark.parametrize("n", [True, 2.0, np.int64(2)], ids=repr)
+def test_sample_size_that_is_not_an_int_raises(n):
+    # Unchecked, True would sample one record and 2.0 reach numpy as a TypeError.
+    message = rf"^sample size must be an integer, got {re.escape(repr(n))}$"
+    with pytest.raises(DomainError, match=message):
+        sample_corpus(_corpus(5), n, seed=0)
+    with pytest.raises(DomainError, match=message):
+        _read_table(b"Title\na\nb\nc\n", label="c").sample(n, 0)
+    with pytest.raises(DomainError, match=r"^sampling seed must be an integer, got 1.0$"):
+        sample_corpus(_corpus(5), 2, seed=1.0)
+
+
 def test_sample_uniformity_monte_carlo():
     # each record of a 10-record corpus should land in a 5-record sample
     # with frequency 1/2 (within 0.02 over 10,000 fresh seeds)
@@ -683,11 +696,14 @@ def test_an_author_total_past_float_range_is_a_domain_error():
     assert summary.authors_per_document == 1e300
 
 
-@pytest.mark.parametrize("total", [-7, True, False, 3.5])
-def test_an_author_total_the_manifest_refuses_is_a_domain_error(total):
+@pytest.mark.parametrize(
+    "total,rule", [(-7, "non-negative"), (True, "an integer"), (False, "an integer"),
+                   (3.5, "an integer")],
+)
+def test_an_author_total_the_manifest_refuses_is_a_domain_error(total, rule):
     # Both the corpus summary and the pipeline's table summary refuse it.
     corpus = _corpus(3)
-    message = rf"^author total must be a non-negative count, got {total!r}$"
+    message = rf"^author total must be {rule}, got {total!r}$"
     with pytest.raises(DomainError, match=message):
         bibliometric_descriptives(corpus, distinct_author_total=total)
     table = _read_table(b"Title\na\nb\nc\n", label="c")

@@ -898,6 +898,38 @@ def test_run_compare_config_refuses_a_count_that_is_not_an_int(data_dir, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key,value,rule",
+    [("network_seed", True, "an integer"), ("network_seed", 2.5, "an integer"),
+     ("min_title_frequency", 0, "positive"), ("min_title_frequency", -3, "positive"),
+     ("min_title_frequency", True, "an integer"), ("min_title_frequency", 2.5, "an integer"),
+     ("louvain_resolution", True, "finite and >= 0"), ("kde_grid_points", 64.0, "an integer")],
+)
+def test_run_compare_analysis_refuses_what_the_manifest_refuses(data_dir, tmp_path, key, value,
+                                                                rule):
+    # Unchecked, True would go into provenance as the network seed, 2.5 and
+    # 64.0 reach numpy as a TypeError, and a frequency below 1 act as 1.
+    config = make_config(data_dir, tmp_path / "out", formats=("json",))
+    with pytest.raises(ConfigError, match=rf"^'{key}' must be {rule}, got {value!r}$"):
+        run_compare(replace(config, analysis=replace(config.analysis, **{key: value})))
+    assert not (tmp_path / "out").exists()
+
+
+def test_corpus_config_requires_a_seed_with_sample_size_when_built():
+    with pytest.raises(ConfigError, match=r"^corpus 'A': a seed is required when sample_size"):
+        CorpusConfig(csv_path="a.csv", label="A", sample_size=5)
+    assert CorpusConfig(csv_path="a.csv", label="A", sample_size=5, seed=0).sample_size == 5
+
+
+def test_cli_semnet_min_title_frequency_zero_is_input_error(data_dir, tmp_path, capsys):
+    out = tmp_path / "leadership.gexf"
+    argv = ["semnet", str(data_dir / "corpus_leadership.csv"), "--min-title-frequency", "0",
+            "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: 'min_title_frequency' must be positive, got 0\n"
+    assert not out.exists()
+
+
 # How argv decodes the byte 0xe9, which is not UTF-8 on its own.
 _NOT_UTF8_LABEL = "caf\udce9"
 
@@ -1010,7 +1042,7 @@ def test_cli_compare_rejects_sample_size_zero(data_dir, tmp_path, capsys):
             "--corpus-b", str(data_dir / "corpus_leadership.csv"), "--label-b", "B",
             "--sample-size", "0", "--seed", "1", "--out", str(out)]
     assert cli.main(argv) == 1
-    assert capsys.readouterr().err == "error: corpus 'A': sample_size must be positive\n"
+    assert capsys.readouterr().err == "error: corpus 'A': 'sample_size' must be positive, got 0\n"
     assert not out.exists()
 
 

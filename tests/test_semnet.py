@@ -118,6 +118,15 @@ def test_build_prunes_below_min_title_frequency():
     assert graph.edges == {("alpha", "beta"): 2}
 
 
+@pytest.mark.parametrize("frequency,rule", [(0, "positive"), (-3, "positive"),
+                                            (True, "an integer"), (2.5, "an integer")])
+def test_build_rejects_a_min_title_frequency_that_is_not_a_positive_int(frequency, rule):
+    # Unchecked, any frequency below 1 would prune nothing, as 1 does.
+    message = rf"^min_title_frequency must be {rule}, got {frequency!r}$"
+    with pytest.raises(DomainError, match=message):
+        build_coword_graph(["alpha beta"], GraphPolicy(min_title_frequency=frequency))
+
+
 def test_build_order_invariant():
     titles = [
         "alpha beta gamma",
@@ -705,6 +714,19 @@ def test_louvain_rejects_a_negative_seed():
     # numpy's seed sequence would raise a bare ValueError.
     with pytest.raises(DomainError, match=r"^seed must be non-negative, got -1$"):
         louvain_communities(TRIANGLES, seed=-1)
+
+
+@pytest.mark.parametrize("seed", [2.5, True, np.int64(1)], ids=repr)
+def test_louvain_rejects_a_seed_that_is_not_an_int(seed):
+    # Unchecked, True would run as seed 1 and 2.5 reach numpy as a TypeError.
+    message = rf"^seed must be an integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(DomainError, match=message):
+        louvain_communities(TRIANGLES, seed=seed)
+
+
+def test_louvain_rejects_a_boolean_resolution():
+    with pytest.raises(DomainError, match=r"^resolution must be finite and >= 0, got True$"):
+        louvain_communities(TRIANGLES, resolution=True)
 
 
 @pytest.mark.parametrize(

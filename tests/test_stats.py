@@ -521,6 +521,13 @@ def test_kde_grid_past_the_cap_rejected():
         kde([1.0, 2.0, 3.0, 5.0], grid_points=2**16 + 1)
 
 
+@pytest.mark.parametrize("grid_points", [64.0, True], ids=repr)
+def test_kde_grid_that_is_not_an_int_rejected(grid_points):
+    message = rf"^grid_points must be an integer, got {grid_points!r}$"
+    with pytest.raises(DomainError, match=message):
+        kde([1.0, 2.0, 3.0, 5.0], grid_points=grid_points)
+
+
 # Every entry point that reads a sample rejects a NaN or an infinity in it.
 _READS_A_SAMPLE = {
     "descriptives": descriptives,

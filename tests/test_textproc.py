@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexigauge import textproc
+from lexigauge.errors import ConfigError
 from lexigauge.textproc import (
     DEFAULT_ABBREVIATIONS,
     TokenPolicy,
@@ -65,10 +66,6 @@ def test_tokenize_hand_fixture(text, expected):
     assert list(tokenize(text).tokens) == expected
 
 
-def test_tokenize_records_source_length():
-    assert tokenize("abc def").source_char_count == 7
-
-
 def test_tokens_have_no_whitespace_or_empties():
     stream = tokenize("A mixed, top-tier sample; 42 items (naïve).")
     assert all(tok for tok in stream.tokens)
@@ -88,6 +85,14 @@ def test_tokenize_policy_unbind_hyphens():
 def test_tokenize_policy_unbind_apostrophes():
     policy = TokenPolicy(bind_apostrophes=False)
     assert list(tokenize("yule's", policy).tokens) == ["yule", "s"]
+
+
+@pytest.mark.parametrize("flag", ["keep_numbers", "bind_hyphens", "bind_apostrophes"])
+@pytest.mark.parametrize("value", ["no", 0, None], ids=repr)
+def test_token_policy_refuses_a_flag_that_is_not_a_bool(flag, value):
+    # Unchecked, "no" is truthy, so it would keep numbers and go into provenance.
+    with pytest.raises(ConfigError, match=rf"^'{flag}' must be a boolean, got {value!r}$"):
+        TokenPolicy(**{flag: value})
 
 
 def test_tokenize_idempotent_on_token_text():
@@ -122,7 +127,6 @@ _ALL_POLICIES = [TokenPolicy(*flags) for flags in itertools.product([False, True
 def test_tokenize_matches_finditer_oracle(policy, text):
     stream = tokenize(text, policy)
     assert list(stream.tokens) == _finditer_tokenize(text, policy)
-    assert stream.source_char_count == len(text)
 
 
 @pytest.mark.parametrize("policy", _ALL_POLICIES, ids=repr)
