@@ -15,7 +15,6 @@ from .errors import (
     DegenerateDataError,
     DomainError,
     LexigaugeError,
-    UnsupportedDataError,
 )
 from .ingest import (
     BibRecord,
@@ -24,7 +23,6 @@ from .ingest import (
     bibliometric_descriptives,
     parse_bibliographic_csv,
     sample_corpus,
-    write_corpus_csv,
 )
 from .metrics import (
     LexicalRecord,
@@ -66,7 +64,6 @@ from .stats import (
     NormalityResult,
     RankSumResult,
     descriptives,
-    exact_rank_sum_p,
     kde,
     shapiro_wilk,
     wilcoxon_rank_sum,

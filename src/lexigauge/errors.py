@@ -29,11 +29,6 @@ class DegenerateDataError(DomainError):
     """Input is formally valid but statistically degenerate (zero variance)."""
 
 
-class UnsupportedDataError(DomainError):
-    """Input falls outside what an operation supports (e.g. ties in the
-    exact rank-sum enumeration)."""
-
-
 class ConsistencyError(LexigaugeError):
     """Cross-object invariant violated (e.g. centrality scores referencing
     nodes absent from the graph, or a failed post-run self-audit)."""
@@ -57,10 +52,14 @@ def check_count(value, name: str, minimum: int = 0, error: type[Exception] = Dom
 def named(subject: str):
     """Put ``subject: `` in front of the message of a LexigaugeError raised in
     the block, unless the message already starts so.  The same exception
-    object is re-raised, so its type and ``CsvParseError.row`` survive."""
+    object is re-raised, so its type and ``CsvParseError.row`` survive.  An
+    OSError's text is built from its errno fields and cannot be rewritten,
+    so it is raised as a LexigaugeError with ``subject`` in front, chained."""
     try:
         yield
     except LexigaugeError as exc:
         if not str(exc).startswith(f"{subject}: "):
             exc.args = (f"{subject}: {exc}",)
         raise
+    except OSError as exc:
+        raise LexigaugeError(f"{subject}: {exc}") from exc

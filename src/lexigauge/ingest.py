@@ -16,13 +16,13 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError, CsvParseError, DomainError, LexigaugeError, check_count
+from .errors import ConfigError, CsvParseError, DomainError, LexigaugeError, _is_int, check_count
 
 __all__ = [
     "BibRecord",
@@ -34,7 +34,6 @@ __all__ = [
     "write_csv",
     "parse_bibliographic_csv",
     "require_records",
-    "write_corpus_csv",
     "sample_corpus",
     "bibliometric_descriptives",
 ]
@@ -60,7 +59,7 @@ DEFAULT_COLUMN_MAP = {
     "author_count": "Author count",
 }
 
-# Column map matching write_corpus_csv output; round-trips every field.  Its
+# Column map that names every field, under the default headers and "Id".  Its
 # keys are BibRecord's fields in constructor order: the columns of a _Table.
 ROUNDTRIP_COLUMN_MAP = {"id": "Id", **DEFAULT_COLUMN_MAP}
 _FIELDS = tuple(ROUNDTRIP_COLUMN_MAP)
@@ -68,7 +67,7 @@ _FIELDS = tuple(ROUNDTRIP_COLUMN_MAP)
 
 @dataclass(frozen=True)
 class BibRecord:
-    """One bibliographic document."""
+    """One bibliographic document.  Its counts are ints, not bools, >= 0."""
 
     id: str
     title: str
@@ -83,10 +82,13 @@ class BibRecord:
             raise DomainError(f"record {self.id!r}: title is empty")
         if self.year is not None and not YEAR_RANGE[0] <= self.year <= YEAR_RANGE[1]:
             raise DomainError(f"record {self.id!r}: year {self.year} out of range")
-        if self.citations < 0:
-            raise DomainError(f"record {self.id!r}: negative citation count")
-        if self.author_count < 0:
-            raise DomainError(f"record {self.id!r}: negative author count")
+        for kind, count in (("citation", self.citations), ("author", self.author_count)):
+            if not _is_int(count):
+                raise DomainError(
+                    f"record {self.id!r}: {kind} count must be an integer, got {count!r}"
+                )
+            if count < 0:
+                raise DomainError(f"record {self.id!r}: negative {kind} count")
 
 
 @dataclass(frozen=True)
@@ -220,9 +222,10 @@ def parse_bibliographic_csv(
     empty are skipped and counted.  Missing abstract/citations default to
     empty / 0; unparseable or out-of-range years are treated as absent.
 
-    Raises CsvParseError (with a row number) on malformed CSV, CsvParseError
-    naming the source on invalid UTF-8, and ConfigError on an unknown field
-    or when an explicitly mapped column is missing from the header.
+    Raises CsvParseError (with a row number) on malformed CSV or a mapped
+    column that repeats in the header, CsvParseError naming the source on
+    invalid UTF-8, and ConfigError on an unknown field or when an explicitly
+    mapped column is missing from the header.
     """
     return _read_table(source, column_map, label).corpus()
 
@@ -331,6 +334,9 @@ def _read_table(
             columns: dict[str, int] = {}
             for logical, csv_name in mapping.items():
                 if csv_name in index:
+                    if header.index(csv_name) != index[csv_name]:  # index keeps the last
+                        message = f"column {csv_name!r} (for {logical!r}) repeats in the header"
+                        raise CsvParseError(message, row=1)
                     columns[logical] = index[csv_name]
                 elif logical == "title" or column_map is not None:
                     raise ConfigError(
@@ -416,12 +422,6 @@ def require_records(corpus: Corpus | _Table, source) -> None:
     (every row had an empty title)."""
     if len(corpus) == 0:
         raise DomainError(f"no usable records in {source}")
-
-
-def write_corpus_csv(corpus: Corpus, target) -> None:
-    """Serialize a corpus back to CSV (RFC 4180); parsing the output with
-    ROUNDTRIP_COLUMN_MAP reproduces the records field-for-field."""
-    write_csv(target, ROUNDTRIP_COLUMN_MAP.values(), map(attrgetter(*_FIELDS), corpus.records))
 
 
 def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:

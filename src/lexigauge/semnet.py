@@ -255,9 +255,10 @@ def _modularity(graph: CoWordGraph, community, resolution: float) -> float:
 
 
 def _check_resolution(resolution: float, name: str, error: type[Exception]) -> None:
-    """Raise ``error`` naming ``name`` unless ``resolution`` is finite and >= 0,
-    and not a bool."""
-    if isinstance(resolution, bool) or not 0 <= resolution <= sys.float_info.max:  # False for nan
+    """Raise ``error`` naming ``name`` unless ``resolution`` is an int or a
+    float, not a bool, finite and >= 0."""
+    number = isinstance(resolution, (int, float)) and not isinstance(resolution, bool)
+    if not number or not 0 <= resolution <= sys.float_info.max:  # False for nan
         raise error(f"{name} must be finite and >= 0, got {resolution!r}")
 
 
@@ -283,9 +284,10 @@ def louvain_communities(
     exactly 0.0 when its last neighbor leaves and is deleted, so the
     candidates stay the neighbors' communities plus the node's own.  A
     weight that is not a positive whole number raises DomainError naming
-    the first such edge key in name order.  A resolution that is a bool or
-    not finite and >= 0, or a seed that is not an int >= 0 (a bool or a
-    numpy integer included), raises DomainError too.
+    the first such edge key in name order.  A resolution that is not an int
+    or a float (a bool included) or not finite and >= 0, or a seed that is
+    not an int >= 0 (a bool or a numpy integer included), raises DomainError
+    too.
 
     Community ids in the result are canonical: numbered by decreasing
     community size, ties by lexicographically smallest member.

@@ -1,17 +1,16 @@
 """Nonparametric statistics: six-number summaries, Shapiro-Wilk normality,
-Wilcoxon rank-sum with effect size, an exact small-sample oracle, and
-Gaussian kernel density series for plotting.
+Wilcoxon rank-sum with effect size, and Gaussian kernel density series for
+plotting.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError, UnsupportedDataError, check_count
+from .errors import DegenerateDataError, DomainError, check_count
 
 __all__ = [
     "Descriptives",
@@ -21,9 +20,7 @@ __all__ = [
     "descriptives",
     "shapiro_wilk",
     "wilcoxon_rank_sum",
-    "exact_rank_sum_p",
     "kde",
-    "z_from_effect_size",
     "effect_size_from_z",
     "p_two_sided_from_z",
     "ndtr",
@@ -248,40 +245,9 @@ def wilcoxon_rank_sum(x, y) -> RankSumResult:
     )
 
 
-def exact_rank_sum_p(x, y) -> float:
-    """Exact two-sided rank-sum p-value by enumerating every possible
-    assignment of ranks to the first sample.
-
-    Supports n_x + n_y <= 20 and tie-free data only; used as the oracle
-    that validates the normal approximation at small sample sizes.  Raises
-    DomainError when a sample is empty or holds a NaN or an infinity.
-    """
-    x, y = _sample(x), _sample(y)
-    n_x, n_y = x.size, y.size
-    if n_x == 0 or n_y == 0:
-        raise DomainError("both samples must be non-empty")
-    n = n_x + n_y
-    if n > 20:
-        raise DomainError(f"exact enumeration supports n_x + n_y <= 20, got {n}")
-    combined = np.concatenate([x, y])
-    if np.unique(combined).size != n:
-        raise UnsupportedDataError("exact enumeration requires tie-free data")
-
-    # U is the first sample's rank sum less a constant: rank sums order alike.
-    observed = (np.argsort(np.argsort(combined))[:n_x] + 1).sum()
-    rank_sums = np.fromiter(map(sum, combinations(range(1, n + 1), n_x)), dtype=np.int64)
-    count = min(int((rank_sums <= observed).sum()), int((rank_sums >= observed).sum()))
-    return min(1.0, 2.0 * count / rank_sums.size)
-
-
 # ---------------------------------------------------------------------------
-# Effect-size conversions (r <-> z -> two-sided p)
+# Effect-size and p-value conversions (z -> r, z -> two-sided p)
 # ---------------------------------------------------------------------------
-
-
-def z_from_effect_size(r: float, n_total: int) -> float:
-    """|z| implied by rank-sum effect size r at a combined sample size."""
-    return r * math.sqrt(n_total)
 
 
 def effect_size_from_z(z: float, n_total: int) -> float:

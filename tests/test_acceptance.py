@@ -8,7 +8,6 @@ title length) so each reference value stands alone.
 import itertools
 import json
 import random
-from collections import deque
 
 import numpy as np
 import pytest
@@ -21,15 +20,14 @@ from lexigauge.semnet import (
     louvain_communities,
 )
 from lexigauge.stats import (
-    exact_rank_sum_p,
     kde,
     p_two_sided_from_z,
     shapiro_wilk,
     wilcoxon_rank_sum,
-    z_from_effect_size,
 )
 from lexigauge.ingest import BibRecord, Corpus, bibliometric_descriptives
 from lexigauge.textproc import tokenize
+from oracles import brute_force_betweenness, exact_rank_sum_p, z_from_effect_size
 
 
 def announce(number: int, text: str) -> None:
@@ -170,41 +168,6 @@ def _graph(edges, extra_nodes=()):
     )
 
 
-def _oracle_betweenness(graph):
-    nodes = sorted(graph.node_frequency)
-    adjacency = {u: [] for u in nodes}
-    for u, v in graph.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    scores = {u: 0.0 for u in nodes}
-    for s, t in itertools.combinations(nodes, 2):
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        if t not in dist:
-            continue
-        paths = []
-
-        def extend(path):
-            if path[-1] == t:
-                paths.append(path)
-                return
-            for v in adjacency[path[-1]]:
-                if v in dist and dist[v] == dist[path[-1]] + 1:
-                    extend(path + [v])
-
-        extend([s])
-        for path in paths:
-            for interior in path[1:-1]:
-                scores[interior] += 1.0 / len(paths)
-    return scores
-
-
 def test_criterion_08_graph_algorithms():
     triangles = _graph([("a", "b"), ("a", "c"), ("b", "c"),
                         ("d", "e"), ("d", "f"), ("e", "f")])
@@ -244,7 +207,7 @@ def test_criterion_08_graph_algorithms():
             continue
         graph = _graph(edges, extra_nodes=nodes)
         mine = betweenness(graph).betweenness
-        oracle = _oracle_betweenness(graph)
+        oracle = brute_force_betweenness(graph)
         for node in graph.node_frequency:
             assert mine[node] == pytest.approx(oracle[node], abs=1e-9)
         checked += 1

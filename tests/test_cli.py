@@ -16,7 +16,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from lexigauge import cli, report
-from lexigauge.errors import CsvParseError, named
+from lexigauge.errors import CsvParseError, LexigaugeError, named
 from lexigauge.metrics import METRIC_NAMES
 from lexigauge.report import KNOWN_FORMATS
 
@@ -54,6 +54,18 @@ def test_named_prefixes_once_and_keeps_the_exception():
         with named("table.csv"):
             raise KeyError("k")
     assert str(other.value) == "'k'"
+
+
+def test_named_raises_an_os_error_as_a_named_input_error():
+    # The text of an OSError is built from its errno fields, so it is
+    # wrapped, not rewritten.
+    original = FileNotFoundError(2, "No such file or directory", "x.csv")
+    with pytest.raises(LexigaugeError) as caught:
+        with named("corpus 'A'"):
+            with named("corpus 'A'"):
+                raise original
+    assert str(caught.value) == "corpus 'A': [Errno 2] No such file or directory: 'x.csv'"
+    assert caught.value.__cause__ is original
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +146,26 @@ def test_compare_names_an_export_changed_while_it_was_read(data_dir, tmp_path, m
     )
 
 
+@pytest.mark.parametrize("kind", ["directory", "missing"])
+def test_compare_names_the_corpus_of_a_path_it_cannot_open(data_dir, tmp_path, kind):
+    # The OSError's own text names the path but not the corpus.
+    path = tmp_path / "dir"
+    if kind == "directory":
+        path.mkdir()
+    code, err = _compare(data_dir, tmp_path, str(path))
+    assert code == 1
+    shown = re.escape(repr(str(path)))
+    assert re.fullmatch(rf"error: corpus 'A': \[Errno \d+\] [^\n]*: {shown}\n", err)
+
+
+def test_a_repeated_mapped_header_is_named_by_compare_and_metrics(data_dir, tmp_path):
+    export = tmp_path / "export.csv"
+    export.write_text("Title,Abstract,Abstract\nTeam process,First.,Second.\n", encoding="utf-8")
+    fault = "row 1: column 'Abstract' (for 'abstract') repeats in the header"
+    assert _compare(data_dir, tmp_path, str(export)) == (1, f"error: corpus 'A': {fault}\n")
+    assert _run(["metrics", str(export)]) == (1, f"error: {export}: {fault}\n")
+
+
 def test_single_file_commands_name_their_file(tmp_path):
     disjoint = _write_rows(
         tmp_path / "disjoint.csv",
@@ -146,6 +178,9 @@ def test_single_file_commands_name_their_file(tmp_path):
     assert _run(["metrics", negative]) == (
         1, f"error: {negative}: record 'row1': negative citation count\n"
     )
+    code, err = _run(["metrics", str(tmp_path)])
+    assert code == 1
+    assert re.fullmatch(rf"error: {re.escape(str(tmp_path))}: \[Errno \d+\] [^\n]*\n", err)
 
 
 def test_a_repeated_over_cap_title_is_named_by_compare_and_semnet(data_dir, tmp_path):

@@ -28,9 +28,9 @@ from lexigauge.ingest import (
     parse_bibliographic_csv,
     read_csv_rows,
     sample_corpus,
-    write_corpus_csv,
 )
 from lexigauge.metrics import read_metrics_csv
+from oracles import write_corpus_csv
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -295,6 +295,10 @@ def _oracle_parse(source, column_map=None, label=""):
 
         columns: dict[str, int] = {}
         for logical, csv_name in mapping.items():
+            if header.count(csv_name) > 1:
+                raise CsvParseError(
+                    f"column {csv_name!r} (for {logical!r}) repeats in the header", row=1
+                )
             if csv_name in index:
                 columns[logical] = index[csv_name]
             elif logical == "title" or explicit:
@@ -352,10 +356,12 @@ def _csv_cell(text: str) -> str:
 @st.composite
 def _exports(draw):
     """Bytes of a small export and a column map: ragged rows, blank lines,
-    an optional BOM and at most one fault, after any row."""
+    an optional BOM and at most one fault, after any row.  A header may
+    repeat a name."""
     header = draw(
         st.permutations(_HEADERS)
         | st.lists(st.sampled_from(_HEADERS), min_size=1, max_size=7, unique=True)
+        | st.lists(st.sampled_from(_HEADERS), min_size=2, max_size=7)
     )
     rows = draw(
         st.lists(st.lists(st.sampled_from(_CELLS + [_LONG_CELL]), max_size=len(header) + 1),
@@ -387,11 +393,35 @@ def _outcome(call, *args):
 @example((b"Id,Title,Cited by\ndup,One,1\ndup,Two,-3\n",
           {"id": "Id", "title": "Title", "citations": "Cited by"}))
 @example((b"Title,Cited by,Author count\n,-1,0\nOne,2,-1\nTwo,-3,0\n", None))
+@example((b"Title,Abstract,Abstract\nOne,First.,Second.\n", None))
 def test_parser_equals_the_per_row_oracle(export):
     data, column_map = export
     assert _outcome(parse_bibliographic_csv, data, column_map, "c") == _outcome(
         _oracle_parse, data, column_map, "c"
     )
+
+
+@pytest.mark.parametrize(
+    "data,column",
+    [(b"Title,Abstract,Abstract\nOne,First.,Second.\n", "'Abstract' (for 'abstract')"),
+     (b"Title,Title,Abstract\nOne,Two,First.\n", "'Title' (for 'title')"),
+     (b"Note,Title,Note,Note\nx,One,y,z\n", None)],
+    ids=["abstract", "title", "unmapped"],
+)
+def test_a_repeated_mapped_header_is_an_input_error(tmp_path, data, column):
+    # Unchecked, the header index kept the last of the repeated positions,
+    # so the FKGL came from the last Abstract cell.  An unmapped name may
+    # repeat.
+    path = tmp_path / "export.csv"
+    path.write_bytes(data)
+    for read in (parse_bibliographic_csv, _oracle_parse,
+                 lambda source: _read_table(source, sampled=True).sample(1, seed=0)):
+        if column is None:
+            assert [r.title for r in read(path).records] == ["One"]
+        else:
+            message = rf"^row 1: column {re.escape(column)} repeats in the header$"
+            with pytest.raises(CsvParseError, match=message):
+                read(path)
 
 
 @pytest.mark.parametrize("fault", _FAULTS)
@@ -514,6 +544,16 @@ def test_bibrecord_rejects_negative_counts():
         BibRecord(id="x", title="t", citations=-1)
     with pytest.raises(DomainError):
         BibRecord(id="x", title="t", author_count=-2)
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3", None, np.int64(2)], ids=repr)
+@pytest.mark.parametrize("field,kind", [("citations", "citation"), ("author_count", "author")])
+def test_bibrecord_rejects_a_count_that_is_not_an_int(field, kind, value):
+    # Unchecked, citations=2.5 was summarized as 2.5 citations per document
+    # and author_count=True as one author.
+    message = rf"^record 'x': {kind} count must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(DomainError, match=message):
+        BibRecord(id="x", title="t", **{field: value})
 
 
 def test_corpus_rejects_duplicate_ids():

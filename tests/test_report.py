@@ -22,6 +22,7 @@ from lexigauge.errors import ConfigError, ConsistencyError, DomainError, Lexigau
 from lexigauge.ingest import write_csv
 from lexigauge.metrics import read_metrics_csv, write_metrics_csv
 from lexigauge.report import (
+    KNOWN_FORMATS,
     AnalysisConfig,
     CorpusConfig,
     OutputConfig,
@@ -342,8 +343,11 @@ def test_run_compare_missing_file_names_corpus(data_dir, tmp_path):
         ),
         output=OutputConfig(directory=str(tmp_path / "out")),
     )
-    with pytest.raises((LexigaugeError, OSError)):
+    message = r"^corpus 'ghost': \[Errno 2\] .*nope\.csv'$"
+    with pytest.raises(LexigaugeError, match=message) as err:
         run_compare(config)
+    assert isinstance(err.value.__cause__, FileNotFoundError)
+    assert not (tmp_path / "out").exists()
 
 
 def test_metric_csv_lists_every_sampled_document_once(data_dir, tmp_path):
@@ -903,7 +907,8 @@ def test_run_compare_config_refuses_a_count_that_is_not_an_int(data_dir, tmp_pat
     [("network_seed", True, "an integer"), ("network_seed", 2.5, "an integer"),
      ("min_title_frequency", 0, "positive"), ("min_title_frequency", -3, "positive"),
      ("min_title_frequency", True, "an integer"), ("min_title_frequency", 2.5, "an integer"),
-     ("louvain_resolution", True, "finite and >= 0"), ("kde_grid_points", 64.0, "an integer")],
+     ("louvain_resolution", True, "finite and >= 0"),
+     ("louvain_resolution", "1", "finite and >= 0"), ("kde_grid_points", 64.0, "an integer")],
 )
 def test_run_compare_analysis_refuses_what_the_manifest_refuses(data_dir, tmp_path, key, value,
                                                                 rule):
@@ -1519,3 +1524,26 @@ def test_full_comparison_through_cli_leaves_xml_unimported(data_dir, tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 []"
     assert {".gexf", ".graphml", ".svg"} <= {path.suffix for path in out.iterdir()}
+
+
+def test_compare_artifacts_do_not_depend_on_the_hash_seed(data_dir, tmp_path):
+    # A set or a str-keyed dict iterated into an output would order it by
+    # the hash seed, which each process draws anew.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    bundles = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / hash_seed
+        done = subprocess.run(
+            [sys.executable, "-m", "lexigauge.cli", "compare",
+             "--corpus-a", str(data_dir / "corpus_process.csv"),
+             "--corpus-b", str(data_dir / "corpus_leadership.csv"),
+             "--out", str(out), "--formats", ",".join(KNOWN_FORMATS)],
+            env={**env, "PYTHONHASHSEED": hash_seed}, capture_output=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        bundles.append({
+            path.name: re.sub(rb'"generated_at": "[^"]*"', b"", path.read_bytes())
+            for path in out.iterdir()
+        })
+    assert len(bundles[0]) == 16
+    assert bundles[0] == bundles[1]

@@ -34,6 +34,7 @@ from lexigauge.semnet import (
     modularity,
 )
 from lexigauge.textproc import tokenize
+from oracles import brute_force_betweenness
 
 
 def graph_from_edges(edges: dict, extra_nodes=()) -> CoWordGraph:
@@ -695,12 +696,14 @@ def test_louvain_rejects_a_weight_that_is_not_a_positive_whole_number(weight):
 
 @pytest.mark.parametrize(
     "resolution",
-    [float("nan"), float("inf"), float("-inf"), -0.5, 10**400],
-    ids=["nan", "inf", "-inf", "negative", "past-the-float-range"],
+    [float("nan"), float("inf"), float("-inf"), -0.5, 10**400, "1", None, [1.0]],
+    ids=["nan", "inf", "-inf", "negative", "past-the-float-range", "str", "none", "list"],
 )
 def test_louvain_rejects_a_resolution_the_config_rejects(resolution):
-    # Louvain would run on each: nan and inf leave every node of the path
-    # alone, and a negative resolution merges it into one community.
+    # Louvain would run on each number: nan and inf leave every node of the
+    # path alone, and a negative resolution merges it into one community.
+    # A value that is not a number must not reach the range check, whose
+    # comparison would raise TypeError.
     path = graph_from_edges({("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1})
     rule = f"must be finite and >= 0, got {re.escape(repr(resolution))}$"
     with pytest.raises(DomainError, match=f"^resolution {rule}"):
@@ -935,42 +938,6 @@ def blank_scores(nodes) -> tuple[CommunityPartition, CentralityScores]:
 # ---------------------------------------------------------------------------
 # Betweenness
 # ---------------------------------------------------------------------------
-
-
-def brute_force_betweenness(graph: CoWordGraph) -> dict:
-    """Direct from the definition: enumerate every shortest path of every
-    unordered pair via BFS-layer DFS, crediting interior nodes."""
-    nodes = sorted(graph.node_frequency)
-    adjacency = neighbor_weights(graph)
-    scores = {u: 0.0 for u in nodes}
-    for s, t in itertools.combinations(nodes, 2):
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        if t not in dist:
-            continue
-
-        paths = []
-
-        def extend(path):
-            head = path[-1]
-            if head == t:
-                paths.append(path)
-                return
-            for v in adjacency[head]:
-                if v in dist and dist[v] == dist[head] + 1:
-                    extend(path + [v])
-
-        extend([s])
-        for path in paths:
-            for interior in path[1:-1]:
-                scores[interior] += 1.0 / len(paths)
-    return scores
 
 
 def test_betweenness_path():
